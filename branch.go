@@ -222,7 +222,7 @@ func (c *Cluster) Branch(parent string, ckpt TreeNodeID, specs ...BranchSpec) ([
 		for _, n := range mgr.Nodes {
 			plin := mgr.Lineage(n.Name)
 			if c.NaiveBranchCopy {
-				nl := storage.NewLineage(mgr.MaxChainDepth)
+				nl := storage.NewLineage(0)
 				nl.Commit(plin.Materialize(), 0)
 				sess.branchLineages[aliases[i][n.Name]] = nl
 				continue

@@ -71,13 +71,13 @@ type Cluster struct {
 	// Storage selects the physical tier checkpoint-chain segments live
 	// on and the node-local delta cache in front of the remote tier.
 	// Set it (or call ConfigureStorage) before submitting tenants; the
-	// zero value keeps the legacy in-process behavior byte for byte.
+	// zero value keeps chain state on the file server.
 	Storage StorageOptions
 
-	// storageBackend and storageCache are the facility-wide tier and
+	// storageTier and storageCache are the facility-wide tier and
 	// cache built from Storage on first use.
-	storageBackend storage.Backend
-	storageCache   *storage.DeltaCache
+	storageTier  *storage.Tier
+	storageCache *storage.DeltaCache
 
 	// NaiveBranchCopy switches Branch to the evaluation baseline: each
 	// branch stages its own full unicast copy of the parent state (no
@@ -129,11 +129,11 @@ func NewCluster(pool int, seed int64, policy Policy) *Cluster {
 // StorageOptions selects the checkpoint-chain storage tier for a
 // cluster (see docs/storage.md).
 type StorageOptions struct {
-	// Backend names the tier: "" or "mem" (legacy in-process store),
-	// "disk" (node-local snapshot disk: local seek/bandwidth costs,
-	// capacity-bounded, spills to the pool), or "remote" (shared pool
-	// over the control LAN with batched puts and per-request round
-	// trips).
+	// Backend names the tier: "" or "mem" (no tier: chain state stays
+	// on the file server), "disk" (node-local snapshot disk: local
+	// seek/bandwidth costs, capacity-bounded, spills to the pool), or
+	// "remote" (shared pool over the control LAN: one upload per epoch
+	// commit plus per-request round trips).
 	Backend string
 	// CacheMB sizes the node-local delta cache fronting remotely-homed
 	// segments, in MB (0 = no cache).
@@ -149,50 +149,29 @@ type StorageOptions struct {
 // first swap cycle; reconfiguring mid-run would strand placement
 // state.
 func (c *Cluster) ConfigureStorage(o StorageOptions) error {
-	kind, err := storage.ParseBackendKind(o.Backend)
+	tier, err := storage.ParseTier(o.Backend, o.DiskMB<<20)
 	if err != nil {
 		return err
 	}
 	c.Storage = o
-	c.storageBackend = nil
+	c.storageTier = tier
 	c.storageCache = nil
-	if kind != storage.MemKind {
-		if kind == storage.DiskKind {
-			c.storageBackend = storage.NewDiskBackend(o.DiskMB << 20)
-		} else {
-			c.storageBackend = storage.NewBackend(kind)
-		}
-		if o.CacheMB > 0 {
-			c.storageCache = storage.NewDeltaCache(o.CacheMB<<20, c.Chains.Refs)
-		}
-		// The backend mirrors the chain store's contents: commits (and
-		// prune folds, which re-key the base) reach the physical tier,
-		// and GC'd epochs leave it — and the cache, so dead segments
-		// stop holding capacity against live entries.
-		be, cache := c.storageBackend, c.storageCache
-		c.Chains.OnStore = func(a storage.Addr, n int64) { be.Put(a, n) }
-		c.Chains.OnDrop = func(a storage.Addr, n int64) {
-			be.Delete(a)
-			if cache != nil {
-				cache.Drop(a)
-			}
-		}
-	} else {
-		c.Chains.OnStore = nil
-		c.Chains.OnDrop = nil
+	if tier != nil && o.CacheMB > 0 {
+		c.storageCache = storage.NewDeltaCache(o.CacheMB<<20, c.Chains.Refs)
 	}
+	c.Chains.Mirror(tier, c.storageCache)
 	for _, sess := range c.tenants {
 		if sess.Exp != nil && sess.Exp.Swap != nil {
-			sess.Exp.Swap.Backend = c.storageBackend
+			sess.Exp.Swap.Tier = tier
 			sess.Exp.Swap.Cache = c.storageCache
 		}
 	}
 	return nil
 }
 
-// StorageBackend returns the facility-wide chain tier (nil when the
-// legacy in-process store is selected).
-func (c *Cluster) StorageBackend() storage.Backend { return c.storageBackend }
+// StorageTier returns the facility-wide chain tier (nil when chain
+// state stays on the file server).
+func (c *Cluster) StorageTier() *storage.Tier { return c.storageTier }
 
 // DeltaCache returns the facility-wide delta cache (nil when off).
 func (c *Cluster) DeltaCache() *storage.DeltaCache { return c.storageCache }
@@ -202,12 +181,12 @@ func (c *Cluster) DeltaCache() *storage.DeltaCache { return c.storageCache }
 // siblings) unless the naive-copy baseline is selected.
 func (c *Cluster) swapOptions(sess *Session) swap.Options {
 	if sess != nil && sess.IsBranch() && !c.NaiveBranchCopy {
-		return swap.BranchOptions()
+		return swap.Options{Mode: swap.Branch}
 	}
 	if c.Incremental {
-		return swap.IncrementalOptions()
+		return swap.Options{Mode: swap.Incremental}
 	}
-	return swap.DefaultOptions()
+	return swap.Options{}
 }
 
 // parkCost estimates the bytes a stateful park of sess would move right
@@ -219,7 +198,7 @@ func (c *Cluster) parkCost(sess *Session) int64 {
 	if sess.Exp == nil || sess.Exp.Swap == nil {
 		return 0
 	}
-	incremental := c.swapOptions(sess).Incremental
+	incremental := c.swapOptions(sess).Mode != swap.Full
 	var total int64
 	for _, n := range sess.Exp.Swap.Nodes {
 		if incremental && sess.Exp.Swap.Cycle > 0 {
@@ -306,7 +285,7 @@ func (c *Cluster) watchPhase(name string, fn func(core.Phase)) {
 // ConfigureStorage) the first time a tenant is wired. An invalid
 // backend literal is a programmer error and panics.
 func (c *Cluster) ensureStorage() {
-	if c.storageBackend != nil || c.storageCache != nil || c.Storage == (StorageOptions{}) {
+	if c.storageTier != nil || c.storageCache != nil || c.Storage == (StorageOptions{}) {
 		return
 	}
 	if err := c.ConfigureStorage(c.Storage); err != nil {
@@ -325,7 +304,7 @@ func (c *Cluster) wireTenant(sess *Session, exp *emulab.Experiment) {
 		exp.Swap.Stats = c.SwapStats
 		exp.Swap.Chains = c.Chains
 		exp.Swap.SaveDeadline = c.SaveDeadline
-		exp.Swap.Backend = c.storageBackend
+		exp.Swap.Tier = c.storageTier
 		exp.Swap.Cache = c.storageCache
 	}
 	name := sess.Scenario.Spec.Name
@@ -420,7 +399,7 @@ func (c *Cluster) resumeTenant(sess *Session, done func(error)) {
 	}
 	if sess.recoverPending {
 		sess.recoverPending = false
-		err := sess.Exp.Swap.Recover(c.swapOptions(sess), func(_ []*swap.InReport, rerr error) {
+		err := sess.Exp.Swap.Recover(func(_ []*swap.InReport, rerr error) {
 			if rerr != nil {
 				fail(rerr)
 				return

@@ -505,7 +505,7 @@ func (s *Session) SwapOut() ([]*swap.OutReport, error) {
 	}
 	var reps []*swap.OutReport
 	var serr error
-	if err := s.Exp.Swap.SwapOut(swap.DefaultOptions(), func(r []*swap.OutReport, e error) { reps, serr = r, e }); err != nil {
+	if err := s.Exp.Swap.SwapOut(swap.Options{}, func(r []*swap.OutReport, e error) { reps, serr = r, e }); err != nil {
 		return nil, err
 	}
 	deadline := s.S.Now() + 2*sim.Hour
@@ -532,8 +532,7 @@ func (s *Session) SwapIn(lazy bool) ([]*swap.InReport, error) {
 	if s.Exp.Swap == nil {
 		return nil, fmt.Errorf("emucheck: no swappable nodes")
 	}
-	o := swap.DefaultOptions()
-	o.Lazy = lazy
+	o := swap.Options{Eager: !lazy}
 	var reps []*swap.InReport
 	var serr error
 	if err := s.Exp.Swap.SwapIn(o, func(r []*swap.InReport, e error) { reps, serr = r, e }); err != nil {

@@ -299,8 +299,7 @@ func SwapTable(seed int64) *SwapTableResult {
 
 	run := func(lazy bool) []SwapCycleRow {
 		r := newSwapRig(seed)
-		o := swap.DefaultOptions()
-		o.Lazy = lazy
+		o := swap.Options{Eager: !lazy}
 		var rows []SwapCycleRow
 		for c := 1; c <= 4; c++ {
 			r.session(false)
@@ -320,10 +319,10 @@ func SwapTable(seed int64) *SwapTableResult {
 	// Disk-intensive swap-out slowdown.
 	quiet := newSwapRig(seed + 1)
 	quiet.session(false)
-	quietOut := quiet.swapOut(swap.DefaultOptions())
+	quietOut := quiet.swapOut(swap.Options{})
 	busy := newSwapRig(seed + 2)
 	busy.session(true)
-	busyOut := busy.swapOut(swap.DefaultOptions())
+	busyOut := busy.swapOut(swap.Options{})
 	res.DiskLoadedOutPct = pct(busyOut, quietOut)
 	return res
 }

@@ -134,18 +134,18 @@ type tenant struct {
 	// chain is the tenant's checkpoint chain; the prefix chain[:committed]
 	// is authoritative in the shared pool (commits land at barriers).
 	// Parks append pending delta segments up to a depth bound.
-	chain     []swap.ChainSegment
+	chain     []storage.Segment
 	committed int
 	wakeAt    sim.Time // pending wake-up when sleeping, for migration handoff
 }
 
 // chainFor derives tenant id's initial checkpoint chain: 2-5 segments
 // of a few hundred KB, addresses disjoint across the fleet.
-func chainFor(id int) []swap.ChainSegment {
+func chainFor(id int) []storage.Segment {
 	segs := 2 + id%4
-	chain := make([]swap.ChainSegment, 0, segs)
+	chain := make([]storage.Segment, 0, segs)
 	for k := 0; k < segs; k++ {
-		chain = append(chain, swap.ChainSegment{
+		chain = append(chain, storage.Segment{
 			Addr:  chainAddr(id, k),
 			Bytes: int64(256+(id%7)*128) << 10,
 		})
@@ -270,7 +270,7 @@ func (t *tenant) dirty() {
 	if len(t.chain) >= maxChainDepth {
 		return
 	}
-	t.chain = append(t.chain, swap.ChainSegment{
+	t.chain = append(t.chain, storage.Segment{
 		Addr:  chainAddr(t.id, len(t.chain)),
 		Bytes: int64(128+(t.id%5)*64) << 10,
 	})
@@ -293,7 +293,7 @@ func (t *tenant) restoreCost() sim.Time {
 	fac.RemoteBytes += remote
 	d := fac.Cache.ReadCost(local)
 	if remote > 0 {
-		d += t.fed.Pool.ReadCost(remote) + sim.Time(remote*int64(sim.Second)/lanStreamRate)
+		d += t.fed.Pool.Cost(remote) + sim.Time(remote*int64(sim.Second)/lanStreamRate)
 	}
 	return d
 }

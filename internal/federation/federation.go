@@ -17,7 +17,7 @@
 //
 // On top of the shards rides the federation data plane:
 //
-//   - a shared global pool (storage.RemoteBackend) holding every
+//   - a shared global pool (a storage.RemoteKind tier) holding every
 //     parked tenant's checkpoint chain, the authority that makes a
 //     tenant restorable anywhere in the federation;
 //   - cross-facility migration of parked tenants, decided at barriers
@@ -152,7 +152,7 @@ type Message struct {
 	// segments the destination cache lacks, empty when warm-up is
 	// off), and its pending wake-up.
 	tenant *tenant
-	plan   []swap.ChainSegment
+	plan   []storage.Segment
 	wakeAt sim.Time
 }
 
@@ -164,7 +164,7 @@ type Federation struct {
 	Facilities []*Facility
 	// Pool is the shared global pool: the authoritative home of every
 	// committed checkpoint chain, reachable from any facility.
-	Pool *storage.RemoteBackend
+	Pool *storage.Tier
 	// links[src][dst] is the directed WAN mesh (nil on the diagonal).
 	links [][]*xfer.WANLink
 	win   *sim.Windows
@@ -179,7 +179,7 @@ type Federation struct {
 // placed by the global admission layer.
 func New(cfg Config) *Federation {
 	cfg = cfg.withDefaults()
-	fed := &Federation{cfg: cfg, Pool: storage.NewRemoteBackend()}
+	fed := &Federation{cfg: cfg, Pool: storage.NewRemoteTier()}
 	var worlds []*sim.Simulator
 	for i := 0; i < cfg.Facilities; i++ {
 		s := sim.New(int64(sim.Mix64(cfg.Seed, int64(i))))

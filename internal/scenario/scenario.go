@@ -428,14 +428,14 @@ func Validate(f *File) []error {
 		bad("unknown swap mode %q (want full or incremental)", f.Swap)
 	}
 	if st := f.Storage; st != nil {
-		kind, err := storage.ParseBackendKind(st.Backend)
+		tier, err := storage.ParseTier(st.Backend, 0)
 		if err != nil {
 			bad("%v", err)
 		}
 		if st.CacheMB < 0 || st.DiskMB < 0 {
 			bad("storage: negative cache_mb or disk_mb")
 		}
-		if err == nil && kind == storage.MemKind && st.CacheMB > 0 {
+		if err == nil && tier == nil && st.CacheMB > 0 {
 			bad("storage: cache_mb needs a disk or remote backend (the in-process store has nothing remote to cache)")
 		}
 	}

@@ -23,7 +23,7 @@ import (
 //     than serving or retaining dead content.
 //
 // Evicting a live entry is always safe for correctness: the cache
-// holds copies, the authoritative bytes stay on the backend tier (or
+// holds copies, the authoritative bytes stay on the storage tier (or
 // the shared pool, for spilled segments), so eviction only costs a
 // re-stream. Determinism: LRU order is a pure function of the access
 // sequence, so same-seed runs produce identical hit/miss/evict

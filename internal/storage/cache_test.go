@@ -133,9 +133,8 @@ func TestDeltaCacheExpiresGCdSegments(t *testing.T) {
 // chain store (and on its mirroring backend).
 func TestCacheEvictionNeverDropsChainData(t *testing.T) {
 	cs := NewChainStore()
-	be := NewRemoteBackend()
-	cs.OnStore = func(a Addr, n int64) { be.Put(a, n) }
-	cs.OnDrop = func(a Addr, n int64) { be.Delete(a) }
+	be := NewRemoteTier()
+	cs.Mirror(be, nil)
 	// A deliberately tiny cache: every commit evicts the previous one.
 	c := NewDeltaCache(BlockSize*2, cs.Refs)
 

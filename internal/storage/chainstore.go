@@ -63,20 +63,38 @@ type ChainStore struct {
 	// content already existed (content-address hit).
 	DedupBytes int64
 
-	// OnStore, if set, observes every entry entering the store (first
-	// reference to a content address). A storage Backend mirrors the
-	// chain contents off this hook, so prune folds — which re-key the
-	// base under a new address — reach the physical tier too.
-	OnStore func(a Addr, bytes int64)
-	// OnDrop observes entries leaving the store: the last reference
-	// was released (GC) or the entry was re-keyed by a copy-on-write
-	// fold. The mirroring backend forgets the segment.
-	OnDrop func(a Addr, bytes int64)
+	// tier and cache mirror the store (see Mirror).
+	tier  *Tier
+	cache *DeltaCache
 }
 
 // NewChainStore creates an empty store.
 func NewChainStore() *ChainStore {
 	return &ChainStore{epochs: make(map[Addr]*entry)}
+}
+
+// Mirror keeps a storage tier, and the delta cache in front of it, in
+// step with the store: every entry entering the store (first reference
+// to a content address) is put on the tier, and entries leaving it —
+// the last reference released (GC), or a copy-on-write fold re-keying
+// the base under a new address — leave the tier and the cache, so dead
+// segments stop holding capacity against live ones. The cache mirrors
+// only alongside a tier; a nil tier detaches both.
+func (cs *ChainStore) Mirror(t *Tier, c *DeltaCache) {
+	if t == nil {
+		c = nil
+	}
+	cs.tier, cs.cache = t, c
+}
+
+// dropped forgets a departed entry on the mirrored tier and cache.
+func (cs *ChainStore) dropped(a Addr) {
+	if cs.tier != nil {
+		cs.tier.Delete(a)
+	}
+	if cs.cache != nil {
+		cs.cache.Drop(a)
+	}
 }
 
 // NewLineage creates an empty lineage backed by this store
@@ -102,8 +120,8 @@ func (cs *ChainStore) retain(e *Epoch) (*Epoch, Addr) {
 		return ent.e, a
 	}
 	cs.epochs[a] = &entry{e: e, refs: 1}
-	if cs.OnStore != nil {
-		cs.OnStore(a, e.DiskBytes())
+	if cs.tier != nil {
+		cs.tier.Put(a, e.DiskBytes())
 	}
 	return e, a
 }
@@ -128,9 +146,7 @@ func (cs *ChainStore) release(a Addr, gc bool) {
 		if gc {
 			cs.GCBytes += ent.e.DiskBytes()
 		}
-		if cs.OnDrop != nil {
-			cs.OnDrop(a, ent.e.DiskBytes())
-		}
+		cs.dropped(a)
 	}
 }
 
@@ -143,9 +159,7 @@ func (cs *ChainStore) exclusive(a Addr) *Epoch {
 	ent := cs.epochs[a]
 	if ent.refs == 1 {
 		delete(cs.epochs, a)
-		if cs.OnDrop != nil {
-			cs.OnDrop(a, ent.e.DiskBytes())
-		}
+		cs.dropped(a)
 		return ent.e
 	}
 	ent.refs--

@@ -9,50 +9,40 @@ import (
 func TestParseBackendKind(t *testing.T) {
 	cases := []struct {
 		in   string
-		want BackendKind
+		want TierKind // 0: no tier
 		ok   bool
 	}{
-		{"", MemKind, true},
-		{"mem", MemKind, true},
+		{"", 0, true},
+		{"mem", 0, true},
 		{"disk", DiskKind, true},
 		{"remote", RemoteKind, true},
-		{"tape", MemKind, false},
+		{"tape", 0, false},
 	}
 	for _, c := range cases {
-		got, err := ParseBackendKind(c.in)
+		tier, err := ParseTier(c.in, 0)
+		var got TierKind
+		if tier != nil {
+			got = tier.Kind
+		}
 		if (err == nil) != c.ok || got != c.want {
-			t.Errorf("ParseBackendKind(%q) = %v, %v; want %v ok=%v", c.in, got, err, c.want, c.ok)
+			t.Errorf("ParseTier(%q) = %v, %v; want %v ok=%v", c.in, tier, err, c.want, c.ok)
 		}
 	}
-}
-
-func TestMemBackendZeroCost(t *testing.T) {
-	b := NewMemBackend()
-	if !b.Put(1, 5<<20) || !b.Has(1) {
-		t.Fatal("mem put failed")
-	}
-	if b.PutCost(1<<30) != 0 || b.ReadCost(1<<30) != 0 {
-		t.Fatal("mem backend must be free")
-	}
-	if b.StoredBytes() != 5<<20 || b.SegmentCount() != 1 {
-		t.Fatalf("stored %d/%d", b.StoredBytes(), b.SegmentCount())
-	}
-	b.Delete(1)
-	if b.Has(1) || b.StoredBytes() != 0 {
-		t.Fatal("delete did not forget the segment")
+	if tier, _ := ParseTier("disk", 10<<20); tier.Capacity != 10<<20 {
+		t.Errorf("disk capacity %d, want 10 MB", tier.Capacity)
 	}
 }
 
 func TestDiskBackendCapacitySpill(t *testing.T) {
-	b := NewDiskBackend(10 << 20)
+	b := NewDiskTier(10 << 20)
 	if !b.Put(1, 6<<20) {
 		t.Fatal("first segment should fit")
 	}
-	if b.Put(2, 6<<20) {
-		t.Fatal("second segment should spill: 12 MB into a 10 MB disk")
+	if b.Fits(6 << 20) {
+		t.Fatal("Fits must refuse 12 MB into a 10 MB disk")
 	}
-	if b.SpillSegments != 1 || b.SpillBytes != 6<<20 {
-		t.Fatalf("spill ledger: %d segs / %d bytes", b.SpillSegments, b.SpillBytes)
+	if b.Put(2, 6<<20) || b.Has(2) {
+		t.Fatal("second segment should spill: 12 MB into a 10 MB disk")
 	}
 	// Re-putting a resident segment at a new size must not double-count.
 	if !b.Put(1, 4<<20) {
@@ -65,19 +55,19 @@ func TestDiskBackendCapacitySpill(t *testing.T) {
 		t.Fatal("after the shrink the second segment fits")
 	}
 	// Costs: seek plus bytes at the sequential rate.
-	got := b.PutCost(70 << 20)
+	got := b.Cost(70 << 20)
 	want := b.Seek + sim.Second
 	if got != want {
-		t.Fatalf("PutCost(70MB) = %v, want %v", got, want)
+		t.Fatalf("Cost(70MB) = %v, want %v", got, want)
 	}
 }
 
 func TestRemoteBackendRTT(t *testing.T) {
-	b := NewRemoteBackend()
-	if b.PutCost(1<<20) != b.RTT || b.ReadCost(1<<20) != b.RTT {
+	b := NewRemoteTier()
+	if b.Cost(1<<20) != b.RTT || b.Cost(1<<30) != b.RTT {
 		t.Fatal("remote cost must be the round trip")
 	}
-	if b.PutCost(0) != 0 {
+	if b.Cost(0) != 0 {
 		t.Fatal("empty put is free")
 	}
 	for i := Addr(0); i < 100; i++ {
@@ -90,15 +80,15 @@ func TestRemoteBackendRTT(t *testing.T) {
 	}
 }
 
-// TestChainStoreMirrorsBackend proves the OnStore/OnDrop hooks keep a
-// backend's resident set exactly equal to the chain store's entries —
-// across commits, dedup, forks, prune folds (re-keying the base), and
-// branch release GC.
+// TestChainStoreMirrorsBackend proves Mirror keeps a tier's resident
+// set exactly equal to the chain store's entries — across commits,
+// dedup, forks, prune folds (re-keying the base), and branch release
+// GC — and drops departed entries from the mirrored cache.
 func TestChainStoreMirrorsBackend(t *testing.T) {
 	cs := NewChainStore()
-	be := NewMemBackend()
-	cs.OnStore = func(a Addr, n int64) { be.Put(a, n) }
-	cs.OnDrop = func(a Addr, n int64) { be.Delete(a) }
+	be := NewRemoteTier()
+	cache := NewDeltaCache(64<<20, cs.Refs)
+	cs.Mirror(be, cache)
 
 	check := func(stage string) {
 		t.Helper()
@@ -118,8 +108,13 @@ func TestChainStoreMirrorsBackend(t *testing.T) {
 	l := cs.NewLineage(2)
 	check("empty lineage")
 	for i := int64(0); i < 6; i++ {
-		l.Commit(map[int64]int64{i: i + 1, i + 100: i + 2}, 1)
+		e := l.Commit(map[int64]int64{i: i + 1, i + 100: i + 2}, 1)
+		segs := l.Segments()
+		cache.Put(segs[len(segs)-1].Addr, e.DiskBytes())
 		check("commit (with prune folds past depth 2)")
+	}
+	if cache.Len() == 0 {
+		t.Fatal("commits should have been cached")
 	}
 	fork := l.Fork()
 	check("fork (shared by reference)")
@@ -131,5 +126,8 @@ func TestChainStoreMirrorsBackend(t *testing.T) {
 	check("fork released")
 	if cs.Entries() != 0 || be.SegmentCount() != 0 {
 		t.Fatalf("everything released: store %d, backend %d", cs.Entries(), be.SegmentCount())
+	}
+	if cache.Len() != 0 {
+		t.Fatalf("released segments still cached: %d entries", cache.Len())
 	}
 }

@@ -7,7 +7,7 @@ import (
 	"emucheck/internal/storage"
 )
 
-// TestCloneAwareRestoreMovesOnlyMissingSegments: under BranchOptions a
+// TestCloneAwareRestoreMovesOnlyMissingSegments: in Branch mode a
 // swap-in consults the node's resident-segment set — chain segments the
 // node already holds (its own prior cycles, or a fan-out's multicast
 // staging) move zero bytes, and wiping the set (hardware reuse) falls
@@ -15,7 +15,7 @@ import (
 func TestCloneAwareRestoreMovesOnlyMissingSegments(t *testing.T) {
 	r := newRig(21)
 	r.s.RunFor(sim.Second)
-	o := BranchOptions()
+	o := Options{Mode: Branch}
 
 	r.dirty(32 << 20)
 	r.cycle(t, o)
@@ -56,13 +56,13 @@ func TestCloneAwareRestoreMovesOnlyMissingSegments(t *testing.T) {
 	}
 }
 
-// TestPlainIncrementalIgnoresResidency: without CloneAware the restore
+// TestPlainIncrementalIgnoresResidency: in Incremental mode the restore
 // must keep moving the full base + chain replay even when the node
 // holds every segment — the pre-branch pipeline is unchanged.
 func TestPlainIncrementalIgnoresResidency(t *testing.T) {
 	r := newRig(22)
 	r.s.RunFor(sim.Second)
-	o := IncrementalOptions()
+	o := Options{Mode: Incremental}
 	r.dirty(16 << 20)
 	r.cycle(t, o)
 	r.m.Nodes[0].MarkResident(r.m.Lineage("n0"))
@@ -82,7 +82,7 @@ func TestAdoptedForkSharesPrefix(t *testing.T) {
 	parent := newRig(23)
 	parent.m.Chains = cs
 	parent.s.RunFor(sim.Second)
-	o := BranchOptions()
+	o := Options{Mode: Branch}
 	parent.dirty(24 << 20)
 	parent.cycle(t, o)
 	parent.dirty(6 << 20)

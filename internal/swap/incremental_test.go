@@ -38,7 +38,7 @@ func TestIncrementalSwapMovesDeltaOnly(t *testing.T) {
 	r.s.RunFor(sim.Second)
 	r.dirty(32 << 20)
 
-	o := IncrementalOptions()
+	o := Options{Mode: Incremental}
 	out1, _ := r.cycle(t, o)
 	if !out1.Incremental {
 		t.Fatal("report not marked incremental")
@@ -77,8 +77,8 @@ func TestIncrementalCheaperThanFull(t *testing.T) {
 		}
 		return r.m.Server.Received + r.m.Server.Served
 	}
-	full := run(DefaultOptions())
-	incr := run(IncrementalOptions())
+	full := run(Options{})
+	incr := run(Options{Mode: Incremental})
 	if incr >= full {
 		t.Fatalf("incremental moved %d bytes, full-copy %d — no savings", incr, full)
 	}
@@ -88,10 +88,10 @@ func TestIncrementalCheaperThanFull(t *testing.T) {
 // swap-in replay without bound; pruning folds old epochs into the base.
 func TestLineageChainBounded(t *testing.T) {
 	r := newRig(11)
-	r.m.MaxChainDepth = 3
+	r.m.Lineage("n0").MaxDepth = 3
 	r.m.Stats = metrics.NewCounters()
 	r.s.RunFor(sim.Second)
-	o := IncrementalOptions()
+	o := Options{Mode: Incremental}
 	for c := 0; c < 8; c++ {
 		r.dirty(4 << 20)
 		r.cycle(t, o)

@@ -8,7 +8,7 @@ import (
 //
 // A parked tenant's run-time state is a content-addressed checkpoint
 // chain whose authoritative copy lives in the shared global pool
-// (storage.RemoteBackend): parking committed it there, so any
+// (a storage.RemoteKind tier): parking committed it there, so any
 // facility in the federation can restore it. Migration therefore
 // moves no authority — it moves *locality*. The source facility ships
 // the chain over the WAN into the destination's storage.DeltaCache
@@ -16,15 +16,8 @@ import (
 // chain from local media instead of re-streaming every segment from
 // the pool across the control LAN.
 
-// ChainSegment is one content-addressed segment of a parked tenant's
-// checkpoint chain: the base image or one epoch delta.
-type ChainSegment struct {
-	Addr  storage.Addr
-	Bytes int64
-}
-
 // ChainBytes sums a chain's payload.
-func ChainBytes(chain []ChainSegment) int64 {
+func ChainBytes(chain []storage.Segment) int64 {
 	var n int64
 	for _, seg := range chain {
 		n += seg.Bytes
@@ -37,8 +30,8 @@ func ChainBytes(chain []ChainSegment) int64 {
 // chain order (base first), so a truncated warm-up still front-loads
 // the segments every restore replays first. The lookup is by
 // residency only — no ledger or recency side effects.
-func PlanWarmUp(chain []ChainSegment, dst *storage.DeltaCache) []ChainSegment {
-	var plan []ChainSegment
+func PlanWarmUp(chain []storage.Segment, dst *storage.DeltaCache) []storage.Segment {
+	var plan []storage.Segment
 	for _, seg := range chain {
 		if !dst.Contains(seg.Addr) {
 			plan = append(plan, seg)
@@ -52,7 +45,7 @@ func PlanWarmUp(chain []ChainSegment, dst *storage.DeltaCache) []ChainSegment {
 // cache's refcount-aware path: pinned (shared) entries are never
 // evicted to make room, so an oversized warm-up degrades to a partial
 // one instead of destroying the destination's resident working set.
-func WarmUp(plan []ChainSegment, dst *storage.DeltaCache) int64 {
+func WarmUp(plan []storage.Segment, dst *storage.DeltaCache) int64 {
 	var admitted int64
 	for _, seg := range plan {
 		// Stop once the next segment could only be admitted by evicting
@@ -76,7 +69,7 @@ func WarmUp(plan []ChainSegment, dst *storage.DeltaCache) int64 {
 // into the cache for the next restore. The returned split is the
 // migration warm-up's whole value proposition: warmed restores shift
 // bytes from remote to local.
-func RestoreChain(chain []ChainSegment, cache *storage.DeltaCache, pool storage.Backend) (local, remote int64) {
+func RestoreChain(chain []storage.Segment, cache *storage.DeltaCache, pool *storage.Tier) (local, remote int64) {
 	for _, seg := range chain {
 		if _, ok := cache.Get(seg.Addr); ok {
 			local += seg.Bytes

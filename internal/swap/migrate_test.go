@@ -8,10 +8,10 @@ import (
 
 // migChain builds a deterministic k-segment chain starting at addr
 // base, commits it to the pool, and returns it.
-func migChain(pool storage.Backend, base uint64, k int, segBytes int64) []ChainSegment {
-	var chain []ChainSegment
+func migChain(pool *storage.Tier, base uint64, k int, segBytes int64) []storage.Segment {
+	var chain []storage.Segment
 	for i := 0; i < k; i++ {
-		seg := ChainSegment{Addr: storage.Addr(base + uint64(i)), Bytes: segBytes}
+		seg := storage.Segment{Addr: storage.Addr(base + uint64(i)), Bytes: segBytes}
 		pool.Put(seg.Addr, seg.Bytes)
 		chain = append(chain, seg)
 	}
@@ -23,7 +23,7 @@ func migChain(pool storage.Backend, base uint64, k int, segBytes int64) []ChainS
 // restore must strictly reduce remote_bytes versus a cold restore of
 // the same chain.
 func TestWarmUpReducesRemoteBytes(t *testing.T) {
-	pool := storage.NewRemoteBackend()
+	pool := storage.NewRemoteTier()
 	chain := migChain(pool, 100, 6, 8<<20) // 48 MB chain
 	total := ChainBytes(chain)
 
@@ -60,7 +60,7 @@ func TestWarmUpReducesRemoteBytes(t *testing.T) {
 // TestWarmUpPartialCapacity: a warm-up that does not fit degrades to
 // a partial one, and the restore's remote bytes still strictly drop.
 func TestWarmUpPartialCapacity(t *testing.T) {
-	pool := storage.NewRemoteBackend()
+	pool := storage.NewRemoteTier()
 	chain := migChain(pool, 200, 8, 4<<20) // 32 MB chain
 	dst := storage.NewDeltaCache(12<<20, nil)
 
@@ -78,7 +78,7 @@ func TestWarmUpPartialCapacity(t *testing.T) {
 // resident set is pinned (refs>1, a shared branch prefix) must not
 // evict the pinned entries — the warm-up is rejected instead.
 func TestWarmUpNeverEvictsPinned(t *testing.T) {
-	pool := storage.NewRemoteBackend()
+	pool := storage.NewRemoteTier()
 	pinned := storage.Addr(1)
 	refs := func(a storage.Addr) int {
 		if a == pinned {
@@ -112,7 +112,7 @@ func TestWarmUpNeverEvictsPinned(t *testing.T) {
 // TestPlanWarmUpSkipsResident: segments already at the destination are
 // not re-shipped.
 func TestPlanWarmUpSkipsResident(t *testing.T) {
-	pool := storage.NewRemoteBackend()
+	pool := storage.NewRemoteTier()
 	chain := migChain(pool, 400, 4, 1<<20)
 	dst := storage.NewDeltaCache(64<<20, nil)
 	dst.Put(chain[1].Addr, chain[1].Bytes)
@@ -135,7 +135,7 @@ func TestRestoreChainPanicsOnLostState(t *testing.T) {
 			t.Fatal("restore of pool-absent segment did not panic")
 		}
 	}()
-	pool := storage.NewRemoteBackend()
+	pool := storage.NewRemoteTier()
 	cache := storage.NewDeltaCache(64<<20, nil)
-	RestoreChain([]ChainSegment{{Addr: 999, Bytes: 1 << 20}}, cache, pool)
+	RestoreChain([]storage.Segment{{Addr: 999, Bytes: 1 << 20}}, cache, pool)
 }

@@ -21,7 +21,7 @@
 //     (demand-paged plus rate-limited background fill — constant
 //     swap-in time); this is §7.2's 150 s-vs-35 s comparison.
 //
-// Incremental mode (Options.Incremental) moves only deltas: swap-out
+// The incremental modes (Options.Mode) move only deltas: swap-out
 // uploads the blocks and memory pages dirtied since the experiment's
 // last resident checkpoint and commits them to a per-node lineage
 // (storage.Lineage); swap-in reconstructs state by replaying base +
@@ -29,6 +29,12 @@
 // cost stays flat. Per-node uploads pipeline through bandwidth-shared
 // parallel streams (xfer.Server.StreamUpload) instead of serialized
 // full copies, so preemption cost is proportional to dirtied state.
+//
+// Every swap-in and crash recovery runs one per-node restore plan
+// (golden fetch, node setup, memory leg, one disk stage), and every
+// disk delta a swap-out or epoch commit moves goes through one sink
+// (Manager.sinkDelta) that picks its home: the file server, the
+// node-local snapshot disk, or the shared pool.
 package swap
 
 import (
@@ -86,8 +92,6 @@ type Node struct {
 	// delta-image analogue of GoldenCached). A clone-aware restore
 	// transfers only the segments missing from this set.
 	Resident map[storage.Addr]bool
-
-	lazy *xfer.LazyMirror
 }
 
 // MarkResident records the lineage's current chain segments as staged
@@ -153,53 +157,45 @@ type InReport struct {
 // Duration reports time until the experiment was running again.
 func (r *InReport) Duration() sim.Time { return r.Finished - r.Started }
 
-// Options tunes a swap cycle.
+// Mode selects how much state a swap cycle moves.
+type Mode int
+
+// Swap modes.
+const (
+	// Full is the paper's full-copy pipeline: the whole resident memory
+	// image moves on every swap-out and the whole aggregated delta on
+	// every swap-in, serialized FIFO through the server pipe.
+	Full Mode = iota
+	// Incremental moves only deltas: swap-out moves the state dirtied
+	// since the last resident checkpoint (memory via the hypervisor's
+	// incremental save, disk via the current-delta epoch) and commits it
+	// to the per-node lineage; swap-in replays base + delta chain.
+	// Transfers go through bandwidth-shared parallel streams.
+	Incremental
+	// Branch is Incremental plus clone-aware restore — the mode of
+	// branch tenants, whose chains share a checkpoint prefix with their
+	// siblings: swap-in downloads only the chain segments not already
+	// staged on the node (by a branch fan-out's multicast or the node's
+	// own prior cycles), and swap cycles keep that resident set current.
+	Branch
+)
+
+// Options tunes a swap cycle. The zero value is the paper's default:
+// full copy, eager pre-copy on swap-out, lazy copy-in on swap-in, and
+// background transfers rate-limited to xfer.DefaultRateLimit.
 type Options struct {
-	// PreCopy enables eager pre-copy during swap-out (default on via
-	// DefaultOptions).
-	PreCopy bool
-	// RateLimit caps background transfer bytes/sec (0 = unthrottled).
-	RateLimit int64
-	// Lazy enables lazy copy-in at swap-in.
-	Lazy bool
-	// Incremental enables the dirty-delta pipeline: swap-out moves only
-	// state dirtied since the last resident checkpoint (memory via the
-	// hypervisor's incremental save, disk via the current-delta epoch)
-	// and commits it to the per-node lineage; swap-in replays base +
-	// delta chain. Uploads go through bandwidth-shared parallel streams.
-	Incremental bool
-	// CloneAware (implies Incremental) makes restores consult the
-	// node's resident-segment set: swap-in downloads only the
-	// content-addressed chain segments not already staged on the node
-	// (by a branch fan-out's multicast or the node's own prior cycles),
-	// and swap cycles keep the set current. This is the branch-tenant
-	// restore path; plain tenants keep the unconditional replay.
-	CloneAware bool
+	Mode Mode
+	// NoPreCopy skips the eager pre-copy: the whole live delta moves
+	// while the experiment is frozen.
+	NoPreCopy bool
+	// Eager stages the whole disk state before the experiment resumes
+	// instead of demand-paging it with a background fill.
+	Eager bool
 }
 
-// DefaultOptions enables pre-copy, lazy copy-in, and the paper's
-// rate-limited background transfer — the full-copy baseline: the whole
-// resident memory image moves on every swap-out and the whole
-// aggregated delta on every swap-in.
-func DefaultOptions() Options {
-	return Options{PreCopy: true, RateLimit: 10 << 20, Lazy: true}
-}
-
-// IncrementalOptions is DefaultOptions plus the dirty-delta pipeline.
-func IncrementalOptions() Options {
-	o := DefaultOptions()
-	o.Incremental = true
-	return o
-}
-
-// BranchOptions is IncrementalOptions plus clone-aware restore — the
-// transfer mode of branch tenants, whose chains share a checkpoint
-// prefix with their siblings.
-func BranchOptions() Options {
-	o := IncrementalOptions()
-	o.CloneAware = true
-	return o
-}
+// serverMergeRate models the offline server-side delta merge, in
+// bytes/second.
+const serverMergeRate = 45 << 20
 
 // Manager orchestrates swap cycles for one experiment.
 type Manager struct {
@@ -211,14 +207,6 @@ type Manager struct {
 	// Tag attributes this experiment's control-LAN bytes on the shared
 	// file server, so cross-experiment contention is accountable.
 	Tag string
-
-	// ServerMergeRate models the offline server-side delta merge.
-	ServerMergeRate int64
-
-	// MaxChainDepth bounds each node's checkpoint lineage; incremental
-	// commits past it merge the oldest epochs into the base
-	// (0 = storage.DefaultMaxDepth).
-	MaxChainDepth int
 
 	// Chains, when set, is the facility-wide refcounted chain store new
 	// lineages are created in, so branches forked from this experiment's
@@ -238,18 +226,18 @@ type Manager struct {
 	// (snapshot-disk overflow pushed to the pool).
 	Stats *metrics.Counters
 
-	// Backend, when set, selects the physical tier committed
-	// checkpoint-chain segments live on (storage.DiskKind: the
-	// node-local snapshot disk; storage.RemoteKind: the shared pool
-	// with per-request round trips and batched puts). Nil — or a
-	// storage.MemKind backend — keeps the legacy pipeline byte for
-	// byte. Set it before the first swap cycle.
-	Backend storage.Backend
+	// Tier, when set, is the physical tier committed checkpoint-chain
+	// segments live on: the node-local snapshot disk (storage.DiskKind)
+	// or the shared pool with per-request round trips
+	// (storage.RemoteKind). Nil keeps chain state on the file server,
+	// every transfer riding the shared pipe. Set it before the first
+	// swap cycle.
+	Tier *storage.Tier
 
 	// Cache is the node-local delta cache fronting remotely-homed
 	// chain segments: restores consult it first and only the misses
 	// stream from the pool; commits and prefetches fill it. Nil
-	// disables caching. Only meaningful with a tiered Backend.
+	// disables caching. Only meaningful with a Tier.
 	Cache *storage.DeltaCache
 
 	// SaveDeadline bounds the save phase of this experiment's swap-out
@@ -295,35 +283,24 @@ type Manager struct {
 func NewManager(s *sim.Simulator, server *xfer.Server, coord *core.Coordinator, nodes []*Node) *Manager {
 	return &Manager{
 		S: s, Server: server, Coord: coord, Nodes: nodes,
-		ServerMergeRate: 45 << 20,
-		lineages:        make(map[string]*storage.Lineage),
+		lineages: make(map[string]*storage.Lineage),
 	}
 }
 
 // Lineage returns (creating on first use) the named node's checkpoint
 // chain. A stand-alone manager (no cluster chain store) mirrors its
 // private store straight onto the tier, so prune folds — which re-key
-// the base — and GC reach the backend and the cache without cluster
+// the base — and GC reach the tier and the cache without cluster
 // wiring.
 func (m *Manager) Lineage(name string) *storage.Lineage {
 	l, ok := m.lineages[name]
 	if !ok {
-		if m.Chains != nil {
-			l = m.Chains.NewLineage(m.MaxChainDepth)
-		} else {
-			cs := storage.NewChainStore()
-			if m.Backend != nil {
-				be, cache := m.Backend, m.Cache
-				cs.OnStore = func(a storage.Addr, n int64) { be.Put(a, n) }
-				cs.OnDrop = func(a storage.Addr, n int64) {
-					be.Delete(a)
-					if cache != nil {
-						cache.Drop(a)
-					}
-				}
-			}
-			l = cs.NewLineage(m.MaxChainDepth)
+		cs := m.Chains
+		if cs == nil {
+			cs = storage.NewChainStore()
+			cs.Mirror(m.Tier, m.Cache)
 		}
+		l = cs.NewLineage(0)
 		m.lineages[name] = l
 	}
 	return l
@@ -361,123 +338,87 @@ func (m *Manager) stat(name string, n int64) {
 	}
 }
 
-// tiered reports whether chain state goes through the pluggable
-// storage tiers. Nil backend and the mem tier keep the legacy
-// single-stream pipeline unchanged.
-func (m *Manager) tiered() bool {
-	return m.Backend != nil && m.Backend.Kind() != storage.MemKind
-}
-
-// localTier reports whether committed chain state lands on the
-// node-local snapshot disk (no control-LAN crossing).
-func (m *Manager) localTier() bool {
-	return m.Backend != nil && m.Backend.Kind() == storage.DiskKind
-}
-
-// chainPlan partitions one lineage's replay chain across the storage
-// tiers for a restore: segments already resident on the target node
-// are skipped, cache hits and snapshot-disk segments serve locally,
-// and only the remainder streams from the shared pool.
-type chainPlan struct {
-	// total is the replay state to stage; cached the part served off
-	// the delta cache, local the part read off the snapshot disk,
-	// remote the part streamed from the pool.
-	total, cached, local, remote int64
-	// cost is the node-local medium time (cache reads, disk reads,
-	// pool round trips) the staging pays on top of the streaming.
-	cost   sim.Time
-	misses []storage.Segment
-
-	fetched bool
-	waiters []func()
-}
-
-// planChain builds the restore plan, charging the cache's hit/miss
-// ledger as it goes. resident, when non-nil, is the clone-aware
-// resident-segment filter.
-func (m *Manager) planChain(lin *storage.Lineage, resident map[storage.Addr]bool) *chainPlan {
-	p := &chainPlan{}
-	for _, seg := range lin.Segments() {
-		if seg.Bytes <= 0 {
-			continue
+// join returns a callback that runs fn on its n-th call: the barrier
+// every multi-leg stage ends in.
+func join(n int, fn func()) func() {
+	return func() {
+		n--
+		if n == 0 {
+			fn()
 		}
-		if resident != nil && resident[seg.Addr] {
-			continue
-		}
-		p.total += seg.Bytes
-		if m.Cache != nil {
-			if _, ok := m.Cache.Get(seg.Addr); ok {
-				p.cached += seg.Bytes
-				p.cost += m.Cache.ReadCost(seg.Bytes)
-				continue
-			}
-			m.Cache.MissBytes(seg.Bytes)
-		}
-		if m.localTier() && m.Backend.Has(seg.Addr) {
-			p.local += seg.Bytes
-			p.cost += m.Backend.ReadCost(seg.Bytes)
-			continue
-		}
-		// Remotely homed: the pool streams it over the shared pipe
-		// (spilled snapshot-disk overflow included), plus the pool's
-		// per-request round trip on the remote tier.
-		p.remote += seg.Bytes
-		if m.Backend.Kind() == storage.RemoteKind {
-			p.cost += m.Backend.ReadCost(seg.Bytes)
-		}
-		p.misses = append(p.misses, seg)
 	}
-	return p
 }
 
-// prefetch starts streaming the plan's remote misses from the pool as
-// one batched get — overlapped with golden fetch, node setup and the
-// memory download — and fills the delta cache as they land. Staging
-// legs wait on it.
-func (p *chainPlan) prefetch(m *Manager) {
-	sizes := make([]int64, len(p.misses))
-	for i, seg := range p.misses {
-		sizes[i] = seg.Bytes
-	}
-	m.Server.StreamDownloadBatch(m.Tag, sizes, func(int64) {
-		if m.Cache != nil {
-			for _, seg := range p.misses {
-				m.Cache.Put(seg.Addr, seg.Bytes)
-			}
+// sinkDelta is the one place that decides where a disk delta goes: it
+// sends disk bytes of delta, with mem bytes of memory delta riding
+// along, and calls done once both have landed.
+//
+// On the snapshot-disk tier the delta is a local put — seek plus
+// bandwidth on the node's own medium, off the control LAN — and the
+// memory bytes stream to the server alongside (memory images are always
+// server-homed, so a restore can rebuild the resident image without
+// the dead node's media). Everywhere else disk and memory bytes leave
+// as one fair-share upload: to the file server without a tier, or to
+// the shared pool, billed as remote. An epoch commit (commit set)
+// checks the snapshot disk's room upfront — a full disk bills the
+// upload as spill — and on the pool tier pays the pool's put round
+// trip; pre-copy and residual flushes do neither. sinkDelta reports
+// whether the delta went to the pool.
+func (m *Manager) sinkDelta(disk, mem int64, commit bool, done func()) (pooled bool) {
+	onDisk := m.Tier != nil && m.Tier.Kind == storage.DiskKind
+	if onDisk && (!commit || m.Tier.Fits(disk)) {
+		m.stat("storage.local_bytes", disk)
+		if !commit {
+			m.S.DoAfter(m.Tier.Cost(disk), "swap.local-put", done)
+			return false
 		}
-		p.fetched = true
-		ws := p.waiters
-		p.waiters = nil
-		for _, w := range ws {
-			w()
+		leg := join(2, done)
+		m.S.DoAfter(m.Tier.Cost(disk), "swap.local-put", leg)
+		if mem > 0 {
+			m.Server.StreamUpload(m.Tag, mem, leg)
+		} else {
+			m.S.DoAfter(0, "swap.commit0", leg)
 		}
-	})
-}
-
-// wait runs fn once the prefetch has drained (immediately if done).
-func (p *chainPlan) wait(fn func()) {
-	if p.fetched {
-		fn()
-		return
+		return false
 	}
-	p.waiters = append(p.waiters, fn)
+	switch {
+	case onDisk:
+		m.stat("storage.spill_bytes", disk)
+		m.stat("storage.remote_bytes", disk)
+	case m.Tier != nil:
+		m.stat("storage.remote_bytes", disk)
+		if commit {
+			landed := done
+			done = func() { m.S.DoAfter(m.Tier.Cost(disk), "swap.epoch-rtt", landed) }
+		}
+	}
+	m.Server.StreamUpload(m.Tag, disk+mem, done)
+	return m.Tier != nil
 }
 
-// placeEpoch records a lineage's newest committed epoch on the
-// physical tier and fills the delta cache for remotely-homed content.
-// It returns the bytes that must spill to the shared pool because the
-// snapshot disk is over its capacity budget.
+// spill pushes snapshot-disk overflow — epochs the disk refused — to
+// the shared pool.
+func (m *Manager) spill(n int64, done func()) {
+	m.stat("storage.spill_bytes", n)
+	m.stat("storage.remote_bytes", n)
+	m.Server.StreamUpload(m.Tag, n, done)
+}
+
+// placeEpoch records a lineage's newest committed epoch on the tier and
+// fills the delta cache for remotely-homed content. It returns the
+// bytes that must spill to the shared pool because the snapshot disk is
+// over its capacity budget.
 func (m *Manager) placeEpoch(lin *storage.Lineage) int64 {
 	segs := lin.Segments()
 	seg := segs[len(segs)-1]
 	if seg.Bytes <= 0 {
 		return 0
 	}
-	// A cluster-wired ChainStore already mirrored the commit onto the
-	// backend through its OnStore hook; the direct Put covers managers
-	// wired stand-alone.
-	onTier := m.Backend.Has(seg.Addr) || m.Backend.Put(seg.Addr, seg.Bytes)
-	if m.Cache != nil && (!onTier || m.Backend.Kind() == storage.RemoteKind) {
+	// A mirrored chain store offered the segment to the tier when it
+	// entered the store; a refused (or unmirrored) segment is offered
+	// again here, as releases may have freed room since.
+	onTier := m.Tier.Has(seg.Addr) || m.Tier.Put(seg.Addr, seg.Bytes)
+	if m.Cache != nil && (!onTier || m.Tier.Kind == storage.RemoteKind) {
 		// Remotely homed (pool tier, or snapshot-disk overflow): the
 		// freshest epoch is the hottest restore content — cache it.
 		m.Cache.Put(seg.Addr, seg.Bytes)
@@ -508,6 +449,14 @@ func (m *Manager) anyCrashed() bool {
 // and this instant is the work a recovery loses.
 func (m *Manager) LastCommitAt() sim.Time { return m.lastCommitAt }
 
+// committed marks a restore point durable on the file server.
+func (m *Manager) committed() {
+	m.lastCommitAt = m.S.Now()
+	if m.OnCommit != nil {
+		m.OnCommit()
+	}
+}
+
 // SwapOut swaps the experiment out; done receives one report per node,
 // or the error that aborted the swap-out (an epoch failure mid-freeze:
 // the experiment was thawed and keeps running; nothing was released).
@@ -519,14 +468,14 @@ func (m *Manager) SwapOut(o Options, done func([]*OutReport, error)) error {
 	reports := make([]*OutReport, len(m.Nodes))
 	cuts := make([]int, len(m.Nodes))
 	for i, n := range m.Nodes {
-		reports[i] = &OutReport{Started: start, Incremental: o.Incremental}
+		reports[i] = &OutReport{Started: start, Incremental: o.Mode != Full}
 		cuts[i] = n.Vol.Cur.Slots()
 	}
 	// An incremental memory save needs a base on the server (one prior
 	// swap-out) and an unbroken dirty log: an intermediate checkpoint to
 	// the scratch disk consumed pages the server never saw, so fall back
 	// to a full save when the coordinator epoch moved underneath us.
-	incrMem := o.Incremental && m.Cycle > 0 && m.Coord.Epoch() == m.lastSwapEpoch
+	incrMem := o.Mode != Full && m.Cycle > 0 && m.Coord.Epoch() == m.lastSwapEpoch
 
 	var ckpt func()
 	ckpt = func() {
@@ -567,7 +516,7 @@ func (m *Manager) SwapOut(o Options, done func([]*OutReport, error)) error {
 		}
 	}
 
-	if !o.PreCopy {
+	if o.NoPreCopy {
 		ckpt()
 		return nil
 	}
@@ -575,61 +524,41 @@ func (m *Manager) SwapOut(o Options, done func([]*OutReport, error)) error {
 	// The full-copy path serializes the bytes FIFO through the shared
 	// server pipe; incremental mode pipelines them as bandwidth-shared
 	// streams so one node's delta never queues behind another's.
-	remaining := len(m.Nodes)
+	copied := join(len(m.Nodes), ckpt)
 	for i, n := range m.Nodes {
-		i, n := i, n
 		bytes := n.Vol.CurrentDeltaBytes(n.IsFree)
 		finish := func(moved int64) {
 			reports[i].PreCopyBytes = moved
-			remaining--
-			if remaining == 0 {
-				ckpt()
-			}
+			copied()
 		}
-		if o.Incremental {
-			m.streamOut(o, n.Vol.Disk, bytes, finish)
+		if o.Mode != Full {
+			m.streamOut(n.Vol.Disk, bytes, finish)
 			continue
 		}
 		c := xfer.NewCopier(m.S, n.Vol.Disk, m.Server)
 		c.Tag = m.Tag
-		if o.RateLimit > 0 {
-			c.RateLimit = o.RateLimit
-		}
 		c.CopyOut(storage.CurBase, bytes, finish)
 	}
 	return nil
 }
 
-// streamOut reads a delta image off the node's disk and pushes it
-// through the server's fair-share pipe concurrently; done fires with
-// the bytes moved when both the spindle and the network are finished.
-// The disk side reads in paced chunks — pre-copy runs while the guest
-// is live, and a monolithic read would head-of-line block every
-// foreground I/O behind the whole delta; the network side is one
-// stream, since fair sharing is the pipe's job.
-func (m *Manager) streamOut(o Options, disk *node.Disk, bytes int64, done func(moved int64)) {
+// streamOut reads a delta image off the node's disk and sends it to its
+// home concurrently; done fires with the bytes moved when both the
+// spindle and the sink are finished. The disk side reads in paced
+// chunks — pre-copy runs while the guest is live, and a monolithic read
+// would head-of-line block every foreground I/O behind the whole delta;
+// the network side is one stream, since fair sharing is the pipe's job.
+func (m *Manager) streamOut(disk *node.Disk, bytes int64, done func(moved int64)) {
 	if bytes <= 0 {
 		m.S.DoAfter(0, "swap.stream0", func() { done(0) })
 		return
 	}
-	remaining := 2
-	fin := func() {
-		remaining--
-		if remaining == 0 {
-			done(bytes)
-		}
-	}
+	fin := join(2, func() { done(bytes) })
 	const chunk = 1 << 20
-	pace := sim.Time(0)
-	if o.RateLimit > 0 {
-		pace = sim.Time(float64(chunk) / float64(o.RateLimit) * float64(sim.Second))
-	}
+	pace := sim.Time(float64(chunk) / float64(xfer.DefaultRateLimit) * float64(sim.Second))
 	var read func(cur int64)
 	read = func(cur int64) {
-		n := int64(chunk)
-		if bytes-cur < n {
-			n = bytes - cur
-		}
+		n := min(int64(chunk), bytes-cur)
 		floor := m.S.Now() + pace
 		disk.Submit(&node.DiskRequest{Op: node.Read, LBA: storage.CurBase + cur, Bytes: n, Done: func() {
 			if cur+n >= bytes {
@@ -640,33 +569,36 @@ func (m *Manager) streamOut(o Options, disk *node.Disk, bytes int64, done func(m
 		}})
 	}
 	read(0)
-	if m.localTier() {
-		// The delta lands on the node-local snapshot disk: seek plus
-		// bandwidth on the disk's own medium, no control-LAN crossing.
-		m.stat("storage.local_bytes", bytes)
-		m.S.DoAfter(m.Backend.PutCost(bytes), "swap.local-stream", fin)
-		return
-	}
-	if m.tiered() {
-		m.stat("storage.remote_bytes", bytes)
-	}
-	m.Server.StreamUpload(m.Tag, bytes, fin)
+	m.sinkDelta(bytes, 0, false, fin)
 }
 
 // afterFreeze flushes residual deltas and memory accounting, commits
-// the epoch to each node's lineage (incremental mode), then releases
+// the epoch to each node's lineage (incremental modes), then releases
 // the hardware.
 func (m *Manager) afterFreeze(o Options, res *core.Result, reports []*OutReport, cuts []int, done func([]*OutReport, error)) {
 	m.lastSwapEpoch = m.Coord.Epoch()
-	remaining := len(m.Nodes)
+	parked := join(len(m.Nodes), func() {
+		if m.anyCrashed() {
+			// The machines died while the residual flush or merge was
+			// draining: the swap-out never completed and its epoch is
+			// not a restore point. The crash path owns the cleanup.
+			return
+		}
+		m.swappedOut = true
+		m.Cycle++
+		// Either mode leaves a complete restore point on the server:
+		// the lineage chain (incremental) or the full image +
+		// aggregated delta (full copy).
+		m.committed()
+		done(reports, nil)
+	})
 	for i, n := range m.Nodes {
-		i, n := i, n
 		rep := reports[i]
 		rep.Checkpoint = res
 		for _, img := range res.Images {
 			if img.Node == n.Name {
 				rep.MemoryBytes = img.MemoryBytes + img.DeviceBytes
-				if o.Incremental {
+				if o.Mode != Full {
 					// The server applies the delta to its base offline;
 					// swap-in must still restore the full resident image.
 					n.MemImageBytes = n.HV.K.MemoryImageBytes() + img.DeviceBytes
@@ -680,15 +612,13 @@ func (m *Manager) afterFreeze(o Options, res *core.Result, reports []*OutReport,
 		// (its timing is inside the checkpoint); the server still logs
 		// the bytes so per-experiment totals are truthful.
 		m.Server.AccountUpload(m.Tag, rep.MemoryBytes)
-		// Blocks appended to the redo log after the pre-copy cut are
-		// residual: blocks written (or re-written) during pre-copy.
-		residualSlots := n.Vol.Cur.Slots() - cuts[i]
-		if !o.PreCopy {
-			residualSlots = n.Vol.Cur.Slots()
+		if o.NoPreCopy {
 			// Without pre-copy the whole live delta moves while frozen.
 			rep.ResidualBytes = n.Vol.CurrentDeltaBytes(n.IsFree)
 		} else {
-			rep.ResidualBytes = int64(residualSlots) * storage.BlockSize
+			// Blocks appended to the redo log after the pre-copy cut are
+			// residual: blocks written (or re-written) during pre-copy.
+			rep.ResidualBytes = int64(n.Vol.Cur.Slots()-cuts[i]) * storage.BlockSize
 		}
 		m.stat("out.delta_bytes", rep.PreCopyBytes+rep.ResidualBytes)
 		afterFlush := func() {
@@ -697,7 +627,7 @@ func (m *Manager) afterFreeze(o Options, res *core.Result, reports []*OutReport,
 			// extend the user-visible swap-out.
 			rep.Finished = m.S.Now()
 			var serverWork, spillBytes int64
-			if o.Incremental {
+			if o.Mode != Full {
 				// Commit the dirty epoch to the lineage before the local
 				// merge folds it into the aggregated delta; server-side
 				// work is whatever pruning folded into the base. Free-block
@@ -711,15 +641,12 @@ func (m *Manager) afterFreeze(o Options, res *core.Result, reports []*OutReport,
 				lin.Drop(n.IsFree)
 				rep.ChainDepth = lin.Depth()
 				serverWork = lin.MergedBytes - pruned
-				if m.tiered() {
+				if m.Tier != nil {
 					// Record the epoch on its tier; snapshot-disk overflow
 					// spills to the pool during the offline window below.
-					if spillBytes = m.placeEpoch(lin); spillBytes > 0 {
-						m.stat("storage.spill_bytes", spillBytes)
-						m.stat("storage.remote_bytes", spillBytes)
-					}
+					spillBytes = m.placeEpoch(lin)
 				}
-				if o.CloneAware {
+				if o.Mode == Branch {
 					// The node's disk holds exactly the state the chain now
 					// replays to; record it so the next restore here (or a
 					// co-staged sibling's) skips the resident segments.
@@ -730,64 +657,241 @@ func (m *Manager) afterFreeze(o Options, res *core.Result, reports []*OutReport,
 			merged := n.Vol.Merge(true, n.IsFree)
 			n.AggBytesOnServer = merged
 			rep.MergedBytes = merged
-			if !o.Incremental {
+			if o.Mode == Full {
 				serverWork = merged
 			}
 			m.stat("merged_bytes", serverWork)
-			mergeDur := sim.Time(float64(serverWork) / float64(m.ServerMergeRate) * float64(sim.Second))
+			mergeDur := sim.Time(float64(serverWork) / float64(serverMergeRate) * float64(sim.Second))
 			// The offline window covers the server-side merge and, when
 			// the snapshot disk overflowed, pushing the spilled epoch to
 			// the shared pool; both must drain before the park counts.
-			legs := 1
-			if spillBytes > 0 {
-				legs = 2
+			if spillBytes <= 0 {
+				m.S.DoAfter(mergeDur, "swap.merge", parked)
+				return
 			}
-			nodeDone := func() {
-				legs--
-				if legs > 0 {
-					return
-				}
-				remaining--
-				if remaining == 0 {
-					if m.anyCrashed() {
-						// The machines died while the residual flush or
-						// merge was draining: the swap-out never
-						// completed and its epoch is not a restore
-						// point. The crash path owns the cleanup.
-						return
-					}
-					m.swappedOut = true
-					m.Cycle++
-					// Either mode leaves a complete restore point on the
-					// server: the lineage chain (incremental) or the full
-					// image + aggregated delta (full copy).
-					m.lastCommitAt = m.S.Now()
-					if m.OnCommit != nil {
-						m.OnCommit()
-					}
-					done(reports, nil)
-				}
-			}
-			m.S.DoAfter(mergeDur, "swap.merge", nodeDone)
-			if spillBytes > 0 {
-				m.Server.StreamUpload(m.Tag, spillBytes, nodeDone)
-			}
+			offline := join(2, parked)
+			m.S.DoAfter(mergeDur, "swap.merge", offline)
+			m.spill(spillBytes, offline)
 		}
-		switch {
-		case !o.Incremental:
+		if o.Mode == Full {
 			m.Server.UploadTagged(m.Tag, rep.ResidualBytes, afterFlush)
-		case m.localTier():
-			// The residual delta flushes to the node-local snapshot
-			// disk, off the control LAN.
-			m.stat("storage.local_bytes", rep.ResidualBytes)
-			m.S.DoAfter(m.Backend.PutCost(rep.ResidualBytes), "swap.local-flush", afterFlush)
-		default:
-			if m.tiered() {
-				m.stat("storage.remote_bytes", rep.ResidualBytes)
-			}
-			m.Server.StreamUpload(m.Tag, rep.ResidualBytes, afterFlush)
+		} else {
+			m.sinkDelta(rep.ResidualBytes, 0, false, afterFlush)
 		}
 	}
+}
+
+// diskStage is how a restore stages a node's disk state.
+type diskStage int
+
+// Disk stages.
+const (
+	// stageLazy resumes at once: the staged image is demand-paged and
+	// back-filled at the rate limit (§5.1).
+	stageLazy diskStage = iota
+	// stageEager lands the whole disk state with a rate-limited copy
+	// before the node may resume.
+	stageEager
+	// stageStream downloads the disk state as one fair-share stream.
+	stageStream
+	// stageTiered waits for the pool prefetch, then pays the node-local
+	// media time (cache and snapshot-disk reads).
+	stageTiered
+)
+
+// restorePlan is one node's restore, shared by SwapIn and Recover:
+// golden fetch, node setup, the memory leg, then exactly one disk stage.
+type restorePlan struct {
+	n   *Node
+	rep *InReport
+	// mem is the memory image to download; fifo sends it through the
+	// server's FIFO pipe (full-copy swap-in) rather than a fair-share
+	// stream.
+	mem  int64
+	fifo bool
+	// disk is the disk state to stage; stage says how.
+	disk  int64
+	stage diskStage
+	// countOnLanding accounts the disk bytes once staged (recovery)
+	// rather than when staging starts (swap-in).
+	countOnLanding bool
+	// markResident records the chain as staged on the node once staging
+	// starts (Branch mode).
+	markResident bool
+
+	// The tiered stage's plan: cost is the node-local medium time
+	// (cache reads, disk reads, pool round trips) paid on top of the
+	// streaming, misses the segments prefetched from the pool.
+	cost    sim.Time
+	misses  []storage.Segment
+	fetched bool
+	waiters []func()
+}
+
+// planTiered partitions one lineage's replay chain across the storage
+// tiers — segments already resident on the node are skipped (resident
+// nil disables the filter), cache hits and snapshot-disk segments serve
+// locally, and only the remainder streams from the shared pool — and
+// starts prefetching the pool misses now, overlapped with the golden
+// fetch, node setup and the memory download. The cache's hit/miss
+// ledger is charged as it goes.
+func (m *Manager) planTiered(p *restorePlan, lin *storage.Lineage, resident map[storage.Addr]bool) {
+	var total, cached, local, remote int64
+	for _, seg := range lin.Segments() {
+		if seg.Bytes <= 0 || resident[seg.Addr] {
+			continue
+		}
+		total += seg.Bytes
+		if m.Cache != nil {
+			if _, ok := m.Cache.Get(seg.Addr); ok {
+				cached += seg.Bytes
+				p.cost += m.Cache.ReadCost(seg.Bytes)
+				continue
+			}
+			m.Cache.MissBytes(seg.Bytes)
+		}
+		if m.Tier.Kind == storage.DiskKind {
+			if m.Tier.Has(seg.Addr) {
+				local += seg.Bytes
+				p.cost += m.Tier.Cost(seg.Bytes)
+				continue
+			}
+		} else {
+			// The pool's per-request round trip.
+			p.cost += m.Tier.Cost(seg.Bytes)
+		}
+		// Remotely homed (spilled snapshot-disk overflow included): the
+		// pool streams it over the shared pipe.
+		remote += seg.Bytes
+		p.misses = append(p.misses, seg)
+	}
+	p.disk, p.stage = total, stageTiered
+	p.rep.CachedBytes = cached + local
+	p.rep.RemoteBytes = remote
+	m.stat("storage.remote_bytes", remote)
+	m.stat("storage.cache_hit_bytes", cached)
+	m.stat("storage.local_bytes", local)
+	// The misses move as one stream and fill the delta cache as they
+	// land; the staging leg waits on it.
+	m.Server.StreamDownload(m.Tag, remote, func() {
+		if m.Cache != nil {
+			for _, seg := range p.misses {
+				m.Cache.Put(seg.Addr, seg.Bytes)
+			}
+		}
+		p.fetched = true
+		ws := p.waiters
+		p.waiters = nil
+		for _, w := range ws {
+			w()
+		}
+	})
+}
+
+// restore runs one restore plan per node — each built and started in
+// node order, so prefetches and first legs schedule exactly as the
+// nodes come — and calls finish with the reports once every node is
+// staged.
+func (m *Manager) restore(plan func(*Node) *restorePlan, finish func([]*InReport)) {
+	start := m.S.Now()
+	reports := make([]*InReport, len(m.Nodes))
+	staged := join(len(m.Nodes), func() { finish(reports) })
+	for i, n := range m.Nodes {
+		p := plan(n)
+		p.rep.Started = start
+		reports[i] = p.rep
+		m.stage(p, staged)
+	}
+}
+
+// stage runs one node's plan: golden fetch unless cached, node setup,
+// the memory leg, then the disk stage.
+func (m *Manager) stage(p *restorePlan, staged func()) {
+	n, rep := p.n, p.rep
+	account := func() {
+		rep.DeltaBytes = p.disk
+		m.stat("in.disk_bytes", p.disk)
+	}
+	memDone := func() {
+		rep.MemoryBytes = p.mem
+		m.stat("in.mem_bytes", p.mem)
+		landed := staged
+		if p.countOnLanding {
+			landed = func() { account(); staged() }
+		} else {
+			account()
+		}
+		if p.markResident {
+			// Once staging is under way the chain's segments are bound
+			// for the node's disk; record them so the next cycle here
+			// moves only fresh divergence.
+			n.MarkResident(m.Lineage(n.Name))
+		}
+		m.stageDisk(p, landed)
+	}
+	setup := func() {
+		m.S.DoAfter(NodeSetupTime, "swap.setup", func() {
+			if p.fifo {
+				m.Server.DownloadTagged(m.Tag, p.mem, memDone)
+			} else {
+				m.Server.StreamDownload(m.Tag, p.mem, memDone)
+			}
+		})
+	}
+	if n.GoldenCached {
+		setup()
+		return
+	}
+	rep.GoldenFetched = true
+	m.S.DoAfter(GoldenFetchTime, "swap.frisbee", func() {
+		n.GoldenCached = true
+		setup()
+	})
+}
+
+// stageDisk stages the plan's disk state and calls done once the node
+// may resume.
+func (m *Manager) stageDisk(p *restorePlan, done func()) {
+	switch p.stage {
+	case stageTiered:
+		// No lazy mirror: prefetch overlap is what keeps the restore off
+		// the critical path.
+		wait := func() { m.S.DoAfter(p.cost, "swap.stage-local", done) }
+		if p.fetched {
+			wait()
+		} else {
+			p.waiters = append(p.waiters, wait)
+		}
+	case stageStream:
+		if p.disk <= 0 {
+			done()
+			return
+		}
+		m.Server.StreamDownload(m.Tag, p.disk, done)
+	case stageEager:
+		c := xfer.NewCopier(m.S, p.n.Vol.Disk, m.Server)
+		c.Tag = m.Tag
+		c.CopyIn(storage.AggBase, p.disk, func(int64) { done() })
+	default:
+		// The staged disk image is demand-paged and back-filled into the
+		// COW log region (raw addressing — the delta is an image file,
+		// not guest-visible block space).
+		lm := xfer.NewLazyMirror(m.S, rawRegion{d: p.n.Vol.Disk, base: storage.AggBase},
+			m.Server, p.n.Vol.Disk, p.disk)
+		lm.SetTag(m.Tag)
+		lm.StartBackground(func() { p.rep.BackgroundDone = m.S.Now() })
+		done()
+	}
+}
+
+// resumed closes a restore: every report ends now and the experiment
+// is back on hardware.
+func (m *Manager) resumed(reports []*InReport) {
+	now := m.S.Now()
+	for _, r := range reports {
+		r.Finished = now
+	}
+	m.swappedOut = false
 }
 
 // SwapIn restores the experiment; done receives one report per node
@@ -797,137 +901,50 @@ func (m *Manager) SwapIn(o Options, done func([]*InReport, error)) error {
 	if !m.swappedOut {
 		return fmt.Errorf("swap: not swapped out")
 	}
-	start := m.S.Now()
-	reports := make([]*InReport, len(m.Nodes))
-	remaining := len(m.Nodes)
-	finishNode := func(i int) {
-		remaining--
-		if remaining == 0 {
-			// All state staged: resume the experiment together.
-			err := m.Coord.ResumeHeld(func(_ *core.Result, rerr error) {
-				if rerr != nil {
-					done(nil, rerr)
-					return
-				}
-				now := m.S.Now()
-				for _, r := range reports {
-					r.Finished = now
-				}
-				m.swappedOut = false
-				done(reports, nil)
-			})
-			if err != nil {
-				done(nil, fmt.Errorf("swap: %v", err))
-			}
-		}
-		_ = i
-	}
-	for i, n := range m.Nodes {
-		i, n := i, n
-		rep := &InReport{Started: start, Lazy: o.Lazy, Incremental: o.Incremental}
-		reports[i] = rep
+	m.restore(func(n *Node) *restorePlan {
 		// The disk state to stage: the merged aggregated delta, or the
-		// lineage's base + delta chain replay in incremental mode. A
-		// clone-aware restore narrows the replay further, to the chain
+		// lineage's base + delta chain replay in the incremental modes.
+		p := &restorePlan{
+			n:    n,
+			rep:  &InReport{Lazy: !o.Eager, Incremental: o.Mode != Full},
+			mem:  n.MemImageBytes,
+			fifo: o.Mode == Full,
+			disk: n.AggBytesOnServer,
+		}
+		if o.Eager {
+			p.stage = stageEager
+		}
+		if o.Mode == Full {
+			return p
+		}
+		lin := m.Lineage(n.Name)
+		p.rep.ChainDepth = lin.Depth()
+		// A clone-aware restore narrows the replay to the chain
 		// segments not already resident on the node.
-		diskBytes := n.AggBytesOnServer
-		var plan *chainPlan
-		if o.Incremental {
-			lin := m.Lineage(n.Name)
-			diskBytes = lin.ReplayBytes()
-			if o.CloneAware {
-				diskBytes = lin.MissingBytes(n.Resident)
+		var resident map[storage.Addr]bool
+		if o.Mode == Branch {
+			resident = n.Resident
+			p.markResident = true
+		}
+		p.disk = lin.MissingBytes(resident)
+		if m.Tier != nil {
+			m.planTiered(p, lin, resident)
+		}
+		return p
+	}, func(reports []*InReport) {
+		// All state staged: resume the experiment together.
+		err := m.Coord.ResumeHeld(func(_ *core.Result, rerr error) {
+			if rerr != nil {
+				done(nil, rerr)
+				return
 			}
-			rep.ChainDepth = lin.Depth()
-			if m.tiered() {
-				// Tiered staging: partition the chain across the cache,
-				// the snapshot disk and the pool, and start prefetching
-				// the pool misses now — overlapped with the golden
-				// fetch, node setup and the memory download below.
-				var res map[storage.Addr]bool
-				if o.CloneAware {
-					res = n.Resident
-				}
-				plan = m.planChain(lin, res)
-				diskBytes = plan.total
-				rep.CachedBytes = plan.cached + plan.local
-				rep.RemoteBytes = plan.remote
-				m.stat("storage.remote_bytes", plan.remote)
-				m.stat("storage.cache_hit_bytes", plan.cached)
-				m.stat("storage.local_bytes", plan.local)
-				plan.prefetch(m)
-			}
+			m.resumed(reports)
+			done(reports, nil)
+		})
+		if err != nil {
+			done(nil, fmt.Errorf("swap: %v", err))
 		}
-		stage2 := func() {
-			// Node setup + memory image download, then disk state.
-			m.S.DoAfter(NodeSetupTime, "swap.setup", func() {
-				memDone := func() {
-					rep.MemoryBytes = n.MemImageBytes
-					rep.DeltaBytes = diskBytes
-					m.stat("in.mem_bytes", rep.MemoryBytes)
-					m.stat("in.disk_bytes", diskBytes)
-					if o.CloneAware {
-						// Once staging is under way the chain's segments are
-						// bound for the node's disk; record them so the next
-						// cycle here moves only fresh divergence.
-						n.MarkResident(m.Lineage(n.Name))
-					}
-					if plan != nil {
-						// Tiered staging: the pool misses were prefetched in
-						// parallel with setup; once they land, the rest is
-						// node-local media time (cache and snapshot-disk
-						// reads). No lazy mirror — prefetch overlap is what
-						// keeps the restore off the critical path.
-						plan.wait(func() {
-							m.S.DoAfter(plan.cost, "swap.stage-local", func() {
-								finishNode(i)
-							})
-						})
-						return
-					}
-					if !o.Lazy {
-						// Eager: the whole disk state lands before the
-						// node may resume.
-						c := xfer.NewCopier(m.S, n.Vol.Disk, m.Server)
-						c.Tag = m.Tag
-						if o.RateLimit > 0 {
-							c.RateLimit = o.RateLimit
-						}
-						c.CopyIn(storage.AggBase, diskBytes, func(int64) {
-							finishNode(i)
-						})
-						return
-					}
-					// Lazy: resume immediately; the staged disk image is
-					// demand-paged and back-filled into the COW log region
-					// (raw addressing — the delta is an image file, not
-					// guest-visible block space).
-					lm := xfer.NewLazyMirror(m.S, rawRegion{d: n.Vol.Disk, base: storage.AggBase},
-						m.Server, n.Vol.Disk, diskBytes)
-					lm.SetTag(m.Tag)
-					n.lazy = lm
-					lm.StartBackground(func() { rep.BackgroundDone = m.S.Now() })
-					finishNode(i)
-				}
-				if o.Incremental {
-					// Memory images pipeline across nodes on the shared
-					// pipe instead of queueing behind each other.
-					m.Server.StreamDownload(m.Tag, n.MemImageBytes, memDone)
-				} else {
-					m.Server.DownloadTagged(m.Tag, n.MemImageBytes, memDone)
-				}
-			})
-		}
-		if !n.GoldenCached {
-			rep.GoldenFetched = true
-			m.S.DoAfter(GoldenFetchTime, "swap.frisbee", func() {
-				n.GoldenCached = true
-				stage2()
-			})
-		} else {
-			stage2()
-		}
-	}
+	})
 	return nil
 }
 
@@ -958,19 +975,14 @@ func (m *Manager) CommitEpoch(done func(moved int64)) {
 		lin      *storage.Lineage
 		blocks   map[int64]int64
 		memPages int
-		// remote marks an epoch whose bytes already crossed to the pool
+		// pooled marks an epoch whose bytes already crossed to the pool
 		// in the transfer stage (remote tier, or a snapshot disk known
 		// full upfront) — its placement must not bill a second spill.
-		remote bool
+		pooled bool
 	}
 	var pend []pendingCommit
-	remaining := len(m.Nodes)
 	var total int64
-	fin := func() {
-		remaining--
-		if remaining > 0 {
-			return
-		}
+	fin := join(len(m.Nodes), func() {
 		m.commitsInFlight--
 		if m.anyCrashed() {
 			// The machines died while the commit was in flight: the
@@ -983,18 +995,15 @@ func (m *Manager) CommitEpoch(done func(moved int64)) {
 			p.lin.Commit(p.blocks, p.memPages)
 			p.lin.Drop(p.n.IsFree)
 			p.n.MarkResident(p.lin)
-			if m.tiered() {
+			if m.Tier != nil {
 				sp := m.placeEpoch(p.lin)
-				if !p.remote {
+				if !p.pooled {
 					spill += sp
 				}
 			}
 		}
 		complete := func() {
-			m.lastCommitAt = m.S.Now()
-			if m.OnCommit != nil {
-				m.OnCommit()
-			}
+			m.committed()
 			if done != nil {
 				done(total)
 			}
@@ -1002,13 +1011,11 @@ func (m *Manager) CommitEpoch(done func(moved int64)) {
 		if spill > 0 {
 			// Snapshot-disk overflow: the epoch only counts as a restore
 			// point once its spilled bytes are safe on the pool.
-			m.stat("storage.spill_bytes", spill)
-			m.stat("storage.remote_bytes", spill)
-			m.Server.StreamUpload(m.Tag, spill, complete)
+			m.spill(spill, complete)
 			return
 		}
 		complete()
-	}
+	})
 	for _, n := range m.Nodes {
 		lin := m.Lineage(n.Name)
 		blocks := n.Vol.EpochBlocks(n.IsFree)
@@ -1024,50 +1031,12 @@ func (m *Manager) CommitEpoch(done func(moved int64)) {
 		pc := pendingCommit{n: n, lin: lin, blocks: blocks, memPages: memPages}
 		diskB := int64(len(blocks)) * storage.BlockSize
 		memB := int64(memPages) * int64(n.HV.P.PageSize)
-		bytes := diskB + memB
-		total += bytes
-		m.stat("out.epoch_bytes", bytes)
-		switch {
-		case bytes <= 0:
+		total += diskB + memB
+		m.stat("out.epoch_bytes", diskB+memB)
+		if diskB+memB <= 0 {
 			m.S.DoAfter(0, "swap.commit0", fin)
-		case !m.tiered():
-			m.Server.StreamUpload(m.Tag, bytes, fin)
-		case m.localTier() && m.Backend.Fits(diskB):
-			// The disk epoch lands on the node-local snapshot disk; only
-			// the memory delta crosses to the pool (memory images are
-			// always server-homed, so a restore can rebuild the resident
-			// image without the dead node's media).
-			m.stat("storage.local_bytes", diskB)
-			legs := 2
-			leg := func() {
-				legs--
-				if legs == 0 {
-					fin()
-				}
-			}
-			m.S.DoAfter(m.Backend.PutCost(diskB), "swap.epoch-local", leg)
-			if memB > 0 {
-				m.Server.StreamUpload(m.Tag, memB, leg)
-			} else {
-				m.S.DoAfter(0, "swap.commit0", leg)
-			}
-		case m.localTier():
-			// The snapshot disk is known full upfront: the epoch is
-			// pool-bound from the start — one batched upload charged as
-			// spill, no phantom local write billed.
-			pc.remote = true
-			m.stat("storage.spill_bytes", diskB)
-			m.stat("storage.remote_bytes", diskB)
-			m.Server.StreamUploadBatch(m.Tag, []int64{diskB, memB}, func(int64) { fin() })
-		default:
-			// Remote tier: the epoch's segments coalesce into one batched
-			// put on the shared pipe — one stream and one pool round trip
-			// per commit, not one per segment.
-			pc.remote = true
-			m.stat("storage.remote_bytes", diskB)
-			m.Server.StreamUploadBatch(m.Tag, []int64{diskB, memB}, func(int64) {
-				m.S.DoAfter(m.Backend.PutCost(diskB), "swap.epoch-rtt", fin)
-			})
+		} else {
+			pc.pooled = m.sinkDelta(diskB, memB, true, fin)
 		}
 		pend = append(pend, pc)
 	}
@@ -1106,15 +1075,6 @@ func (m *Manager) StopEpochs() {
 	}
 }
 
-// EpochAborts reports epochs the pipeline lost to aborts (0 if the
-// pipeline never ran).
-func (m *Manager) EpochAborts() int {
-	if m.epochLoop == nil {
-		return 0
-	}
-	return m.epochLoop.Aborts()
-}
-
 // Recover restores a crashed experiment from its last committed epoch:
 // on freshly re-acquired hardware, each node's full memory image and
 // its disk chain replay stream down from the file server as
@@ -1123,7 +1083,7 @@ func (m *Manager) EpochAborts() int {
 // is whatever the epoch pipeline (or an earlier park) last committed —
 // and the guests resume from that epoch rather than via a held
 // epoch's coordinated resume (the crashed epoch never barriered).
-func (m *Manager) Recover(o Options, done func([]*InReport, error)) error {
+func (m *Manager) Recover(done func([]*InReport, error)) error {
 	if m.lastCommitAt == 0 {
 		return fmt.Errorf("swap: no committed epoch to recover from")
 	}
@@ -1133,10 +1093,30 @@ func (m *Manager) Recover(o Options, done func([]*InReport, error)) error {
 	// must clear here — otherwise the coordinator reports Busy forever
 	// and the recovered tenant could never checkpoint or park again.
 	m.Coord.DropHeld()
-	start := m.S.Now()
-	reports := make([]*InReport, len(m.Nodes))
-	remaining := len(m.Nodes)
-	finishAll := func() {
+	m.restore(func(n *Node) *restorePlan {
+		lin := m.Lineage(n.Name)
+		p := &restorePlan{
+			n:              n,
+			rep:            &InReport{Incremental: lin.Epochs() > 0, ChainDepth: lin.Depth()},
+			mem:            n.HV.K.MemoryImageBytes(),
+			disk:           lin.ReplayBytes(),
+			stage:          stageStream,
+			countOnLanding: true,
+		}
+		switch {
+		case lin.Epochs() == 0:
+			// No incremental chain: the restore point is the full-copy
+			// swap-out image (memory image + aggregated delta).
+			p.disk = n.AggBytesOnServer
+		case m.Tier != nil:
+			// Chain segments on node-local media (the snapshot disk
+			// survives a fail-stop; the cache was filled by the epoch
+			// pipeline's commits) restore without the pool, and the
+			// misses prefetch in parallel with re-provisioning.
+			m.planTiered(p, lin, nil)
+		}
+		return p
+	}, func(reports []*InReport) {
 		// All state staged: restart every node from the restored images.
 		for _, n := range m.Nodes {
 			if n.HV.Crashed() {
@@ -1148,81 +1128,8 @@ func (m *Manager) Recover(o Options, done func([]*InReport, error)) error {
 				_ = n.HV.Resume(nil)
 			}
 		}
-		m.swappedOut = false
-		now := m.S.Now()
-		for _, r := range reports {
-			r.Finished = now
-		}
+		m.resumed(reports)
 		done(reports, nil)
-	}
-	for i, n := range m.Nodes {
-		i, n := i, n
-		lin := m.Lineage(n.Name)
-		diskBytes := lin.ReplayBytes()
-		if lin.Epochs() == 0 {
-			// No incremental chain: the restore point is the full-copy
-			// swap-out image (memory image + aggregated delta).
-			diskBytes = n.AggBytesOnServer
-		}
-		var plan *chainPlan
-		if lin.Epochs() > 0 && m.tiered() {
-			// Tiered recovery: chain segments on node-local media (the
-			// snapshot disk survives a fail-stop; the cache was filled by
-			// the epoch pipeline's commits) restore without the pool, and
-			// the misses prefetch in parallel with re-provisioning.
-			plan = m.planChain(lin, nil)
-			diskBytes = plan.total
-			m.stat("storage.remote_bytes", plan.remote)
-			m.stat("storage.cache_hit_bytes", plan.cached)
-			m.stat("storage.local_bytes", plan.local)
-			plan.prefetch(m)
-		}
-		memBytes := n.HV.K.MemoryImageBytes()
-		rep := &InReport{Started: start, Incremental: lin.Epochs() > 0, ChainDepth: lin.Depth()}
-		if plan != nil {
-			rep.CachedBytes = plan.cached + plan.local
-			rep.RemoteBytes = plan.remote
-		}
-		reports[i] = rep
-		stage := func() {
-			m.S.DoAfter(NodeSetupTime, "swap.recover-setup", func() {
-				m.Server.StreamDownload(m.Tag, memBytes, func() {
-					rep.MemoryBytes = memBytes
-					m.stat("in.mem_bytes", memBytes)
-					finishDisk := func() {
-						rep.DeltaBytes = diskBytes
-						m.stat("in.disk_bytes", diskBytes)
-						remaining--
-						if remaining == 0 {
-							finishAll()
-						}
-					}
-					if plan != nil {
-						plan.wait(func() {
-							m.S.DoAfter(plan.cost, "swap.recover-local", finishDisk)
-						})
-						return
-					}
-					if diskBytes <= 0 {
-						remaining--
-						if remaining == 0 {
-							finishAll()
-						}
-						return
-					}
-					m.Server.StreamDownload(m.Tag, diskBytes, finishDisk)
-				})
-			})
-		}
-		if !n.GoldenCached {
-			rep.GoldenFetched = true
-			m.S.DoAfter(GoldenFetchTime, "swap.recover-frisbee", func() {
-				n.GoldenCached = true
-				stage()
-			})
-		} else {
-			stage()
-		}
-	}
+	})
 	return nil
 }

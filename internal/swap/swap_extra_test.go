@@ -51,7 +51,7 @@ func TestMultiNodeSwapCycle(t *testing.T) {
 	}
 	s.RunFor(sim.Minute)
 	var out []*OutReport
-	if err := m.SwapOut(DefaultOptions(), func(x []*OutReport, _ error) { out = x }); err != nil {
+	if err := m.SwapOut(Options{}, func(x []*OutReport, _ error) { out = x }); err != nil {
 		t.Fatal(err)
 	}
 	s.RunFor(20 * sim.Minute)
@@ -64,7 +64,7 @@ func TestMultiNodeSwapCycle(t *testing.T) {
 		}
 	}
 	var in []*InReport
-	if err := m.SwapIn(DefaultOptions(), func(x []*InReport, _ error) { in = x }); err != nil {
+	if err := m.SwapIn(Options{}, func(x []*InReport, _ error) { in = x }); err != nil {
 		t.Fatal(err)
 	}
 	s.RunFor(30 * sim.Minute)
@@ -87,8 +87,7 @@ func TestSwapWithoutPreCopyMovesWholeDeltaFrozen(t *testing.T) {
 	r := newRig(11)
 	r.s.RunFor(sim.Second)
 	r.dirty(64 << 20)
-	o := DefaultOptions()
-	o.PreCopy = false
+	o := Options{NoPreCopy: true}
 	var reps []*OutReport
 	if err := r.m.SwapOut(o, func(x []*OutReport, _ error) { reps = x }); err != nil {
 		t.Fatal(err)
@@ -110,8 +109,7 @@ func TestPreCopyShrinksFrozenTransfer(t *testing.T) {
 		r := newRig(12)
 		r.s.RunFor(sim.Second)
 		r.dirty(64 << 20)
-		o := DefaultOptions()
-		o.PreCopy = pre
+		o := Options{NoPreCopy: !pre}
 		var reps []*OutReport
 		r.m.SwapOut(o, func(x []*OutReport, _ error) { reps = x })
 		r.s.RunFor(20 * sim.Minute)
@@ -132,10 +130,10 @@ func TestSwapReportsDurations(t *testing.T) {
 	r.s.RunFor(sim.Second)
 	r.dirty(16 << 20)
 	var out []*OutReport
-	r.m.SwapOut(DefaultOptions(), func(x []*OutReport, _ error) { out = x })
+	r.m.SwapOut(Options{}, func(x []*OutReport, _ error) { out = x })
 	r.s.RunFor(20 * sim.Minute)
 	var in []*InReport
-	r.m.SwapIn(DefaultOptions(), func(x []*InReport, _ error) { in = x })
+	r.m.SwapIn(Options{}, func(x []*InReport, _ error) { in = x })
 	r.s.RunFor(20 * sim.Minute)
 	if out[0].Duration() <= 0 || in[0].Duration() <= 0 {
 		t.Fatal("non-positive durations")

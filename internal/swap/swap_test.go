@@ -58,7 +58,7 @@ func TestSwapOutPreservesStateAndReleases(t *testing.T) {
 	r.s.RunFor(sim.Second)
 	r.dirty(64 << 20)
 	var reps []*OutReport
-	if err := r.m.SwapOut(DefaultOptions(), func(x []*OutReport, _ error) { reps = x }); err != nil {
+	if err := r.m.SwapOut(Options{}, func(x []*OutReport, _ error) { reps = x }); err != nil {
 		t.Fatal(err)
 	}
 	r.s.RunFor(10 * sim.Minute)
@@ -87,14 +87,14 @@ func TestSwapCycleConcealsDowntime(t *testing.T) {
 	v0 := r.k.Monotonic()
 	realBefore := r.s.Now()
 	var outDone, inDone bool
-	r.m.SwapOut(DefaultOptions(), func([]*OutReport, error) { outDone = true })
+	r.m.SwapOut(Options{}, func([]*OutReport, error) { outDone = true })
 	r.s.RunFor(5 * sim.Minute)
 	if !outDone {
 		t.Fatal("swap-out incomplete")
 	}
 	// Stay swapped out for an hour of real time.
 	r.s.RunFor(sim.Hour)
-	r.m.SwapIn(DefaultOptions(), func([]*InReport, error) { inDone = true })
+	r.m.SwapIn(Options{}, func([]*InReport, error) { inDone = true })
 	r.s.RunFor(5 * sim.Minute)
 	if !inDone {
 		t.Fatal("swap-in incomplete")
@@ -115,11 +115,11 @@ func TestLazySwapInFasterThanEager(t *testing.T) {
 		r := newRig(3)
 		r.s.RunFor(sim.Second)
 		r.dirty(256 << 20)
-		o := DefaultOptions()
+		o := Options{}
 		r.m.SwapOut(o, func([]*OutReport, error) {})
 		r.s.RunFor(10 * sim.Minute)
 		var rep []*InReport
-		o.Lazy = lazy
+		o.Eager = !lazy
 		r.m.SwapIn(o, func(x []*InReport, _ error) { rep = x })
 		r.s.RunFor(20 * sim.Minute)
 		if rep == nil {
@@ -142,8 +142,7 @@ func TestSwapInTimesGrowWithoutLazy(t *testing.T) {
 	// with the aggregated delta; lazy stays roughly constant (§7.2).
 	times := func(lazy bool) []sim.Time {
 		r := newRig(4)
-		o := DefaultOptions()
-		o.Lazy = lazy
+		o := Options{Eager: !lazy}
 		var out []sim.Time
 		for cyc := 0; cyc < 4; cyc++ {
 			r.s.RunFor(sim.Second)
@@ -186,7 +185,7 @@ func TestGoldenFetchAddsFlatCost(t *testing.T) {
 	r.s.RunFor(sim.Second)
 	r.dirty(16 << 20)
 	r.m.Nodes[0].GoldenCached = false
-	o := DefaultOptions()
+	o := Options{}
 	r.m.SwapOut(o, func([]*OutReport, error) {})
 	r.s.RunFor(10 * sim.Minute)
 	var rep []*InReport
@@ -208,13 +207,13 @@ func TestGoldenFetchAddsFlatCost(t *testing.T) {
 
 func TestDoubleSwapErrors(t *testing.T) {
 	r := newRig(6)
-	if err := r.m.SwapIn(DefaultOptions(), nil); err == nil {
+	if err := r.m.SwapIn(Options{}, nil); err == nil {
 		t.Fatal("swap-in while running succeeded")
 	}
 	r.s.RunFor(sim.Second)
-	r.m.SwapOut(DefaultOptions(), func([]*OutReport, error) {})
+	r.m.SwapOut(Options{}, func([]*OutReport, error) {})
 	r.s.RunFor(10 * sim.Minute)
-	if err := r.m.SwapOut(DefaultOptions(), nil); err == nil {
+	if err := r.m.SwapOut(Options{}, nil); err == nil {
 		t.Fatal("double swap-out succeeded")
 	}
 }

@@ -8,21 +8,20 @@ import (
 	"emucheck/internal/storage"
 )
 
-// tierRig wires the plain rig onto a pluggable storage tier the way a
-// cluster does: a shared chain store mirroring onto the backend, and
+// tierRig wires the plain rig onto a storage tier the way a cluster
+// does: a shared chain store mirroring onto the tier, and
 // an optional delta cache consulting the store's refcounts.
-func newTierRig(seed int64, be storage.Backend, cacheMB int64) *rig {
+func newTierRig(seed int64, be *storage.Tier, cacheMB int64) *rig {
 	r := newRig(seed)
 	r.m.Stats = metrics.NewCounters()
 	cs := storage.NewChainStore()
 	r.m.Chains = cs
 	if be != nil {
-		cs.OnStore = func(a storage.Addr, n int64) { be.Put(a, n) }
-		cs.OnDrop = func(a storage.Addr, n int64) { be.Delete(a) }
-		r.m.Backend = be
+		r.m.Tier = be
 		if cacheMB > 0 {
 			r.m.Cache = storage.NewDeltaCache(cacheMB<<20, cs.Refs)
 		}
+		cs.Mirror(be, r.m.Cache)
 	}
 	return r
 }
@@ -31,7 +30,7 @@ func newTierRig(seed int64, be storage.Backend, cacheMB int64) *rig {
 // returns the last swap-in report.
 func runCycles(t *testing.T, r *rig, cycles int) *InReport {
 	t.Helper()
-	o := IncrementalOptions()
+	o := Options{Mode: Incremental}
 	r.s.RunFor(sim.Second)
 	var in *InReport
 	for c := 0; c < cycles; c++ {
@@ -47,9 +46,9 @@ func runCycles(t *testing.T, r *rig, cycles int) *InReport {
 // server bytes than the identical run without a cache, with the hits
 // visible in the report and the stats ledger.
 func TestTieredRemoteCacheServesRestores(t *testing.T) {
-	cached := newTierRig(5, storage.NewRemoteBackend(), 2048)
+	cached := newTierRig(5, storage.NewRemoteTier(), 2048)
 	inC := runCycles(t, cached, 3)
-	uncached := newTierRig(5, storage.NewRemoteBackend(), 0)
+	uncached := newTierRig(5, storage.NewRemoteTier(), 0)
 	runCycles(t, uncached, 3)
 
 	if inC.CachedBytes <= 0 || inC.RemoteBytes != 0 {
@@ -73,21 +72,15 @@ func TestTieredRemoteCacheServesRestores(t *testing.T) {
 	if cached.m.Stats.Get("storage.cache_hit_bytes") <= 0 {
 		t.Fatal("cache_hit_bytes never accumulated")
 	}
-	// The remote tier's batched get path must have been exercised by
-	// the uncached run's prefetches (the cached run had no misses to
-	// batch).
-	if uncached.m.Server.Batches == 0 {
-		t.Fatal("no batched transfers recorded")
-	}
 }
 
 // TestTieredCacheLedgerDeterministic: the same seed and script must
 // produce the identical hit/miss/evict ledger — cache behavior is part
 // of the deterministic-run contract.
 func TestTieredCacheLedgerDeterministic(t *testing.T) {
-	a := newTierRig(9, storage.NewRemoteBackend(), 64)
+	a := newTierRig(9, storage.NewRemoteTier(), 64)
 	runCycles(t, a, 4)
-	b := newTierRig(9, storage.NewRemoteBackend(), 64)
+	b := newTierRig(9, storage.NewRemoteTier(), 64)
 	runCycles(t, b, 4)
 	if a.m.Cache.Stats() != b.m.Cache.Stats() {
 		t.Fatalf("same seed, different cache ledgers:\n%+v\n%+v", a.m.Cache.Stats(), b.m.Cache.Stats())
@@ -102,7 +95,7 @@ func TestTieredCacheLedgerDeterministic(t *testing.T) {
 // LAN, so the tiered run's server traffic is strictly below the legacy
 // run's.
 func TestTieredDiskKeepsChainOffLAN(t *testing.T) {
-	disk := newTierRig(3, storage.NewDiskBackend(0), 0)
+	disk := newTierRig(3, storage.NewDiskTier(0), 0)
 	in := runCycles(t, disk, 3)
 	legacy := newTierRig(3, nil, 0)
 	runCycles(t, legacy, 3)
@@ -125,17 +118,23 @@ func TestTieredDiskKeepsChainOffLAN(t *testing.T) {
 
 // TestTieredDiskSpillsToPool: a snapshot disk too small for the chain
 // spills overflow to the pool — the run still restores correctly, and
-// the spill is accounted on both the backend and the stats ledger.
+// the stats ledger bills each refused epoch exactly once.
 func TestTieredDiskSpillsToPool(t *testing.T) {
-	be := storage.NewDiskBackend(8 << 20) // chain epochs are 16 MB each
+	be := storage.NewDiskTier(8 << 20) // chain epochs are 16 MB each
 	r := newTierRig(7, be, 0)
 	in := runCycles(t, r, 3)
 
-	if be.SpillSegments == 0 {
-		t.Fatal("an 8 MB snapshot disk must spill 16 MB epochs")
+	var refused int64
+	for _, seg := range r.m.Lineage("n0").Segments() {
+		if seg.Bytes > 0 && !be.Has(seg.Addr) {
+			refused += seg.Bytes
+		}
 	}
-	if r.m.Stats.Get("storage.spill_bytes") <= 0 {
-		t.Fatal("spill_bytes never accumulated")
+	if refused != 3*16<<20 {
+		t.Fatalf("an 8 MB snapshot disk must refuse all three 16 MB epochs; refused %d bytes", refused)
+	}
+	if got := r.m.Stats.Get("storage.spill_bytes"); got != refused {
+		t.Fatalf("spill_bytes = %d, want exactly the refused epochs' %d", got, refused)
 	}
 	if in.RemoteBytes <= 0 {
 		t.Fatal("spilled segments must restore from the pool")
@@ -153,11 +152,11 @@ func TestTieredDiskSpillsToPool(t *testing.T) {
 // tier keeps the whole chain off the LAN and dead segments leave the
 // backend.
 func TestStandaloneManagerMirrorsPrivateStore(t *testing.T) {
-	be := storage.NewDiskBackend(0)
+	be := storage.NewDiskTier(0)
 	r := newRig(13)
 	r.m.Stats = metrics.NewCounters()
-	r.m.Backend = be
-	r.m.MaxChainDepth = 2 // force folds: 5 cycles re-key the base repeatedly
+	r.m.Tier = be
+	r.m.Lineage("n0").MaxDepth = 2 // force folds: 5 cycles re-key the base repeatedly
 	runCycles(t, r, 5)
 
 	cs := r.m.Lineage("n0").Store()
@@ -181,15 +180,15 @@ func TestStandaloneManagerMirrorsPrivateStore(t *testing.T) {
 // chain state through every backend, and that state must match the
 // volume's own snapshot (the lineage correctness invariant).
 func TestTieredReplayByteIdentical(t *testing.T) {
-	materialize := func(be storage.Backend, cacheMB int64) (map[int64]int64, map[int64]int64) {
+	materialize := func(be *storage.Tier, cacheMB int64) (map[int64]int64, map[int64]int64) {
 		r := newTierRig(21, be, cacheMB)
 		runCycles(t, r, 4)
 		lin := r.m.Lineage("n0")
 		return lin.Materialize(), r.vol.Snapshot(nil)
 	}
 	legacyChain, legacyVol := materialize(nil, 0)
-	diskChain, diskVol := materialize(storage.NewDiskBackend(0), 0)
-	remoteChain, remoteVol := materialize(storage.NewRemoteBackend(), 256)
+	diskChain, diskVol := materialize(storage.NewDiskTier(0), 0)
+	remoteChain, remoteVol := materialize(storage.NewRemoteTier(), 256)
 
 	equal := func(name string, got, want map[int64]int64) {
 		t.Helper()

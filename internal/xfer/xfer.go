@@ -51,17 +51,6 @@ type Server struct {
 	MaxBacklog sim.Time
 	// ByTag attributes bytes moved (both directions) per experiment.
 	ByTag map[string]int64
-
-	// Per-batch accounting for the coalesced put path (StreamUploadBatch
-	// / StreamDownloadBatch): Batches counts batches, BatchSegments the
-	// segments they carried, BatchBytes their payload, and
-	// BatchSavedStreams the stream-table admissions coalescing avoided
-	// (segments-1 per batch) — each saved admission is one less
-	// concurrent claim on the fair-share pipe.
-	Batches           int64
-	BatchSegments     int64
-	BatchBytes        int64
-	BatchSavedStreams int64
 }
 
 // NewServer creates a file server; rate defaults to 100 Mbps worth of
@@ -91,6 +80,20 @@ func (sv *Server) transfer(tag string, n int64, up bool, done func()) {
 	}
 	dur := sim.Time(float64(n) / float64(sv.Rate) * float64(sim.Second))
 	sv.busyUntil = start + dur
+	sv.account(tag, n, up)
+	sv.s.DoAt(sv.busyUntil, "xfer.server", done)
+}
+
+// UploadTagged moves n bytes node->server through the FIFO pipe,
+// attributed to the experiment tag.
+func (sv *Server) UploadTagged(tag string, n int64, done func()) { sv.transfer(tag, n, true, done) }
+
+// DownloadTagged moves n bytes server->node through the FIFO pipe.
+func (sv *Server) DownloadTagged(tag string, n int64, done func()) { sv.transfer(tag, n, false, done) }
+
+// account charges n bytes moved node->server (up) or server->node to
+// the ledgers.
+func (sv *Server) account(tag string, n int64, up bool) {
 	if up {
 		sv.Received += uint64(n)
 	} else {
@@ -99,43 +102,15 @@ func (sv *Server) transfer(tag string, n int64, up bool, done func()) {
 	if tag != "" {
 		sv.ByTag[tag] += n
 	}
-	sv.s.DoAt(sv.busyUntil, "xfer.server", done)
 }
-
-// Upload moves n bytes node->server.
-func (sv *Server) Upload(n int64, done func()) { sv.transfer("", n, true, done) }
-
-// Download moves n bytes server->node.
-func (sv *Server) Download(n int64, done func()) { sv.transfer("", n, false, done) }
-
-// UploadTagged is Upload with per-experiment attribution.
-func (sv *Server) UploadTagged(tag string, n int64, done func()) { sv.transfer(tag, n, true, done) }
-
-// DownloadTagged is Download with per-experiment attribution.
-func (sv *Server) DownloadTagged(tag string, n int64, done func()) { sv.transfer(tag, n, false, done) }
 
 // AccountUpload charges n node->server bytes to the accounting ledgers
 // (Received, ByTag) without occupying the pipe — for transfers whose
 // timing is modeled elsewhere, like the checkpoint images the
 // hypervisor itself streams over the control network during a swap-out.
 func (sv *Server) AccountUpload(tag string, n int64) {
-	if n <= 0 {
-		return
-	}
-	sv.Received += uint64(n)
-	if tag != "" {
-		sv.ByTag[tag] += n
-	}
-}
-
-// AccountDownload is AccountUpload for server->node bytes.
-func (sv *Server) AccountDownload(tag string, n int64) {
-	if n <= 0 {
-		return
-	}
-	sv.Served += uint64(n)
-	if tag != "" {
-		sv.ByTag[tag] += n
+	if n > 0 {
+		sv.account(tag, n, true)
 	}
 }
 
@@ -169,47 +144,6 @@ func (sv *Server) Multicast(tag string, n int64, receivers int, done func()) {
 	sv.stream(tag, n, false, done)
 }
 
-// StreamUploadBatch coalesces the segment puts of one epoch commit
-// into a single fair-share upload: the batch's segments move as one
-// stream (one claim on the shared pipe instead of one per segment) and
-// the per-batch ledgers account them. Zero-sized segments are skipped;
-// an all-empty batch completes immediately. done, if non-nil, receives
-// the total payload once the batch has drained.
-func (sv *Server) StreamUploadBatch(tag string, sizes []int64, done func(total int64)) {
-	sv.batch(tag, sizes, true, done)
-}
-
-// StreamDownloadBatch is the get side of the batched path: one
-// coalesced fair-share download for a restore's missing segments.
-func (sv *Server) StreamDownloadBatch(tag string, sizes []int64, done func(total int64)) {
-	sv.batch(tag, sizes, false, done)
-}
-
-func (sv *Server) batch(tag string, sizes []int64, up bool, done func(int64)) {
-	var total int64
-	var segs int64
-	for _, n := range sizes {
-		if n > 0 {
-			total += n
-			segs++
-		}
-	}
-	fin := func() {
-		if done != nil {
-			done(total)
-		}
-	}
-	if total <= 0 {
-		sv.s.DoAfter(0, "xfer.batch0", fin)
-		return
-	}
-	sv.Batches++
-	sv.BatchSegments += segs
-	sv.BatchBytes += total
-	sv.BatchSavedStreams += segs - 1
-	sv.stream(tag, total, up, fin)
-}
-
 // ActiveStreams reports how many fair-share transfers are in flight.
 func (sv *Server) ActiveStreams() int { return len(sv.streams) }
 
@@ -218,11 +152,7 @@ func (sv *Server) stream(tag string, n int64, up bool, done func()) {
 		sv.s.DoAfter(0, "xfer.zero", done)
 		return
 	}
-	if up {
-		sv.AccountUpload(tag, n)
-	} else {
-		sv.AccountDownload(tag, n)
-	}
+	sv.account(tag, n, up)
 	sv.settleStreams()
 	sv.streams = append(sv.streams, &stream{remaining: float64(n), done: done})
 	sv.rescheduleStreams()
@@ -281,6 +211,10 @@ func (sv *Server) rescheduleStreams() {
 	}
 }
 
+// DefaultRateLimit is the paper's background-transfer rate limit in
+// bytes/second (§5.3).
+const DefaultRateLimit = 10 << 20
+
 // Copier streams a byte range between a local disk and the server in
 // rate-limited chunks, sharing the spindle with foreground I/O.
 type Copier struct {
@@ -305,7 +239,7 @@ type Copier struct {
 
 // NewCopier builds a copier between disk and server.
 func NewCopier(s *sim.Simulator, disk *node.Disk, server *Server) *Copier {
-	return &Copier{s: s, disk: disk, server: server, ChunkBytes: 1 << 20, RateLimit: 10 << 20}
+	return &Copier{s: s, disk: disk, server: server, ChunkBytes: 1 << 20, RateLimit: DefaultRateLimit}
 }
 
 // Cancel stops the copy: no further chunks are scheduled after the one
@@ -529,8 +463,8 @@ func (lm *LazyMirror) ensure(off, n int64, fn func()) {
 		fn()
 		return
 	}
-	lo := maxI64(off-lm.Base, 0) / lm.ChunkBytes
-	hi := (minI64(off+n, lm.Base+lm.total) - lm.Base - 1) / lm.ChunkBytes
+	lo := max(off-lm.Base, 0) / lm.ChunkBytes
+	hi := (min(off+n, lm.Base+lm.total) - lm.Base - 1) / lm.ChunkBytes
 	var missing []int64
 	for c := lo; c <= hi; c++ {
 		if !lm.present[c] {
@@ -557,20 +491,6 @@ func (lm *LazyMirror) ensure(off, n int64, fn func()) {
 	lm.fetch(hi + 1)
 }
 
-func maxI64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func minI64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Read implements Backend: demand-fetch then read locally.
 func (lm *LazyMirror) Read(off, n int64, done func()) {
 	lm.ensure(off, n, func() { lm.backend.Read(off, n, done) })
@@ -580,8 +500,8 @@ func (lm *LazyMirror) Read(off, n int64, done func()) {
 // chunks present (they are now newer than the remote copy).
 func (lm *LazyMirror) Write(off, n int64, done func()) {
 	if off+n > lm.Base && off < lm.Base+lm.total {
-		lo := maxI64(off-lm.Base, 0) / lm.ChunkBytes
-		hi := (minI64(off+n, lm.Base+lm.total) - lm.Base - 1) / lm.ChunkBytes
+		lo := max(off-lm.Base, 0) / lm.ChunkBytes
+		hi := (min(off+n, lm.Base+lm.total) - lm.Base - 1) / lm.ChunkBytes
 		for c := lo; c <= hi; c++ {
 			lm.present[c] = true
 		}

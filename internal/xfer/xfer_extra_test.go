@@ -81,8 +81,8 @@ func TestServerInterleavedDirections(t *testing.T) {
 	s := sim.New(1)
 	sv := NewServer(s, 10<<20)
 	var t1, t2 sim.Time
-	sv.Upload(5<<20, func() { t1 = s.Now() })
-	sv.Download(5<<20, func() { t2 = s.Now() })
+	sv.UploadTagged("", 5<<20, func() { t1 = s.Now() })
+	sv.DownloadTagged("", 5<<20, func() { t2 = s.Now() })
 	s.Run()
 	// One shared pipe: the download queues behind the upload.
 	if t1 != 500*sim.Millisecond || t2 != sim.Second {

@@ -11,8 +11,8 @@ func TestServerRateAndFIFO(t *testing.T) {
 	s := sim.New(1)
 	sv := NewServer(s, 10<<20) // 10 MB/s
 	var t1, t2 sim.Time
-	sv.Upload(10<<20, func() { t1 = s.Now() })
-	sv.Upload(10<<20, func() { t2 = s.Now() })
+	sv.UploadTagged("", 10<<20, func() { t1 = s.Now() })
+	sv.UploadTagged("", 10<<20, func() { t2 = s.Now() })
 	s.Run()
 	if t1 != sim.Second {
 		t.Fatalf("first transfer at %v", t1)
@@ -28,11 +28,15 @@ func TestServerRateAndFIFO(t *testing.T) {
 func TestServerZeroBytes(t *testing.T) {
 	s := sim.New(1)
 	sv := NewServer(s, 0) // default rate
-	fired := false
-	sv.Download(0, func() { fired = true })
+	fired, streamed := false, false
+	sv.DownloadTagged("", 0, func() { fired = true })
+	sv.StreamDownload("", 0, func() { streamed = true })
 	s.Run()
-	if !fired {
-		t.Fatal("zero transfer never fired")
+	if !fired || !streamed {
+		t.Fatalf("zero transfers never fired: fifo %v, stream %v", fired, streamed)
+	}
+	if sv.Served != 0 || sv.ActiveStreams() != 0 {
+		t.Fatalf("zero transfers accounted %d bytes / %d streams", sv.Served, sv.ActiveStreams())
 	}
 	if sv.Rate != 12_500_000 {
 		t.Fatalf("default rate = %d", sv.Rate)

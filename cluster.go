@@ -169,10 +169,6 @@ func (c *Cluster) ConfigureStorage(o StorageOptions) error {
 	return nil
 }
 
-// StorageTier returns the facility-wide chain tier (nil when chain
-// state stays on the file server).
-func (c *Cluster) StorageTier() *storage.Tier { return c.storageTier }
-
 // DeltaCache returns the facility-wide delta cache (nil when off).
 func (c *Cluster) DeltaCache() *storage.DeltaCache { return c.storageCache }
 

@@ -24,14 +24,6 @@ const (
 	RemoteKind
 )
 
-// String names the kind as scenario files and reports spell it.
-func (k TierKind) String() string {
-	if k == DiskKind {
-		return "disk"
-	}
-	return "remote"
-}
-
 // Default cost parameters for the simulated tiers.
 const (
 	// DefaultSnapshotDiskBytes is the node-local snapshot disk budget

@@ -92,6 +92,9 @@ type Handle struct {
 	// handle+event pair is a single allocation.
 	tm   sim.Timer
 	done bool
+	// idx is the handle's position in the firewall's pending set, -1
+	// while it is not pending.
+	idx int
 
 	// kindTimer: absolute due time in the underlying simulator, valid
 	// while armed; remaining is captured on engage.
@@ -115,7 +118,11 @@ type Firewall struct {
 	clock *vclock.Clock
 
 	engaged bool
-	pending map[*Handle]struct{}
+	// pending holds every armed or parked handle. It is a slice, not a
+	// map keyed by pointer: Engage, Disengage and Replan re-arm in its
+	// order, and same-instant re-arms fire in that order, so it must be
+	// the same on every run. Removal swaps the last handle into the hole.
+	pending []*Handle
 
 	// InsideFired counts inside-class callbacks that fired while the
 	// firewall was engaged. Transparency demands this stays zero; tests
@@ -130,7 +137,7 @@ type Firewall struct {
 
 // New creates a firewall around the given guest clock.
 func New(s *sim.Simulator, clock *vclock.Clock) *Firewall {
-	return &Firewall{s: s, clock: clock, pending: make(map[*Handle]struct{})}
+	return &Firewall{s: s, clock: clock}
 }
 
 // Clock exposes the guarded clock.
@@ -152,7 +159,7 @@ func (f *Firewall) After(class Class, d sim.Time, name string, fn func()) *Handl
 	}
 	h := &Handle{fw: f, class: class, name: name, k: kindTimer, fn: fn}
 	f.s.InitTimer(&h.tm, name, h.fire)
-	f.pending[h] = struct{}{}
+	f.add(h)
 	if f.engaged && class.Inside() {
 		// Scheduled from outside-code while frozen (e.g. a device
 		// handler queuing guest work): park it with full delay.
@@ -172,7 +179,7 @@ func (f *Firewall) Compute(class Class, cpu *node.CPU, work sim.Time, name strin
 	}
 	h := &Handle{fw: f, class: class, name: name, k: kindCompute, fn: fn, cpu: cpu, workLeft: work}
 	f.s.InitTimer(&h.tm, name, h.fire)
-	f.pending[h] = struct{}{}
+	f.add(h)
 	if f.engaged && class.Inside() {
 		return h
 	}
@@ -205,7 +212,7 @@ func (h *Handle) fire() {
 		}
 	}
 	h.done = true
-	delete(h.fw.pending, h)
+	h.fw.remove(h)
 	h.fn()
 }
 
@@ -216,7 +223,25 @@ func (f *Firewall) Cancel(h *Handle) {
 	}
 	h.tm.Stop()
 	h.done = true
-	delete(f.pending, h)
+	f.remove(h)
+}
+
+// add appends h to the pending set.
+func (f *Firewall) add(h *Handle) {
+	h.idx = len(f.pending)
+	f.pending = append(f.pending, h)
+}
+
+// remove takes h out of the pending set by moving the last handle into
+// its slot.
+func (f *Firewall) remove(h *Handle) {
+	n := len(f.pending) - 1
+	last := f.pending[n]
+	f.pending[h.idx] = last
+	last.idx = h.idx
+	f.pending[n] = nil
+	f.pending = f.pending[:n]
+	h.idx = -1
 }
 
 // Engage freezes the clock and suspends every pending inside-handle.
@@ -229,7 +254,7 @@ func (f *Firewall) Engage(engageLeak sim.Time) {
 	f.Engages++
 	f.clock.Freeze(engageLeak)
 	now := f.s.Now()
-	for h := range f.pending {
+	for _, h := range f.pending {
 		if !h.class.Inside() || !h.tm.Pending() {
 			continue
 		}
@@ -259,7 +284,7 @@ func (f *Firewall) Disengage(disengageLeak sim.Time) {
 	}
 	f.engaged = false
 	f.clock.Thaw(disengageLeak)
-	for h := range f.pending {
+	for _, h := range f.pending {
 		if !h.class.Inside() || h.tm.Pending() {
 			continue
 		}
@@ -281,7 +306,7 @@ func (f *Firewall) Replan() {
 		return // everything inside is parked already
 	}
 	now := f.s.Now()
-	for h := range f.pending {
+	for _, h := range f.pending {
 		if h.k != kindCompute {
 			continue
 		}
@@ -300,7 +325,7 @@ func (f *Firewall) Replan() {
 // Describe returns a debug summary of pending activity by class.
 func (f *Firewall) Describe() string {
 	counts := map[Class]int{}
-	for h := range f.pending {
+	for _, h := range f.pending {
 		counts[h.class]++
 	}
 	return fmt.Sprintf("firewall engaged=%v pending=%v", f.engaged, counts)

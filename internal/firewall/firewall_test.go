@@ -371,3 +371,33 @@ func TestReplanWhileEngagedIsNoop(t *testing.T) {
 		t.Fatal("compute lost")
 	}
 }
+
+// TestSameInstantRearmOrderIsStable pins the pending-set order: timers
+// due at one instant fire in the same order after every
+// engage/disengage cycle, on every run. Disengage re-arms in pending
+// order, and a same-instant re-arm fires in re-arm order, so an
+// unordered pending set (a map keyed by pointer) reorders them from run
+// to run.
+func TestSameInstantRearmOrderIsStable(t *testing.T) {
+	for trial := 0; trial < 20; trial++ {
+		s, _, f := setup(1)
+		var order string
+		hs := map[string]*Handle{}
+		for _, name := range []string{"a", "v", "b", "c"} {
+			name := name
+			hs[name] = f.After(TimerJob, 10*sim.Millisecond, name, func() { order += name })
+		}
+		// Cancelling v moves the last handle, c, into its slot.
+		f.Cancel(hs["v"])
+		for i := 0; i < 3; i++ {
+			s.RunFor(sim.Millisecond)
+			f.Engage(0)
+			s.RunFor(sim.Millisecond)
+			f.Disengage(0)
+		}
+		s.Run()
+		if order != "acb" {
+			t.Fatalf("trial %d: fire order %q, want acb", trial, order)
+		}
+	}
+}

@@ -84,6 +84,9 @@ type Simulator struct {
 	stopped bool
 	// fired counts delivered events, for diagnostics and test assertions.
 	fired uint64
+	// digest folds every delivered event's (when, seq); see
+	// ScheduleDigest.
+	digest uint64
 	// free is the recycled-Event pool feeding DoAt/DoAfter. Only events
 	// whose *Event handle never escaped (pooled) land here, so a stale
 	// handle can never cancel a recycled event. Bounded by the peak
@@ -93,8 +96,14 @@ type Simulator struct {
 
 // New creates a Simulator whose random source is seeded with seed.
 func New(seed int64) *Simulator {
-	return &Simulator{rng: rand.New(rand.NewSource(seed))}
+	return &Simulator{rng: rand.New(rand.NewSource(seed)), digest: digestBasis}
 }
+
+// FNV-1a parameters for the schedule digest.
+const (
+	digestBasis uint64 = 0xcbf29ce484222325
+	digestPrime uint64 = 0x100000001b3
+)
 
 // Now reports the current simulated time.
 func (s *Simulator) Now() Time { return s.now }
@@ -104,6 +113,13 @@ func (s *Simulator) Rand() *rand.Rand { return s.rng }
 
 // Fired reports the number of events delivered so far.
 func (s *Simulator) Fired() uint64 { return s.fired }
+
+// ScheduleDigest is a hash of the (when, seq) pair of every event
+// delivered so far, in delivery order. Two runs with equal digests
+// fired the same events in the same order with the same tie-breaks, a
+// stricter check than any rounded report: a same-instant reordering
+// that leaves every statistic unchanged still moves the digest.
+func (s *Simulator) ScheduleDigest() uint64 { return s.digest }
 
 // Pending reports the number of events currently queued.
 func (s *Simulator) Pending() int { return s.queue.len() }
@@ -290,6 +306,8 @@ func (s *Simulator) Step() bool {
 		}
 		s.now = e.when
 		s.fired++
+		s.digest = (s.digest ^ uint64(e.when)) * digestPrime
+		s.digest = (s.digest ^ e.seq) * digestPrime
 		fn := e.fn
 		if e.pooled {
 			// Recycle before running fn: the callback may immediately

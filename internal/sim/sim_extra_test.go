@@ -90,3 +90,31 @@ func TestCancelledEventsSkippedInStep(t *testing.T) {
 		t.Fatal("step delivered the cancelled event instead")
 	}
 }
+
+// TestScheduleDigestSeesTieBreaks checks the digest tells apart two
+// runs that fire the same events at the same times but break a
+// same-instant tie differently, and agrees for identical schedules.
+func TestScheduleDigestSeesTieBreaks(t *testing.T) {
+	run := func(swap bool) uint64 {
+		s := New(1)
+		var a, b *Event
+		a = s.At(Second, "a", func() {})
+		b = s.At(Second, "b", func() {})
+		if swap {
+			s.Reschedule(a, Second) // a now sorts behind b
+		} else {
+			s.Reschedule(b, Second)
+		}
+		s.Run()
+		return s.ScheduleDigest()
+	}
+	if run(false) != run(false) {
+		t.Fatal("identical schedules give different digests")
+	}
+	if run(false) == run(true) {
+		t.Fatal("digest misses a same-instant reordering")
+	}
+	if New(1).ScheduleDigest() == run(false) {
+		t.Fatal("digest ignores fired events")
+	}
+}

@@ -109,12 +109,8 @@ type tcpEnv struct {
 
 func (e *tcpEnv) Now() sim.Time { return e.k.Monotonic() }
 
-func (e *tcpEnv) StartTimer(d sim.Time, name string, fn func()) tcpsim.Timer {
-	return e.k.AfterVirtual(d, name, fn)
-}
-
-func (e *tcpEnv) StopTimer(t tcpsim.Timer) {
-	e.k.CancelTimer(t.(*firewall.Handle))
+func (e *tcpEnv) NewTimer(name string, fn func()) tcpsim.Timer {
+	return e.k.FW.NewTimer(firewall.TimerJob, name, fn)
 }
 
 func (e *tcpEnv) Output(seg *tcpsim.Segment) {

@@ -149,6 +149,7 @@ func (c *Commit2PC) runRound() {
 		if len(c.votes) < len(c.nodes)-1 {
 			decision = "2pc.abort" // a ballot went missing: presume no
 		}
+		// Map order is harmless: any "no" aborts, whatever its position.
 		for _, yes := range c.votes {
 			if !yes {
 				decision = "2pc.abort"

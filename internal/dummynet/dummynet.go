@@ -25,10 +25,16 @@ import (
 // DefaultQueueSlots matches Dummynet's default 50-slot router queue.
 const DefaultQueueSlots = 50
 
-// inflight is a packet in the delay line, due to be emitted at emit.
-type inflight struct {
+// slot is a packet in the delay line, due to be emitted at emit. Its
+// timer's callback is bound once, when the pipe first allocates the
+// slot; an emitted slot goes back to the pipe's free list for the next
+// packet, so a pipe in steady state allocates no slots, events or
+// closures per packet.
+type slot struct {
+	p    *Pipe
 	pkt  *simnet.Packet
 	emit sim.Time // absolute, in real simulation time
+	tm   sim.Timer
 }
 
 // Pipe is one shaping stage: bandwidth + delay + loss + bounded queue.
@@ -43,11 +49,12 @@ type Pipe struct {
 	PLR       float64 // packet loss rate in [0,1]
 	Slots     int     // router queue capacity in packets
 
-	queue   []*simnet.Packet // router queue; head is transmitting next
-	headTx  *sim.Event       // pending bandwidth-stage completion
-	headEnd sim.Time         // when the head packet finishes transmitting
-	line    []inflight       // delay line
-	lineEvs []*sim.Event     // emission events, parallel to line
+	queue   sim.FIFO[*simnet.Packet] // router queue; head is transmitting next
+	headTx  sim.Timer                // bandwidth-stage completion of the head
+	headEnd sim.Time                 // when the head packet finishes transmitting
+	line    sim.FIFO[*slot]          // delay line, in entry order
+	free    []*slot                  // emitted slots for reuse
+	emitTag string                   // event label of delay-line emissions
 
 	frozen   bool
 	frozeAt  sim.Time
@@ -62,10 +69,13 @@ type Pipe struct {
 
 // NewPipe creates a shaping pipe feeding out.
 func NewPipe(s *sim.Simulator, name string, bw simnet.Bitrate, delay sim.Time, out simnet.Port) *Pipe {
-	return &Pipe{
+	p := &Pipe{
 		name: name, sim: s, out: out,
 		Bandwidth: bw, Delay: delay, Slots: DefaultQueueSlots,
+		emitTag: name + ".emit",
 	}
+	s.InitTimer(&p.headTx, name+".tx", p.finishHead)
+	return p
 }
 
 // Name reports the pipe's configured name.
@@ -73,11 +83,11 @@ func (p *Pipe) Name() string { return p.name }
 
 // QueueLen reports packets waiting in (or transmitting from) the router
 // queue.
-func (p *Pipe) QueueLen() int { return len(p.queue) }
+func (p *Pipe) QueueLen() int { return p.queue.Len() }
 
 // InFlight reports packets currently in the delay line — the
 // bandwidth-delay product the paper's delay-node checkpoint captures.
-func (p *Pipe) InFlight() int { return len(p.line) }
+func (p *Pipe) InFlight() int { return p.line.Len() }
 
 // Accept implements simnet.Port: a packet enters the router queue.
 func (p *Pipe) Accept(pkt *simnet.Packet) {
@@ -86,69 +96,90 @@ func (p *Pipe) Accept(pkt *simnet.Packet) {
 		// checkpoints the endpoints are frozen too, so this only happens
 		// inside the skew window. Queue the packet if there is room: it
 		// is part of the captured network state.
-		if len(p.queue) >= p.Slots {
+		if p.queue.Len() >= p.Slots {
 			p.Dropped++
 			return
 		}
 		p.Enqueued++
-		p.queue = append(p.queue, pkt)
+		p.queue.Push(pkt)
 		return
 	}
 	if p.PLR > 0 && p.sim.Rand().Float64() < p.PLR {
 		p.PLRDrops++
 		return
 	}
-	if len(p.queue) >= p.Slots {
+	if p.queue.Len() >= p.Slots {
 		p.Dropped++
 		return
 	}
 	p.Enqueued++
-	p.queue = append(p.queue, pkt)
-	if len(p.queue) == 1 {
+	p.queue.Push(pkt)
+	if p.queue.Len() == 1 {
 		p.startHead()
 	}
 }
 
 // startHead begins the bandwidth stage for the queue head.
 func (p *Pipe) startHead() {
-	if len(p.queue) == 0 || p.frozen {
+	if p.queue.Len() == 0 || p.frozen {
 		return
 	}
-	tx := p.Bandwidth.TxTime(p.queue[0].Size)
+	tx := p.Bandwidth.TxTime(p.queue.Peek().Size)
 	p.headEnd = p.sim.Now() + tx
-	p.headTx = p.sim.At(p.headEnd, p.name+".tx", p.finishHead)
+	p.headTx.Schedule(p.headEnd)
 }
 
 // finishHead moves the head packet into the delay line.
 func (p *Pipe) finishHead() {
-	pkt := p.queue[0]
-	p.queue = p.queue[1:]
-	p.headTx = nil
-	p.enterDelayLine(pkt, p.Delay)
+	p.enterDelayLine(p.queue.Pop(), p.sim.Now()+p.Delay)
 	p.startHead()
 }
 
-func (p *Pipe) enterDelayLine(pkt *simnet.Packet, remaining sim.Time) {
-	emit := p.sim.Now() + remaining
-	fl := inflight{pkt: pkt, emit: emit}
-	p.line = append(p.line, fl)
-	ev := p.sim.At(emit, p.name+".emit", func() { p.emit(pkt) })
-	p.lineEvs = append(p.lineEvs, ev)
+// enterDelayLine appends pkt to the delay line, due at emit, and arms
+// its emission unless the pipe is frozen.
+func (p *Pipe) enterDelayLine(pkt *simnet.Packet, emit sim.Time) {
+	var sl *slot
+	if n := len(p.free); n > 0 {
+		sl = p.free[n-1]
+		p.free = p.free[:n-1]
+	} else {
+		sl = &slot{p: p}
+		p.sim.InitTimer(&sl.tm, p.emitTag, sl.fire)
+	}
+	sl.pkt, sl.emit = pkt, emit
+	p.line.Push(sl)
+	if !p.frozen {
+		sl.tm.Schedule(emit)
+	}
 }
 
-func (p *Pipe) emit(pkt *simnet.Packet) {
-	// Remove from the delay line bookkeeping.
-	for i := range p.line {
-		if p.line[i].pkt == pkt {
-			p.line = append(p.line[:i], p.line[i+1:]...)
-			p.lineEvs = append(p.lineEvs[:i], p.lineEvs[i+1:]...)
-			break
+// fire emits the slot's packet downstream.
+func (sl *slot) fire() {
+	p := sl.p
+	// Emissions leave in entry order unless Delay shrank while packets
+	// were in flight.
+	if p.line.Peek() == sl {
+		p.line.Pop()
+	} else {
+		for i := 1; i < p.line.Len(); i++ {
+			if p.line.At(i) == sl {
+				p.line.Remove(i)
+				break
+			}
 		}
 	}
+	pkt := sl.pkt
+	p.recycle(sl)
 	p.Emitted++
 	if p.out != nil {
 		p.out.Accept(pkt)
 	}
+}
+
+// recycle returns an unarmed slot to the free list.
+func (p *Pipe) recycle(sl *slot) {
+	sl.pkt = nil
+	p.free = append(p.free, sl)
 }
 
 // Freeze suspends the pipe non-destructively: the bandwidth stage and all
@@ -160,17 +191,15 @@ func (p *Pipe) Freeze() {
 	}
 	p.frozen = true
 	p.frozeAt = p.sim.Now()
-	if p.headTx != nil {
+	if p.headTx.Pending() {
 		p.headLeft = p.headEnd - p.sim.Now()
-		p.sim.Cancel(p.headTx)
-		p.headTx = nil
+		p.headTx.Stop()
 	} else {
 		p.headLeft = -1
 	}
-	for _, ev := range p.lineEvs {
-		p.sim.Cancel(ev)
+	for i := 0; i < p.line.Len(); i++ {
+		p.line.At(i).tm.Stop()
 	}
-	p.lineEvs = p.lineEvs[:0]
 }
 
 // Frozen reports whether the pipe is suspended.
@@ -188,24 +217,20 @@ func (p *Pipe) Thaw() {
 	p.frozen = false
 	now := p.sim.Now()
 	// Re-arm delay line with remaining delays.
-	line := p.line
-	p.line = nil
-	p.lineEvs = nil
-	for _, fl := range line {
-		remaining := fl.emit - p.frozeAt
+	for i := 0; i < p.line.Len(); i++ {
+		sl := p.line.At(i)
+		remaining := sl.emit - p.frozeAt
 		if remaining < 0 {
 			remaining = 0
 		}
-		fl := fl
-		p.line = append(p.line, inflight{pkt: fl.pkt, emit: now + remaining})
-		ev := p.sim.At(now+remaining, p.name+".emit", func() { p.emit(fl.pkt) })
-		p.lineEvs = append(p.lineEvs, ev)
+		sl.emit = now + remaining
+		sl.tm.Schedule(sl.emit)
 	}
 	// Re-arm the bandwidth stage.
-	if p.headLeft >= 0 && len(p.queue) > 0 {
+	if p.headLeft >= 0 && p.queue.Len() > 0 {
 		p.headEnd = now + p.headLeft
-		p.headTx = p.sim.At(p.headEnd, p.name+".tx", p.finishHead)
-	} else if len(p.queue) > 0 {
+		p.headTx.Schedule(p.headEnd)
+	} else if p.queue.Len() > 0 {
 		p.startHead()
 	}
 	p.headLeft = -1
@@ -263,13 +288,14 @@ func (p *Pipe) Serialize() (*PipeState, error) {
 		StatsDrop:   p.Dropped,
 		StatsPLRDrp: p.PLRDrops,
 	}
-	for _, pkt := range p.queue {
-		st.Queue = append(st.Queue, PacketState{Packet: pkt.Clone()})
+	for i := 0; i < p.queue.Len(); i++ {
+		st.Queue = append(st.Queue, PacketState{Packet: p.queue.At(i).Clone()})
 	}
-	for _, fl := range p.line {
+	for i := 0; i < p.line.Len(); i++ {
+		sl := p.line.At(i)
 		st.DelayLine = append(st.DelayLine, PacketState{
-			Packet:         fl.pkt.Clone(),
-			RemainingDelay: fl.emit - p.frozeAt,
+			Packet:         sl.pkt.Clone(),
+			RemainingDelay: sl.emit - p.frozeAt,
 		})
 	}
 	return st, nil
@@ -287,15 +313,16 @@ func (p *Pipe) Restore(st *PipeState) {
 	p.Emitted = st.StatsEmit
 	p.Dropped = st.StatsDrop
 	p.PLRDrops = st.StatsPLRDrp
-	p.queue = nil
+	p.queue.Clear()
 	for _, q := range st.Queue {
-		p.queue = append(p.queue, q.Packet.Clone())
+		p.queue.Push(q.Packet.Clone())
 	}
-	p.line = nil
-	p.lineEvs = nil
+	for p.line.Len() > 0 {
+		p.recycle(p.line.Pop())
+	}
 	p.frozeAt = p.sim.Now()
 	for _, d := range st.DelayLine {
-		p.line = append(p.line, inflight{pkt: d.Packet.Clone(), emit: p.frozeAt + d.RemainingDelay})
+		p.enterDelayLine(d.Packet.Clone(), p.frozeAt+d.RemainingDelay)
 	}
 	p.headLeft = st.HeadTxLeft
 }

@@ -351,3 +351,125 @@ func TestPropertyDelayAccurateAcrossFreeze(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// checkpointedStream sends 30 numbered 1 ms packets through a pipe
+// with 5 ms of delay, so emitted delay-line slots are recycled for
+// later packets, and checkpoints the pipe at 20.5 ms for 50 ms. With
+// restore set, the frozen pipe is serialized and restored into itself
+// before the thaw. It returns each packet's emission time by ID.
+func checkpointedStream(t *testing.T, restore bool) map[uint64]sim.Time {
+	t.Helper()
+	s := sim.New(1)
+	got := map[uint64]sim.Time{}
+	out := simnet.PortFunc(func(pkt *simnet.Packet) {
+		if _, dup := got[pkt.ID]; dup {
+			t.Fatalf("packet %d emitted twice", pkt.ID)
+		}
+		got[pkt.ID] = s.Now()
+	})
+	p := NewPipe(s, "p", 10*simnet.Mbps, 5*sim.Millisecond, out)
+	for i := 0; i < 30; i++ {
+		p.Accept(&simnet.Packet{ID: uint64(i), Size: 1250})
+	}
+	s.RunUntil(20500 * sim.Microsecond)
+	p.Freeze()
+	st, err := p.Serialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, d := range st.DelayLine {
+		want := sim.Time(2*i+1) * 500 * sim.Microsecond
+		if d.Packet.ID != uint64(15+i) || d.RemainingDelay != want {
+			t.Fatalf("delay line %d: packet %d with %v left, want packet %d with %v",
+				i, d.Packet.ID, d.RemainingDelay, 15+i, want)
+		}
+	}
+	if len(st.DelayLine) != 5 || len(st.Queue) != 10 || st.HeadTxLeft != 500*sim.Microsecond {
+		t.Fatalf("captured %d in flight, %d queued, head %v left; want 5, 10, 500us",
+			len(st.DelayLine), len(st.Queue), st.HeadTxLeft)
+	}
+	s.RunFor(50 * sim.Millisecond)
+	if restore {
+		p.Restore(st)
+	}
+	p.Thaw()
+	s.Run()
+	return got
+}
+
+// TestCheckpointAfterSlotReuseKeepsDelays checks freeze, serialize,
+// restore and thaw keep every in-flight packet's remaining delay once
+// the delay line has recycled its slots: the checkpoint shifts every
+// later emission by exactly its 50 ms and nothing else.
+func TestCheckpointAfterSlotReuseKeepsDelays(t *testing.T) {
+	for _, restore := range []bool{false, true} {
+		got := checkpointedStream(t, restore)
+		if len(got) != 30 {
+			t.Fatalf("restore=%v: emitted %d packets, want 30", restore, len(got))
+		}
+		for id, at := range got {
+			want := sim.Time(id+6) * sim.Millisecond
+			if id >= 15 {
+				want += 50 * sim.Millisecond
+			}
+			if at != want {
+				t.Fatalf("restore=%v: packet %d emitted at %v, want %v", restore, id, at, want)
+			}
+		}
+	}
+}
+
+// TestDelayChangeInFlightEmitsOnce shrinks the delay while a packet is
+// in flight, so later packets leave the delay line before its head,
+// across a checkpoint too. Every packet must still leave exactly once,
+// at its own time.
+func TestDelayChangeInFlightEmitsOnce(t *testing.T) {
+	s := sim.New(1)
+	k := &sink{s: s}
+	p := NewPipe(s, "p", 0, 10*sim.Millisecond, k)
+	a, b, c := &simnet.Packet{ID: 1}, &simnet.Packet{ID: 2}, &simnet.Packet{ID: 3}
+	p.Accept(a)
+	s.RunUntil(sim.Millisecond)
+	p.Delay = 2 * sim.Millisecond
+	p.Accept(b)
+	p.Accept(c)
+	s.RunUntil(2 * sim.Millisecond)
+	p.Freeze()
+	s.RunFor(5 * sim.Millisecond)
+	p.Thaw()
+	s.Run()
+	want := []struct {
+		pkt *simnet.Packet
+		at  sim.Time
+	}{{b, 8 * sim.Millisecond}, {c, 8 * sim.Millisecond}, {a, 15 * sim.Millisecond}}
+	if len(k.pkts) != len(want) {
+		t.Fatalf("emitted %d packets, want %d", len(k.pkts), len(want))
+	}
+	for i, w := range want {
+		if k.pkts[i] != w.pkt || k.times[i] != w.at {
+			t.Fatalf("emission %d: packet %d at %v, want packet %d at %v",
+				i, k.pkts[i].ID, k.times[i], w.pkt.ID, w.at)
+		}
+	}
+	if p.InFlight() != 0 || p.Emitted != 3 {
+		t.Fatalf("in flight %d, emitted %d after drain", p.InFlight(), p.Emitted)
+	}
+}
+
+// TestPipeAcceptEmitAllocs pins the steady-state cost of shaping a
+// packet: once a delay-line slot is free, an Accept→emit cycle through
+// the bandwidth stage and the delay line allocates nothing.
+func TestPipeAcceptEmitAllocs(t *testing.T) {
+	s := sim.New(1)
+	p := NewPipe(s, "p", simnet.Gbps, sim.Millisecond, simnet.PortFunc(func(*simnet.Packet) {}))
+	pkt := &simnet.Packet{Size: 1500}
+	p.Accept(pkt)
+	s.Run()
+	allocs := testing.AllocsPerRun(1000, func() {
+		p.Accept(pkt)
+		s.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("Accept→emit allocates %.1f per packet, want 0", allocs)
+	}
+}

@@ -251,7 +251,8 @@ func (tb *Testbed) SwapIn(spec Spec) (*Experiment, error) {
 		}
 	}
 
-	// Attach each node's egress router.
+	// Attach each node's egress router. Map order is harmless: each
+	// node's attach touches only its own NIC and schedules nothing.
 	for name, n := range e.Nodes {
 		table := routes[name]
 		switch len(table) {

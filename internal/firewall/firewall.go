@@ -154,19 +154,8 @@ func (f *Firewall) Pending() int { return len(f.pending) }
 // clock's dilation factor); engage/disengage moves it so the *virtual*
 // delay is preserved exactly.
 func (f *Firewall) After(class Class, d sim.Time, name string, fn func()) *Handle {
-	if d < 0 {
-		d = 0
-	}
-	h := &Handle{fw: f, class: class, name: name, k: kindTimer, fn: fn}
-	f.s.InitTimer(&h.tm, name, h.fire)
-	f.add(h)
-	if f.engaged && class.Inside() {
-		// Scheduled from outside-code while frozen (e.g. a device
-		// handler queuing guest work): park it with full delay.
-		h.remaining = d
-		return h
-	}
-	h.arm(d)
+	h := f.NewTimer(class, name, fn)
+	h.Start(d)
 	return h
 }
 
@@ -174,18 +163,65 @@ func (f *Firewall) After(class Class, d sim.Time, name string, fn func()) *Handl
 // on cpu, accounting for dom0 contention. Engage captures remaining
 // work; disengage re-plans it.
 func (f *Firewall) Compute(class Class, cpu *node.CPU, work sim.Time, name string, fn func()) *Handle {
-	if work < 0 {
-		work = 0
-	}
-	h := &Handle{fw: f, class: class, name: name, k: kindCompute, fn: fn, cpu: cpu, workLeft: work}
-	f.s.InitTimer(&h.tm, name, h.fire)
-	f.add(h)
-	if f.engaged && class.Inside() {
-		return h
-	}
-	h.armCompute()
+	h := f.NewCompute(class, cpu, name, fn)
+	h.Start(work)
 	return h
 }
+
+// NewTimer returns an idle handle that, once started with Start(d),
+// runs fn after d of guest virtual time, like After. A serial owner
+// that arms one activity over and over (a packet pump, a
+// retransmission timer) keeps one handle for its lifetime instead of
+// allocating a handle per arm.
+func (f *Firewall) NewTimer(class Class, name string, fn func()) *Handle {
+	h := &Handle{fw: f, class: class, name: name, k: kindTimer, fn: fn, idx: -1}
+	f.s.InitTimer(&h.tm, name, h.fire)
+	return h
+}
+
+// NewCompute returns an idle handle that, once started with
+// Start(work), runs fn after work of guest CPU time on cpu, like
+// Compute.
+func (f *Firewall) NewCompute(class Class, cpu *node.CPU, name string, fn func()) *Handle {
+	h := &Handle{fw: f, class: class, name: name, k: kindCompute, fn: fn, cpu: cpu, idx: -1}
+	f.s.InitTimer(&h.tm, name, h.fire)
+	return h
+}
+
+// Start arms an idle handle: a timer handle fires after d of guest
+// virtual time, a compute handle after d of CPU work. It consumes one
+// event sequence number, exactly like After or Compute. An inside
+// handle started while the firewall is engaged (e.g. a device handler
+// queuing guest work) parks with its full delay or work. A handle is
+// idle before its first Start and again once it has fired or been
+// cancelled; starting a live handle is a programming error and panics.
+func (h *Handle) Start(d sim.Time) {
+	if h.idx >= 0 {
+		panic("firewall: Start of live handle " + h.name)
+	}
+	if d < 0 {
+		d = 0
+	}
+	f := h.fw
+	h.done = false
+	f.add(h)
+	parked := f.engaged && h.class.Inside()
+	switch {
+	case h.k == kindCompute:
+		h.workLeft = d
+		if !parked {
+			h.armCompute()
+		}
+	case parked:
+		h.remaining = d
+	default:
+		h.arm(d)
+	}
+}
+
+// Stop cancels a live handle; it is a no-op on an idle one. The handle
+// may be started again.
+func (h *Handle) Stop() { h.fw.Cancel(h) }
 
 // arm schedules the underlying event d of *virtual* time from now.
 func (h *Handle) arm(d sim.Time) {
@@ -218,7 +254,7 @@ func (h *Handle) fire() {
 
 // Cancel prevents the handle from firing.
 func (f *Firewall) Cancel(h *Handle) {
-	if h == nil || h.done {
+	if h == nil || h.idx < 0 {
 		return
 	}
 	h.tm.Stop()

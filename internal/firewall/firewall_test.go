@@ -401,3 +401,89 @@ func TestSameInstantRearmOrderIsStable(t *testing.T) {
 		}
 	}
 }
+
+// TestReusableHandleCycle runs one idle handle through fire, cancel
+// and restart: a fired handle leaves the pending set, a cancelled one
+// can be started again, and each start fires once after its own delay.
+func TestReusableHandleCycle(t *testing.T) {
+	s, _, f := setup(1)
+	var fires []sim.Time
+	h := f.NewTimer(TimerJob, "r", func() { fires = append(fires, s.Now()) })
+	if f.Pending() != 0 || h.Done() {
+		t.Fatal("idle handle is pending or done")
+	}
+	h.Start(10 * sim.Millisecond)
+	if f.Pending() != 1 {
+		t.Fatalf("pending = %d after Start", f.Pending())
+	}
+	s.Run()
+	if f.Pending() != 0 || !h.Done() {
+		t.Fatalf("fired handle: pending %d, done %v", f.Pending(), h.Done())
+	}
+	h.Start(5 * sim.Millisecond)
+	f.Cancel(h)
+	h.Start(7 * sim.Millisecond)
+	s.Run()
+	want := []sim.Time{10 * sim.Millisecond, 17 * sim.Millisecond}
+	if len(fires) != 2 || fires[0] != want[0] || fires[1] != want[1] {
+		t.Fatalf("fires at %v, want %v", fires, want)
+	}
+}
+
+// TestReusableHandleStartLivePanics guards the serial-owner contract:
+// a handle is armed by one owner at a time, so starting it while it is
+// armed or parked is a bug.
+func TestReusableHandleStartLivePanics(t *testing.T) {
+	_, _, f := setup(1)
+	h := f.NewTimer(TimerJob, "r", func() {})
+	h.Start(sim.Millisecond)
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Start of a live handle did not panic")
+		}
+	}()
+	h.Start(sim.Millisecond)
+}
+
+// TestReusableHandleStartWhileEngagedParks checks a handle started
+// while the firewall is engaged waits out the checkpoint and then runs
+// its full virtual delay (timer) or full work (compute).
+func TestReusableHandleStartWhileEngagedParks(t *testing.T) {
+	s, c, f := setup(1)
+	cpu := node.NewCPU(s)
+	var timerAt, computeAt sim.Time
+	tm := f.NewTimer(TimerJob, "t", func() { timerAt = c.SystemTime() })
+	job := f.NewCompute(SoftIRQ, cpu, "j", func() { computeAt = c.SystemTime() })
+	f.Engage(0)
+	tm.Start(10 * sim.Millisecond)
+	job.Start(4 * sim.Millisecond)
+	s.RunFor(sim.Second)
+	if tm.Done() || job.Done() || f.InsideFired != 0 {
+		t.Fatal("handle started while engaged fired inside the checkpoint")
+	}
+	f.Disengage(0)
+	s.Run()
+	if timerAt != 10*sim.Millisecond || computeAt != 4*sim.Millisecond {
+		t.Fatalf("virtual fire times %v and %v, want 10ms and 4ms", timerAt, computeAt)
+	}
+}
+
+// TestReusableHandleStartFireAllocs pins the point of a reusable
+// handle: once built, a Start→fire cycle allocates nothing.
+func TestReusableHandleStartFireAllocs(t *testing.T) {
+	s, _, f := setup(1)
+	cpu := node.NewCPU(s)
+	tm := f.NewTimer(TimerJob, "t", func() {})
+	job := f.NewCompute(SoftIRQ, cpu, "j", func() {})
+	tm.Start(sim.Millisecond)
+	job.Start(sim.Millisecond)
+	s.Run()
+	allocs := testing.AllocsPerRun(1000, func() {
+		tm.Start(sim.Millisecond)
+		job.Start(sim.Microsecond)
+		s.Run()
+	})
+	if allocs != 0 {
+		t.Fatalf("Start→fire allocates %.1f per cycle, want 0", allocs)
+	}
+}

@@ -186,9 +186,15 @@ type Kernel struct {
 
 	handlers map[string]func(from simnet.Addr, m *Message)
 
-	txq    []*simnet.Packet
+	// The tx and rx pumps each charge one packet's softirq CPU at a
+	// time on one reusable compute handle; cur is that packet.
+	txq    sim.FIFO[*simnet.Packet]
+	txCur  *simnet.Packet
+	txJob  *firewall.Handle
 	txBusy bool
-	rxq    []*simnet.Packet
+	rxq    sim.FIFO[*simnet.Packet]
+	rxCur  *simnet.Packet
+	rxJob  *firewall.Handle
 	rxBusy bool
 
 	inflightIO int
@@ -244,6 +250,8 @@ func New(m *node.Machine, p node.Params, cfg Config) *Kernel {
 	k.labels.nettx = m.Name + ".nettx"
 	k.labels.netrx = m.Name + ".netrx"
 	k.labels.bioDone = m.Name + ".bio-done"
+	k.txJob = k.FW.NewCompute(firewall.SoftIRQ, m.CPU, k.labels.nettx, k.txDone)
+	k.rxJob = k.FW.NewCompute(firewall.SoftIRQ, m.CPU, k.labels.netrx, k.rxDone)
 	m.ExpNIC.OnReceive(k.receive)
 	return k
 }
@@ -321,57 +329,63 @@ func (k *Kernel) Handle(port string, h func(from simnet.Addr, m *Message)) {
 // under dom0 interference.
 func (k *Kernel) Send(dst simnet.Addr, size int, m *Message) {
 	pkt := &simnet.Packet{Dst: dst, Size: size, Payload: m}
-	k.txq = append(k.txq, pkt)
+	k.txq.Push(pkt)
 	if !k.txBusy {
 		k.txPump()
 	}
 }
 
 func (k *Kernel) txPump() {
-	if len(k.txq) == 0 {
+	if k.txq.Len() == 0 {
 		k.txBusy = false
 		return
 	}
 	k.txBusy = true
-	pkt := k.txq[0]
-	k.txq = k.txq[1:]
-	k.FW.Compute(firewall.SoftIRQ, k.M.CPU, k.P.XenNetTxCost, k.labels.nettx, func() {
-		k.SentPackets++
-		k.M.ExpNIC.Send(pkt)
-		k.txPump()
-	})
+	k.txCur = k.txq.Pop()
+	k.txJob.Start(k.P.XenNetTxCost)
+}
+
+func (k *Kernel) txDone() {
+	pkt := k.txCur
+	k.txCur = nil
+	k.SentPackets++
+	k.M.ExpNIC.Send(pkt)
+	k.txPump()
 }
 
 // receive is the NIC handler: charge rx CPU, then dispatch by port.
 func (k *Kernel) receive(pkt *simnet.Packet) {
-	k.rxq = append(k.rxq, pkt)
+	k.rxq.Push(pkt)
 	if !k.rxBusy {
 		k.rxPump()
 	}
 }
 
 func (k *Kernel) rxPump() {
-	if len(k.rxq) == 0 {
+	if k.rxq.Len() == 0 {
 		k.rxBusy = false
 		return
 	}
 	k.rxBusy = true
-	pkt := k.rxq[0]
-	k.rxq = k.rxq[1:]
-	k.FW.Compute(firewall.SoftIRQ, k.M.CPU, k.P.XenNetRxCost, k.labels.netrx, func() {
-		k.RcvdPackets++
-		k.Dirty.TouchBytes(int64(pkt.Size))
-		if m, ok := pkt.Payload.(*Message); ok {
-			if h, ok := k.handlers[m.Port]; ok {
-				h(pkt.Src, m)
-			}
+	k.rxCur = k.rxq.Pop()
+	k.rxJob.Start(k.P.XenNetRxCost)
+}
+
+func (k *Kernel) rxDone() {
+	pkt := k.rxCur
+	k.rxCur = nil
+	k.RcvdPackets++
+	k.Dirty.TouchBytes(int64(pkt.Size))
+	if m, ok := pkt.Payload.(*Message); ok {
+		if h, ok := k.handlers[m.Port]; ok {
+			h(pkt.Src, m)
 		}
-		k.rxPump()
-	})
+	}
+	k.rxPump()
 }
 
 // TxQueueLen reports packets waiting in the paravirtual tx path.
-func (k *Kernel) TxQueueLen() int { return len(k.txq) }
+func (k *Kernel) TxQueueLen() int { return k.txq.Len() }
 
 // --- Block I/O -----------------------------------------------------
 

@@ -169,6 +169,7 @@ func (b *Bus) Topic(topic string) TopicStats {
 // Topics reports every topic's delivery stats, copied for reporting.
 func (b *Bus) Topics() map[string]TopicStats {
 	out := make(map[string]TopicStats, len(b.perTopic))
+	// Map order is harmless: this copies into another map.
 	for t, st := range b.perTopic {
 		out[t] = st.TopicStats
 	}

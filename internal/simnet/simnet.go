@@ -93,7 +93,12 @@ type NIC struct {
 	handler func(*Packet)
 
 	txFreeAt sim.Time // when the transmitter finishes its current queue
-	txQueue  int      // packets queued but not yet on the wire
+	// onWire holds the packets accepted for transmit but not yet handed
+	// downstream, with the port each leaves through. Their wire-exit
+	// events fire in send order, so each event delivers the head, and
+	// one pre-bound callback (txDone) serves every packet.
+	onWire sim.FIFO[hop]
+	txDone func()
 
 	frozen    bool
 	replay    []*Packet // arrival-ordered log of packets received while frozen
@@ -112,11 +117,28 @@ type NIC struct {
 	Dropped uint64
 }
 
+// hop is a packet in flight to the next port of its path.
+type hop struct {
+	pkt *Packet
+	to  Port
+}
+
+// deliverHead hands the oldest in-flight packet to its port. It is
+// the callback of every event a FIFO-ordered stage (a NIC transmitter,
+// a wire, a switch) schedules, so the stage binds it once instead of
+// building a closure per packet.
+func deliverHead(q *sim.FIFO[hop]) {
+	h := q.Pop()
+	h.to.Accept(h.pkt)
+}
+
 // NewNIC creates an interface with the given address and line rate.
 // The replay gap defaults to 1 µs, approximating back-to-back delivery
 // without creating simultaneous events.
 func NewNIC(s *sim.Simulator, addr Addr, speed Bitrate) *NIC {
-	return &NIC{sim: s, addr: addr, speed: speed, replayGap: sim.Microsecond}
+	n := &NIC{sim: s, addr: addr, speed: speed, replayGap: sim.Microsecond}
+	n.txDone = func() { deliverHead(&n.onWire) }
+	return n
 }
 
 // Addr reports the NIC's address.
@@ -133,7 +155,7 @@ func (n *NIC) OnReceive(h func(*Packet)) { n.handler = h }
 
 // QueuedTx reports packets accepted for transmit but not yet delivered
 // to the downstream port.
-func (n *NIC) QueuedTx() int { return n.txQueue }
+func (n *NIC) QueuedTx() int { return n.onWire.Len() }
 
 // Send serializes the packet onto the attached port, honoring the line
 // rate: a packet begins transmission only after all previously queued
@@ -157,14 +179,10 @@ func (n *NIC) Send(pkt *Packet) sim.Time {
 	}
 	done := start + n.speed.TxTime(pkt.Size)
 	n.txFreeAt = done
-	n.txQueue++
 	n.TX.Packets++
 	n.TX.Bytes += uint64(pkt.Size)
-	out := n.out
-	n.sim.DoAt(done, "nic.tx", func() {
-		n.txQueue--
-		out.Accept(pkt)
-	})
+	n.onWire.Push(hop{pkt, n.out})
+	n.sim.DoAt(done, "nic.tx", n.txDone)
 	return done
 }
 
@@ -246,6 +264,10 @@ type Wire struct {
 	delay sim.Time
 	loss  float64 // probability in [0,1]
 	dst   Port
+	// inFlight holds the packets propagating; with one fixed delay
+	// they arrive in the order they entered.
+	inFlight sim.FIFO[hop]
+	arrive   func()
 
 	Delivered uint64
 	Lost      uint64
@@ -253,7 +275,12 @@ type Wire struct {
 
 // NewWire creates a wire to dst with the given one-way propagation delay.
 func NewWire(s *sim.Simulator, delay sim.Time, dst Port) *Wire {
-	return &Wire{sim: s, delay: delay, dst: dst}
+	w := &Wire{sim: s, delay: delay, dst: dst}
+	w.arrive = func() {
+		w.Delivered++
+		deliverHead(&w.inFlight)
+	}
+	return w
 }
 
 // SetLoss sets the independent per-packet loss probability.
@@ -276,10 +303,8 @@ func (w *Wire) Accept(pkt *Packet) {
 		w.Lost++
 		return
 	}
-	w.sim.DoAfter(w.delay, "wire", func() {
-		w.Delivered++
-		w.dst.Accept(pkt)
-	})
+	w.inFlight.Push(hop{pkt, w.dst})
+	w.sim.DoAfter(w.delay, "wire", w.arrive)
 }
 
 // Switch is a store-and-forward L2 switch: packets are forwarded to the
@@ -290,6 +315,9 @@ type Switch struct {
 	sim     *sim.Simulator
 	latency sim.Time
 	ports   map[Addr]Port
+	// inFlight holds the packets being forwarded, in arrival order.
+	inFlight sim.FIFO[hop]
+	forward  func()
 
 	Forwarded uint64
 	Unknown   uint64
@@ -297,7 +325,12 @@ type Switch struct {
 
 // NewSwitch creates a switch with the given per-packet forwarding latency.
 func NewSwitch(s *sim.Simulator, latency sim.Time) *Switch {
-	return &Switch{sim: s, latency: latency, ports: make(map[Addr]Port)}
+	sw := &Switch{sim: s, latency: latency, ports: make(map[Addr]Port)}
+	sw.forward = func() {
+		sw.Forwarded++
+		deliverHead(&sw.inFlight)
+	}
+	return sw
 }
 
 // Connect registers the port handling traffic addressed to addr.
@@ -310,8 +343,6 @@ func (sw *Switch) Accept(pkt *Packet) {
 		sw.Unknown++
 		return
 	}
-	sw.sim.DoAfter(sw.latency, "switch", func() {
-		sw.Forwarded++
-		dst.Accept(pkt)
-	})
+	sw.inFlight.Push(hop{pkt, dst})
+	sw.sim.DoAfter(sw.latency, "switch", sw.forward)
 }

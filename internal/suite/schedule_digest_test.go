@@ -17,11 +17,10 @@ import (
 // including a same-instant tie-break, changes it.
 const fig6Digest uint64 = 0x5606a2d4013609e4
 
-// fig6Schedule runs a short Fig 6 session, two nodes streaming iperf
-// over 1 Gbps through four synchronous checkpoints, and returns the
-// simulator's schedule digest.
-func fig6Schedule(t *testing.T, seed int64) uint64 {
-	t.Helper()
+// fig6Session builds the Fig 6 rig, two nodes on a 1 Gbps shaped link
+// (so packets cross a delay node), with an unbounded iperf stream
+// started from n0 to n1.
+func fig6Session(seed int64) (*emucheck.Session, *apps.Iperf) {
 	sess := emucheck.NewSession(emucheck.Scenario{Spec: emulab.Spec{
 		Name:  "fig6",
 		Nodes: []emulab.NodeSpec{{Name: "n0", Swappable: true}, {Name: "n1", Swappable: true}},
@@ -29,6 +28,14 @@ func fig6Schedule(t *testing.T, seed int64) uint64 {
 	}}, seed)
 	ip := apps.NewIperf(sess.Kernel("n0"), sess.Kernel("n1"))
 	ip.Start(-1)
+	return sess, ip
+}
+
+// fig6Schedule runs a short Fig 6 session through four synchronous
+// checkpoints and returns the simulator's schedule digest.
+func fig6Schedule(t *testing.T, seed int64) uint64 {
+	t.Helper()
+	sess, _ := fig6Session(seed)
 	for i := 0; i < 4; i++ {
 		sess.RunFor(250 * sim.Millisecond)
 		if _, err := sess.Checkpoint(); err != nil {
@@ -67,5 +74,34 @@ func TestScheduleDigestReplaysInProcess(t *testing.T) {
 				t.Fatalf("%s run %d: schedule digest %016x, first run %016x", f.Name, run, d, first)
 			}
 		}
+	}
+}
+
+// maxAllocsPerSegment bounds the heap allocations one TCP data segment
+// costs on the steady packet path, with its ACK: the segment, the
+// message and packet envelopes of the segment and the ACK, and the
+// ACK itself. Events, firewall handles, delay-line slots and closures
+// are all reused.
+const maxAllocsPerSegment = 8
+
+// TestPacketPathAllocsPerSegment holds the Fig 6 stream to its
+// allocation budget over two simulated seconds of 1 Gbps iperf, after
+// a warm-up second that grows the pools to their peak.
+func TestPacketPathAllocsPerSegment(t *testing.T) {
+	sess, ip := fig6Session(1)
+	sess.RunFor(sim.Second)
+	segs := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		s0 := ip.Sender.SegmentsSent
+		sess.RunFor(2 * sim.Second)
+		segs = ip.Sender.SegmentsSent - s0
+	})
+	if segs == 0 {
+		t.Fatal("no segments sent")
+	}
+	perSeg := allocs / float64(segs)
+	t.Logf("%.0f allocs over %d segments: %.2f per segment", allocs, segs, perSeg)
+	if perSeg > maxAllocsPerSegment {
+		t.Fatalf("%.2f allocs per segment, budget %d", perSeg, maxAllocsPerSegment)
 	}
 }

@@ -40,16 +40,21 @@ type Segment struct {
 // WireSize reports the segment's size on the wire.
 func (g *Segment) WireSize() int { return g.Len + WireOverhead }
 
-// Timer is an opaque armed-timer reference.
-type Timer any
+// Timer is a reusable one-shot alarm. Start arms it to fire d from now
+// and is only called while the timer is idle: before its first arm,
+// after it fired, or after Stop. Stop disarms it.
+type Timer interface {
+	Start(d sim.Time)
+	Stop()
+}
 
 // Env abstracts the guest kernel services TCP needs. Timers must be
 // guest virtual-time timers (inside the firewall); Output hands a
 // segment to the network path.
 type Env interface {
 	Now() sim.Time
-	StartTimer(d sim.Time, name string, fn func()) Timer
-	StopTimer(t Timer)
+	// NewTimer returns an idle Timer that runs fn each time it fires.
+	NewTimer(name string, fn func()) Timer
 	Output(seg *Segment)
 }
 
@@ -71,6 +76,7 @@ type Sender struct {
 	srtt      sim.Time
 	rttvar    sim.Time
 	rtoTimer  Timer
+	rtoArmed  bool
 	rttSeq    int64 // sequence being timed
 	rttSentAt sim.Time
 
@@ -86,11 +92,13 @@ type Sender struct {
 
 // NewSender creates a sender for connection id conn.
 func NewSender(env Env, conn string) *Sender {
-	return &Sender{
+	s := &Sender{
 		env: env, conn: conn,
 		cwnd: 2 * MSS, ssthresh: 1 << 20, rwnd: 256 << 10, goal: -1,
 		rto: MinRTO, rttSeq: -1,
 	}
+	s.rtoTimer = env.NewTimer(conn+".rto", s.onRTO)
+	return s
 }
 
 // Stream sets the total bytes to send; -1 streams forever. It kicks the
@@ -144,24 +152,29 @@ func (s *Sender) pump() {
 }
 
 func (s *Sender) armRTO() {
-	if s.rtoTimer != nil {
+	if s.rtoArmed {
 		return
 	}
-	s.rtoTimer = s.env.StartTimer(s.rto, s.conn+".rto", s.onRTO)
+	s.rtoArmed = true
+	s.rtoTimer.Start(s.rto)
+}
+
+func (s *Sender) stopRTO() {
+	if s.rtoArmed {
+		s.rtoTimer.Stop()
+		s.rtoArmed = false
+	}
 }
 
 func (s *Sender) rearmRTO() {
-	if s.rtoTimer != nil {
-		s.env.StopTimer(s.rtoTimer)
-		s.rtoTimer = nil
-	}
+	s.stopRTO()
 	if s.InFlight() > 0 {
 		s.armRTO()
 	}
 }
 
 func (s *Sender) onRTO() {
-	s.rtoTimer = nil
+	s.rtoArmed = false
 	if s.InFlight() == 0 {
 		return
 	}
@@ -251,10 +264,7 @@ func (s *Sender) SRTT() sim.Time { return s.srtt }
 // Close stops the transmit pump and its timer.
 func (s *Sender) Close() {
 	s.closed = true
-	if s.rtoTimer != nil {
-		s.env.StopTimer(s.rtoTimer)
-		s.rtoTimer = nil
-	}
+	s.stopRTO()
 }
 
 // Receiver is the receiving half: it reassembles the stream, emits one
@@ -294,7 +304,7 @@ func (r *Receiver) HandleSegment(g *Segment) {
 		delivered := g.Len
 		r.rcvNxt += int64(g.Len)
 		// Drain contiguous out-of-order data.
-		for {
+		for len(r.ooo) > 0 {
 			l, ok := r.ooo[r.rcvNxt]
 			if !ok {
 				break

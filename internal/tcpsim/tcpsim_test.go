@@ -17,10 +17,9 @@ type fakeEnv struct {
 }
 
 func (e *fakeEnv) Now() sim.Time { return e.s.Now() }
-func (e *fakeEnv) StartTimer(d sim.Time, name string, fn func()) Timer {
-	return e.s.After(d, name, fn)
+func (e *fakeEnv) NewTimer(name string, fn func()) Timer {
+	return simTimer{e.s.NewTimer(name, fn)}
 }
-func (e *fakeEnv) StopTimer(t Timer) { e.s.Cancel(t.(*sim.Event)) }
 func (e *fakeEnv) Output(g *Segment) {
 	e.sent++
 	if g.Len > 0 && e.dropSeq[g.Seq] && !g.Rtx {
@@ -29,6 +28,11 @@ func (e *fakeEnv) Output(g *Segment) {
 	}
 	e.s.After(e.delay, "net", func() { e.peer(g) })
 }
+
+// simTimer adapts a plain simulator timer to Timer.
+type simTimer struct{ *sim.Timer }
+
+func (t simTimer) Start(d sim.Time) { t.Reset(d) }
 
 func pipe(s *sim.Simulator, delay sim.Time) (*Sender, *Receiver, *fakeEnv, *fakeEnv) {
 	se := &fakeEnv{s: s, delay: delay, dropSeq: map[int64]bool{}}

@@ -78,7 +78,9 @@ const (
 	kindCompute
 )
 
-// Handle is one scheduled guest activity.
+// Handle is one scheduled guest activity. A handle from NewTimer or
+// NewCompute can be started again each time it has fired or been
+// cancelled.
 type Handle struct {
 	fw    *Firewall
 	class Class

@@ -1,13 +1,13 @@
 package sim
 
 // FIFO is a first-in, first-out queue on one reused slice. Pop
-// advances a head index instead of reslicing, so the slice's front is
-// not lost to the garbage collector, and Push slides the live items
-// back to the front before it would grow a slice whose first half is
-// consumed. A queue that fills and drains at a steady rate, such as a
-// NIC's packets on the wire or a delay line, therefore allocates
-// nothing once it has reached its peak length. The zero value is an
-// empty queue.
+// advances a head index instead of reslicing, so the consumed front of
+// the slice stays available, and Push slides the live items back to
+// the front rather than grow a slice whose first half is consumed. A
+// queue that fills and drains at a steady rate, such as a NIC's
+// packets on the wire or a delay line, therefore allocates nothing
+// once it has reached its peak length. The zero value is an empty
+// queue.
 type FIFO[T any] struct {
 	buf  []T
 	head int

@@ -461,7 +461,7 @@ func (ev *EventSystem) Schedule(nodeName string, at sim.Time, fn func()) error {
 		// An agent inside the guest arms a firewall timer: checkpoints
 		// freeze it along with everything else.
 		d := at - n.K.Monotonic()
-		n.K.FW.After(firewall.TimerJob, d, "event."+nodeName, check)
+		n.K.FW.Do(firewall.TimerJob, d, "event."+nodeName, check)
 	default:
 		// The server dispatches in real time, assuming virtual==real.
 		d := at - n.K.Monotonic() // correct only if no checkpoint intervenes

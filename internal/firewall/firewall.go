@@ -94,6 +94,10 @@ type Handle struct {
 	// handle+event pair is a single allocation.
 	tm   sim.Timer
 	done bool
+	// pooled marks a handle that Do took from the firewall's free list:
+	// no caller holds it, so fire returns it to the list. It sits in the
+	// padding after done, keeping Handle at 160 bytes.
+	pooled bool
 	// idx is the handle's position in the firewall's pending set, -1
 	// while it is not pending.
 	idx int
@@ -125,6 +129,9 @@ type Firewall struct {
 	// order, and same-instant re-arms fire in that order, so it must be
 	// the same on every run. Removal swaps the last handle into the hole.
 	pending []*Handle
+	// free holds idle pooled handles for Do, bounded by the peak number
+	// of Do activities pending at once.
+	free []*Handle
 
 	// InsideFired counts inside-class callbacks that fired while the
 	// firewall was engaged. Transparency demands this stays zero; tests
@@ -159,6 +166,26 @@ func (f *Firewall) After(class Class, d sim.Time, name string, fn func()) *Handl
 	h := f.NewTimer(class, name, fn)
 	h.Start(d)
 	return h
+}
+
+// Do schedules fn like After but returns no handle, so nothing can
+// cancel it. The handle comes from the firewall's free list and goes
+// back on it when it fires, so a steady fire-and-forget caller (guest
+// sleeps, block completions) allocates nothing. Like After, it consumes
+// one event sequence number.
+func (f *Firewall) Do(class Class, d sim.Time, name string, fn func()) {
+	var h *Handle
+	if n := len(f.free); n > 0 {
+		h = f.free[n-1]
+		f.free[n-1] = nil
+		f.free = f.free[:n-1]
+		h.class, h.fn = class, fn
+		h.tm.SetName(name)
+	} else {
+		h = f.NewTimer(class, name, fn)
+		h.pooled = true
+	}
+	h.Start(d)
 }
 
 // Compute schedules fn to run after `work` nanoseconds of guest CPU work
@@ -251,7 +278,14 @@ func (h *Handle) fire() {
 	}
 	h.done = true
 	h.fw.remove(h)
-	h.fn()
+	fn := h.fn
+	if h.pooled {
+		// Recycle before running fn, so a callback that sleeps again
+		// reuses this very handle.
+		h.fn = nil
+		h.fw.free = append(h.fw.free, h)
+	}
+	fn()
 }
 
 // Cancel prevents the handle from firing.

@@ -289,13 +289,14 @@ func (k *Kernel) Monotonic() sim.Time { return k.Clock.SystemTime() }
 // schedule_timeout semantics: the wakeup lands on the first timer tick
 // strictly after now+d (which is why a 10 ms sleep in a loop measures
 // 20 ms per iteration at HZ=100 — the paper's Fig. 4 baseline), plus a
-// small scheduling-latency jitter.
-func (k *Kernel) Usleep(d sim.Time, fn func()) *firewall.Handle {
+// small scheduling-latency jitter. A sleep cannot be cancelled; its
+// firewall handle is pooled.
+func (k *Kernel) Usleep(d sim.Time, fn func()) {
 	now := k.Clock.SystemTime()
 	jiffy := k.Jiffy()
 	wake := ((now+d)/jiffy + 1) * jiffy
 	delay := wake - now + k.M.Sim.Normal(k.P.WakeupJitterMean, k.P.WakeupJitterStddev)
-	return k.FW.After(firewall.TimerJob, delay, k.labels.usleep, fn)
+	k.FW.Do(firewall.TimerJob, delay, k.labels.usleep, fn)
 }
 
 // AfterVirtual arms a plain inside-firewall timer without tick rounding
@@ -409,7 +410,7 @@ func (k *Kernel) WriteDisk(off, n int64, fn func()) {
 func (k *Kernel) ioDone(fn func()) {
 	k.inflightIO--
 	if fn != nil {
-		k.FW.After(firewall.SoftIRQ, 0, k.labels.bioDone, fn)
+		k.FW.Do(firewall.SoftIRQ, 0, k.labels.bioDone, fn)
 	}
 	if k.inflightIO == 0 && len(k.ioWaiters) > 0 {
 		ws := k.ioWaiters

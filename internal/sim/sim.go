@@ -249,6 +249,10 @@ func (s *Simulator) InitTimer(t *Timer, name string, fn func()) {
 	t.e = Event{fn: fn, name: name, index: -1}
 }
 
+// SetName relabels an unarmed timer, for an owner that recycles one
+// timer across activities with different labels.
+func (t *Timer) SetName(name string) { t.e.name = name }
+
 // Pending reports whether the timer is armed and has not yet fired.
 func (t *Timer) Pending() bool { return t.e.index >= 0 }
 

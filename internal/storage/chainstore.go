@@ -2,7 +2,7 @@ package storage
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // Addr is the content address of a committed epoch: a deterministic
@@ -29,7 +29,7 @@ func (e *Epoch) addr() Addr {
 	for vba := range e.Blocks {
 		vbas = append(vbas, vba)
 	}
-	sort.Slice(vbas, func(i, j int) bool { return vbas[i] < vbas[j] })
+	slices.Sort(vbas)
 	for _, vba := range vbas {
 		mix(uint64(vba))
 		mix(uint64(e.Blocks[vba]))

@@ -18,7 +18,7 @@ package storage
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"emucheck/internal/node"
 )
@@ -145,6 +145,11 @@ type Volume struct {
 
 	writesSinceMeta int
 
+	// spans is Read and Write's scratch request list. Disk submission
+	// never calls back synchronously, so no call re-enters while it is
+	// in use.
+	spans []span
+
 	// cowCopied tracks OriginalLVM copy-aside regions (LVM chunk
 	// granularity) that have already been preserved.
 	cowCopied map[int64]bool
@@ -242,10 +247,11 @@ func (v *Volume) Read(off, n int64, done func()) {
 	if n <= 0 {
 		panic("storage: empty read")
 	}
-	var spans []span
+	spans := v.spans[:0]
 	for b := off / BlockSize; b <= (off+n-1)/BlockSize; b++ {
 		spans = append(spans, span{lba: v.locate(b), n: BlockSize})
 	}
+	v.spans = spans
 	v.submit(node.Read, spans, done)
 }
 
@@ -258,7 +264,7 @@ func (v *Volume) Write(off, n int64, done func()) {
 		v.submit(node.Write, []span{{lba: GoldenBase + off, n: n}}, done)
 		return
 	}
-	var spans []span
+	spans := v.spans[:0]
 	for b := off / BlockSize; b <= (off+n-1)/BlockSize; b++ {
 		if v.Mode == OriginalLVM {
 			// Stock LVM snapshot: the first write within each LVM chunk
@@ -293,6 +299,7 @@ func (v *Volume) Write(off, n int64, done func()) {
 			}
 		}
 	}
+	v.spans = spans
 	v.submit(node.Write, spans, done)
 }
 
@@ -338,47 +345,60 @@ func (v *Volume) Snapshot(isFree func(vba int64) bool) map[int64]int64 {
 // merged log is re-sorted by virtual block address, restoring locality
 // for subsequent sequential reads; isFree (optional) drops freed blocks.
 // It reports the merged delta's size in bytes.
+//
+// The merge works in place: the aggregated index and log order are
+// rebuilt inside their own map and slice, and the current delta is
+// cleared rather than replaced, so a volume going through swap cycles
+// reuses the same storage every epoch. A caller must therefore not hold
+// v.Agg or v.Cur, or their Index or Order, across a merge; the swap
+// pipeline only reads Cur.Slots() before it merges.
 func (v *Volume) Merge(reorder bool, isFree func(vba int64) bool) int64 {
-	merged := make(map[int64]bool, len(v.Agg.Index)+len(v.Cur.Index))
-	for vba := range v.Agg.Index {
-		merged[vba] = true
+	agg, cur := v.Agg, v.Cur
+	for vba := range cur.Index {
+		agg.Index[vba] = -1
 	}
-	for vba := range v.Cur.Index {
-		merged[vba] = true
-	}
-	newAgg := NewDelta(AggBase)
-	vbas := make([]int64, 0, len(merged))
-	for vba := range merged {
-		if isFree != nil && isFree(vba) {
-			// Eliminated for good: the block leaves the delta history, so
-			// reads fall through to golden and the content view must agree.
-			delete(v.content, vba)
-			continue
-		}
-		vbas = append(vbas, vba)
-	}
-	if reorder {
-		sort.Slice(vbas, func(i, j int) bool { return vbas[i] < vbas[j] })
-	} else {
-		// Preserve historical append order: aggregated first, then
-		// current, skipping superseded entries implicitly via the map.
-		vbas = vbas[:0]
-		seen := make(map[int64]bool)
-		for _, vba := range append(append([]int64{}, v.Agg.Order...), v.Cur.Order...) {
-			if seen[vba] || (isFree != nil && isFree(vba)) || !merged[vba] {
-				continue
+	if isFree != nil {
+		for vba := range agg.Index {
+			if isFree(vba) {
+				// Eliminated for good: the block leaves the delta history, so
+				// reads fall through to golden and the content view must agree.
+				delete(agg.Index, vba)
+				delete(v.content, vba)
 			}
-			seen[vba] = true
+		}
+	}
+	vbas := agg.Order[:0]
+	if reorder {
+		for vba := range agg.Index {
 			vbas = append(vbas, vba)
 		}
+		slices.Sort(vbas)
+		for slot, vba := range vbas {
+			agg.Index[vba] = int64(slot)
+		}
+	} else {
+		// Preserve historical append order: aggregated first, then
+		// current, each surviving block taking a slot at its first
+		// appearance (-1 marks one not yet placed). agg.Order holds each
+		// block once, so compacting it in place never writes ahead of
+		// the read position.
+		for vba := range agg.Index {
+			agg.Index[vba] = -1
+		}
+		for _, order := range [2][]int64{agg.Order, cur.Order} {
+			for _, vba := range order {
+				if slot, ok := agg.Index[vba]; ok && slot < 0 {
+					agg.Index[vba] = int64(len(vbas))
+					vbas = append(vbas, vba)
+				}
+			}
+		}
 	}
-	for _, vba := range vbas {
-		newAgg.append(vba)
-	}
-	v.Agg = newAgg
-	v.Cur = NewDelta(CurBase)
+	agg.Order = vbas
+	clear(cur.Index)
+	cur.Order = cur.Order[:0]
 	v.writesSinceMeta = 0
-	return newAgg.Bytes()
+	return agg.Bytes()
 }
 
 // String summarizes the volume for diagnostics.

@@ -57,12 +57,17 @@ type Sync struct {
 	m     Model
 	nodes map[string]*nodeState
 	seed  int64
+	// rng serves every draw. Each draw reseeds it first, which leaves it
+	// in exactly the state rand.NewSource(seed) starts in, so values do
+	// not depend on draw order and no draw allocates a source.
+	rng *rand.Rand
 }
 
 // New creates a Sync using the simulation's determinism (a per-node
 // seeded stream derived from seed keeps lazily-sampled errors stable).
 func New(s *sim.Simulator, m Model, seed int64) *Sync {
-	return &Sync{s: s, m: m, nodes: make(map[string]*nodeState), seed: seed}
+	return &Sync{s: s, m: m, nodes: make(map[string]*nodeState), seed: seed,
+		rng: rand.New(rand.NewSource(0))}
 }
 
 // Start begins disciplining a node's clock at the current time.
@@ -71,7 +76,8 @@ func (y *Sync) Start(name string) {
 	for _, c := range name {
 		h = h*131 + int64(c)
 	}
-	rng := rand.New(rand.NewSource(y.seed ^ h))
+	rng := y.rng
+	rng.Seed(y.seed ^ h)
 	sign := 1.0
 	if rng.Intn(2) == 0 {
 		sign = -1
@@ -91,14 +97,14 @@ func (y *Sync) Started(name string) bool {
 	return ok
 }
 
-func (n *nodeState) floor(m Model, t sim.Time) float64 {
+func (n *nodeState) floor(m Model, r *rand.Rand, t sim.Time) float64 {
 	epoch := int64(t / m.FloorEpoch)
 	if v, ok := n.floors[epoch]; ok {
 		return v
 	}
-	// Draw deterministically from a throwaway source keyed by the
-	// node's fixed salt and the epoch, so access order does not matter.
-	r := rand.New(rand.NewSource(n.salt ^ epoch*2654435761))
+	// Draw deterministically from r reseeded by the node's fixed salt
+	// and the epoch, so access order does not matter.
+	r.Seed(n.salt ^ epoch*2654435761)
 	sign := 1.0
 	if r.Intn(2) == 0 {
 		sign = -1
@@ -122,7 +128,7 @@ func (y *Sync) ErrorAt(name string, t sim.Time) sim.Time {
 		age = 0
 	}
 	decay := n.amp * math.Exp(-float64(age)/float64(y.m.Tau))
-	return sim.Time(decay + n.floor(y.m, t))
+	return sim.Time(decay + n.floor(y.m, y.rng, t))
 }
 
 // Error reports the node's current clock error.

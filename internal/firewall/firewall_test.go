@@ -1,8 +1,10 @@
 package firewall
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"emucheck/internal/node"
 	"emucheck/internal/sim"
@@ -485,5 +487,95 @@ func TestReusableHandleStartFireAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("Start→fire allocates %.1f per cycle, want 0", allocs)
+	}
+}
+
+// TestDoMatchesAfter runs one workload through Do and through After:
+// same-instant sleeps, a chain that re-arms from its own callback, an
+// outside-class activity and an engage/disengage cycle. The fire times,
+// the fire order and the simulator's schedule digest must be equal, and
+// the pooled run must recycle its handles rather than build new ones.
+func TestDoMatchesAfter(t *testing.T) {
+	run := func(pooled bool) (string, uint64, int) {
+		s, c, f := setup(1)
+		schedule := func(class Class, d sim.Time, name string, fn func()) {
+			if pooled {
+				f.Do(class, d, name, fn)
+			} else {
+				f.After(class, d, name, fn)
+			}
+		}
+		var log string
+		mark := func(name string) func() {
+			return func() { log += fmt.Sprintf("%s@%v ", name, c.SystemTime()) }
+		}
+		chain := 0
+		var step func()
+		step = func() {
+			mark("chain")()
+			if chain++; chain < 6 {
+				schedule(TimerJob, 3*sim.Millisecond, "chain", step)
+			}
+		}
+		schedule(TimerJob, 3*sim.Millisecond, "chain", step)
+		for _, name := range []string{"a", "b", "c"} {
+			schedule(TimerJob, 5*sim.Millisecond, name, mark(name))
+		}
+		schedule(SoftIRQ, 0, "bio", mark("bio"))
+		s.RunFor(4 * sim.Millisecond)
+		f.Engage(0)
+		schedule(XenBus, sim.Millisecond, "xb", mark("xb"))
+		schedule(SoftIRQ, 0, "parked", mark("parked"))
+		s.RunFor(50 * sim.Millisecond)
+		f.Disengage(0)
+		s.Run()
+		return log, s.ScheduleDigest(), len(f.free)
+	}
+	wantLog, wantDigest, _ := run(false)
+	gotLog, gotDigest, free := run(true)
+	if gotLog != wantLog {
+		t.Fatalf("Do fired %q, After fired %q", gotLog, wantLog)
+	}
+	if gotDigest != wantDigest {
+		t.Fatalf("Do schedule digest %016x, After %016x", gotDigest, wantDigest)
+	}
+	// At most six Do activities were pending at once (the chain, a, b
+	// and c, then xb and parked during the engage), so the pool built
+	// six handles and every one is back on the free list.
+	if free != 6 {
+		t.Fatalf("free list holds %d handles after the run, want 6", free)
+	}
+}
+
+// TestDoSteadyStateAllocs holds fire-and-forget activity to zero
+// allocations once the free list has grown to its peak, across an
+// engage/disengage cycle as well.
+func TestDoSteadyStateAllocs(t *testing.T) {
+	s, _, f := setup(1)
+	fn := func() {}
+	cycle := func() {
+		for i := 0; i < 4; i++ {
+			f.Do(TimerJob, sim.Time(i+1)*sim.Millisecond, "sleep", fn)
+		}
+		f.Do(SoftIRQ, 0, "bio", fn)
+		s.RunFor(sim.Millisecond / 2)
+		f.Engage(0)
+		f.Do(XenBus, sim.Millisecond, "xb", fn)
+		s.RunFor(5 * sim.Millisecond)
+		f.Disengage(0)
+		s.Run()
+	}
+	cycle()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("Do→fire allocates %.1f per cycle, want 0", allocs)
+	}
+}
+
+// TestHandleSize guards Handle's allocation size class: one more word
+// moves it from the 160-byte class to the 176-byte one, which the
+// packet path measurably pays for.
+func TestHandleSize(t *testing.T) {
+	if size := unsafe.Sizeof(Handle{}); size > 160 {
+		t.Fatalf("Handle is %d bytes, want <= 160", size)
 	}
 }

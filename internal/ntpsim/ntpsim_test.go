@@ -1,6 +1,8 @@
 package ntpsim
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -139,5 +141,83 @@ func TestPropertyBounded(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// freshDraws is the reference the reseeded source must match: the
+// node's start-up draws and the steady-state floor of each epoch, each
+// from its own rand.NewSource, as the model drew them before it kept
+// one source per Sync.
+type freshDraws struct {
+	amp  float64
+	salt int64
+}
+
+func freshStart(seed int64, m Model, name string) freshDraws {
+	h := int64(0)
+	for _, c := range name {
+		h = h*131 + int64(c)
+	}
+	rng := rand.New(rand.NewSource(seed ^ h))
+	sign := 1.0
+	if rng.Intn(2) == 0 {
+		sign = -1
+	}
+	amp := float64(m.InitialErrLo) + rng.Float64()*float64(m.InitialErrHi-m.InitialErrLo)
+	return freshDraws{amp: sign * amp, salt: rng.Int63()}
+}
+
+func (d freshDraws) floor(m Model, epoch int64) float64 {
+	r := rand.New(rand.NewSource(d.salt ^ epoch*2654435761))
+	sign := 1.0
+	if r.Intn(2) == 0 {
+		sign = -1
+	}
+	return sign * (float64(m.FloorLo) + r.Float64()*float64(m.FloorHi-m.FloorLo))
+}
+
+// TestErrorAtMatchesFreshSourceDraws queries 1200 floor epochs on each
+// of several nodes, in a shuffled order that interleaves the nodes, and
+// requires every error to equal the one built from fresh sources.
+func TestErrorAtMatchesFreshSourceDraws(t *testing.T) {
+	const seed, epochs = 11, 1200
+	m := DefaultModel()
+	y := New(sim.New(1), m, seed)
+	names := []string{"n0", "n1", "sender", "receiver", "q-n4"}
+	ref := make(map[string]freshDraws)
+	for _, name := range names {
+		y.Start(name)
+		ref[name] = freshStart(seed, m, name)
+	}
+	type query struct {
+		name  string
+		epoch int64
+	}
+	var qs []query
+	for _, name := range names {
+		for e := int64(0); e < epochs; e++ {
+			qs = append(qs, query{name, e})
+		}
+	}
+	rand.New(rand.NewSource(3)).Shuffle(len(qs), func(i, j int) { qs[i], qs[j] = qs[j], qs[i] })
+	for _, q := range qs {
+		at := sim.Time(q.epoch)*m.FloorEpoch + m.FloorEpoch/3
+		d := ref[q.name]
+		want := sim.Time(d.amp*math.Exp(-float64(at)/float64(m.Tau)) + d.floor(m, q.epoch))
+		if got := y.ErrorAt(q.name, at); got != want {
+			t.Fatalf("%s epoch %d: error %v, fresh-source draw %v", q.name, q.epoch, got, want)
+		}
+	}
+}
+
+// TestMemoizedErrorAtAllocatesNothing holds a query of an epoch already
+// drawn to zero allocations.
+func TestMemoizedErrorAtAllocatesNothing(t *testing.T) {
+	y := New(sim.New(1), DefaultModel(), 12)
+	y.Start("a")
+	at := 9 * sim.Second
+	y.ErrorAt("a", at)
+	if allocs := testing.AllocsPerRun(100, func() { y.ErrorAt("a", at) }); allocs != 0 {
+		t.Fatalf("memoized ErrorAt: %v allocs", allocs)
 	}
 }

@@ -105,3 +105,65 @@ func TestPacketPathAllocsPerSegment(t *testing.T) {
 		t.Fatalf("%.2f allocs per segment, budget %d", perSeg, maxAllocsPerSegment)
 	}
 }
+
+// maxAllocsPerControlEvent bounds the heap allocations per simulated
+// event of a guest control-plane session: sleep loops, block writes,
+// synchronous checkpoints and stateful swap cycles with their offline
+// delta merge. Sleep and block-completion handles are pooled, merges
+// reuse their maps and NTP draws reuse one source. What is left is
+// mostly per-request disk bookkeeping and the swap-in block copier:
+// 1.56 per event measured on this path, against 2.53 with a handle per
+// sleep, fresh delta maps per merge and a source per NTP draw.
+const maxAllocsPerControlEvent = 1.8
+
+// TestControlPathAllocsPerEvent holds a sleep-loop plus disk-churn
+// session to its allocation budget over three checkpoints and two
+// swap-out/swap-in cycles, after a warm-up cycle of each.
+func TestControlPathAllocsPerEvent(t *testing.T) {
+	sess := emucheck.NewSession(emucheck.Scenario{Spec: emulab.Spec{
+		Name:  "control",
+		Nodes: []emulab.NodeSpec{{Name: "n0", Swappable: true}, {Name: "n1", Swappable: true}},
+		Links: []emulab.LinkSpec{{A: "n0", B: "n1", Bandwidth: simnet.Gbps}},
+	}}, 1)
+	sleeper, churner := sess.Kernel("n0"), sess.Kernel("n1")
+	var sleep func()
+	sleep = func() { sleeper.Usleep(sim.Millisecond, sleep) }
+	sleep()
+	var off int64
+	var churn func()
+	wrote := func() {
+		off += 512 << 10
+		churner.Usleep(5*sim.Millisecond, churn)
+	}
+	churn = func() { churner.WriteDisk(1<<30+off%(1<<30), 512<<10, wrote) }
+	churn()
+	cycle := func() {
+		for i := 0; i < 3; i++ {
+			sess.RunFor(sim.Second)
+			if _, err := sess.Checkpoint(); err != nil {
+				t.Fatalf("checkpoint: %v", err)
+			}
+		}
+		for i := 0; i < 2; i++ {
+			sess.RunFor(sim.Second)
+			if _, err := sess.SwapOut(); err != nil {
+				t.Fatalf("swap-out: %v", err)
+			}
+			if _, err := sess.SwapIn(false); err != nil {
+				t.Fatalf("swap-in: %v", err)
+			}
+		}
+	}
+	cycle()
+	var events uint64
+	allocs := testing.AllocsPerRun(1, func() {
+		e0 := sess.S.Fired()
+		cycle()
+		events = sess.S.Fired() - e0
+	})
+	perEvent := allocs / float64(events)
+	t.Logf("%.0f allocs over %d events: %.3f per event", allocs, events, perEvent)
+	if perEvent > maxAllocsPerControlEvent {
+		t.Fatalf("%.3f allocs per event, budget %v", perEvent, maxAllocsPerControlEvent)
+	}
+}

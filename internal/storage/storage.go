@@ -354,6 +354,8 @@ func (v *Volume) Snapshot(isFree func(vba int64) bool) map[int64]int64 {
 // pipeline only reads Cur.Slots() before it merges.
 func (v *Volume) Merge(reorder bool, isFree func(vba int64) bool) int64 {
 	agg, cur := v.Agg, v.Cur
+	// Fold the current blocks into the aggregated index; every slot is
+	// reassigned below.
 	for vba := range cur.Index {
 		agg.Index[vba] = -1
 	}

@@ -110,10 +110,9 @@ func TestPacketPathAllocsPerSegment(t *testing.T) {
 // event of a guest control-plane session: sleep loops, block writes,
 // synchronous checkpoints and stateful swap cycles with their offline
 // delta merge. Sleep and block-completion handles are pooled, merges
-// reuse their maps and NTP draws reuse one source. What is left is
-// mostly per-request disk bookkeeping and the swap-in block copier:
-// 1.56 per event measured on this path, against 2.53 with a handle per
-// sleep, fresh delta maps per merge and a source per NTP draw.
+// reuse their maps and NTP draws reuse one source. What is left,
+// about 1.56 per event, is mostly per-request disk bookkeeping and the
+// swap-in block copier.
 const maxAllocsPerControlEvent = 1.8
 
 // TestControlPathAllocsPerEvent holds a sleep-loop plus disk-churn

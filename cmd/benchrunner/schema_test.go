@@ -20,26 +20,21 @@ var update = flag.Bool("update", false, "rewrite the golden schema file")
 // registering it here (and refreshing the golden with -update) fails
 // the shape test.
 var benchSchema = map[string]any{
-	"fig4":       &evalrun.Fig4Result{},
-	"fig5":       &evalrun.Fig5Result{},
-	"fig6":       &evalrun.Fig6Result{},
-	"fig7":       &evalrun.Fig7Result{},
-	"fig8":       &evalrun.Fig8Result{},
-	"fig9":       &evalrun.Fig9Result{},
-	"swap":       &evalrun.SwapTableResult{},
-	"freeblock":  &evalrun.FreeBlockResult{},
-	"sync":       &evalrun.SyncResult{},
-	"dom0":       &evalrun.Dom0JobsResult{},
-	"ablation":   &evalrun.AblationResult{},
-	"timeshare":  &evalrun.TimeshareResult{},
-	"branch":     &evalrun.BranchResult{},
-	"recovery":   &evalrun.RecoveryResult{},
-	"remediate":  &evalrun.RemediateResult{},
-	"storage":    &evalrun.StorageResult{},
-	"scale":      &evalrun.ScaleResult{},
-	"suite":      &evalrun.SuiteResult{},
-	"suitebench": &evalrun.SuiteBenchResult{},
-	"federation": &evalrun.FederationResult{},
+	"fig4":      &evalrun.Fig4Result{},
+	"fig5":      &evalrun.Fig5Result{},
+	"fig6":      &evalrun.Fig6Result{},
+	"fig7":      &evalrun.Fig7Result{},
+	"fig8":      &evalrun.Fig8Result{},
+	"fig9":      &evalrun.Fig9Result{},
+	"swap":      &evalrun.SwapTableResult{},
+	"freeblock": &evalrun.FreeBlockResult{},
+	"sync":      &evalrun.SyncResult{},
+	"dom0":      &evalrun.Dom0JobsResult{},
+	"ablation":  &evalrun.AblationResult{},
+	"timeshare": &evalrun.TimeshareResult{},
+	"branch":    &evalrun.BranchResult{},
+	"remediate": &evalrun.RemediateResult{},
+	"storage":   &evalrun.StorageResult{},
 }
 
 // fieldPaths flattens a type into "path: kind" lines, honoring json

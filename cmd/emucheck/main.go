@@ -1,21 +1,18 @@
 // Command emucheck is the multi-experiment testbed driver: it loads
 // declarative scenario files (fleet of experiments + timed events +
 // assertions), validates them, and replays them deterministically on a
-// simulated Emulab cluster with a preemptive swap scheduler; it also
-// runs the multi-tenancy benchmark comparing stateful against classic
-// stateless swapping.
+// simulated Emulab cluster with a preemptive swap scheduler.
 //
 // Usage:
 //
 //	emucheck validate <scenario.json>
 //	emucheck run [-json] [-junit file] [-parallel N] <scenario.json>
-//	emucheck evalrun [-seed N] [-ticks N] [-json]
 //
 // Example scenarios live in examples/scenarios/ and are documented in
 // docs/scenarios.md. run exits nonzero when any scenario assertion
-// fails, so scripted scenarios double as integration checks. evalrun
-// compares incremental (dirty-delta), full-copy stateful, and classic
-// stateless swapping on an oversubscribed pool.
+// fails, so scripted scenarios double as integration checks. The
+// multi-tenancy benchmark comparing incremental, full-copy and
+// stateless swapping is `benchrunner -table timeshare`.
 //
 // Scenario files with a "search" stanza run the state-search engine:
 // one experiment is checkpointed, forked into a gang-admitted branch
@@ -30,7 +27,6 @@ import (
 	"fmt"
 	"os"
 
-	"emucheck/internal/evalrun"
 	"emucheck/internal/scenario"
 	"emucheck/internal/suite"
 )
@@ -46,9 +42,6 @@ commands:
                              shared invariants and writes JUnit XML, with
                              the run + replay pair executed on up to
                              -parallel workers (report unchanged)
-  evalrun [-seed N] [-ticks N] [-json]
-                             multi-tenancy benchmark: incremental vs
-                             full-copy vs stateless swapping
 `)
 	os.Exit(2)
 }
@@ -149,26 +142,6 @@ func cmdRun(args []string) {
 	}
 }
 
-func cmdEvalrun(args []string) {
-	fs := flag.NewFlagSet("evalrun", flag.ExitOnError)
-	seed := fs.Int64("seed", 1, "simulation seed")
-	ticks := fs.Int64("ticks", 0, "work per tenant in 100 ms ticks (0 = default 900)")
-	asJSON := fs.Bool("json", false, "emit the result as JSON")
-	fs.Parse(args)
-	r := evalrun.Timeshare(*seed, *ticks)
-	if *asJSON {
-		out, err := json.MarshalIndent(r, "", "  ")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "emucheck:", err)
-			os.Exit(1)
-		}
-		fmt.Println(string(out))
-		return
-	}
-	fmt.Println("== Multi-tenancy: incremental vs full-copy vs stateless swapping ==")
-	fmt.Print(r.Render())
-}
-
 func main() {
 	if len(os.Args) < 2 {
 		usage()
@@ -178,8 +151,6 @@ func main() {
 		cmdValidate(os.Args[2:])
 	case "run":
 		cmdRun(os.Args[2:])
-	case "evalrun":
-		cmdEvalrun(os.Args[2:])
 	default:
 		usage()
 	}

@@ -98,6 +98,10 @@ func cli(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	if *count < 0 {
+		fmt.Fprintf(stderr, "emusuite: -count must be non-negative, got %d\n", *count)
+		return 2
+	}
 	fail := func(err error) int {
 		fmt.Fprintln(stderr, "emusuite:", err)
 		return 1

@@ -66,6 +66,24 @@ func TestCLIBadFlagExitsTwo(t *testing.T) {
 	}
 }
 
+// TestCLINegativeCountExitsTwo: a negative matrix size is a usage
+// error, reported in one line — on the run path and on -gen-out —
+// rather than a panic deep in the generator.
+func TestCLINegativeCountExitsTwo(t *testing.T) {
+	for _, args := range [][]string{
+		{"-count", "-1"},
+		{"-count", "-1", "-gen-out", t.TempDir()},
+	} {
+		code, stdout, stderr := run(t, args...)
+		if code != 2 {
+			t.Fatalf("%v: exit %d, want 2", args, code)
+		}
+		if stdout != "" || strings.Count(stderr, "\n") != 1 || !strings.Contains(stderr, "-count") {
+			t.Fatalf("%v: want a one-line -count error, got stdout %q stderr %q", args, stdout, stderr)
+		}
+	}
+}
+
 func TestCLIEmptyDirFails(t *testing.T) {
 	code, _, stderr := run(t, "-dir", t.TempDir())
 	if code != 1 {

@@ -51,3 +51,29 @@ func TestRemediateDeterministicQuick(t *testing.T) {
 		t.Fatalf("same-seed remediate runs diverged:\n%s\n%s", a, b)
 	}
 }
+
+// TestRemediateEpochPeriodSweep: the full run sweeps the scripted
+// oracle across 5/15/60 s epoch periods. Every period recovers and
+// beats restart on lost work, and a longer period banks less often,
+// so it strictly loses more work.
+func TestRemediateEpochPeriodSweep(t *testing.T) {
+	r := Remediate(1, false)
+	restart := r.Row("restart")
+	if restart == nil {
+		t.Fatalf("missing restart row in %+v", r.Rows)
+	}
+	var prev float64
+	for _, mode := range []string{"scripted@5s", "scripted", "scripted@60s"} {
+		row := r.Row(mode)
+		if row == nil {
+			t.Fatalf("missing %s row in %+v", mode, r.Rows)
+		}
+		if !row.Recovered || row.LostWorkS >= restart.LostWorkS {
+			t.Fatalf("%s: %+v does not beat restart %+v", mode, row, restart)
+		}
+		if row.LostWorkS <= prev {
+			t.Fatalf("%s lost %.1f s, not more than the shorter period's %.1f s", mode, row.LostWorkS, prev)
+		}
+		prev = row.LostWorkS
+	}
+}

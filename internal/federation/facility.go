@@ -99,11 +99,12 @@ func (fac *Facility) popSleeper() *tenant {
 	return t
 }
 
-// tenant is one synthetic experiment in the federated fleet — the
-// scale-fleet recipe (80% bursty / 20% hog, all parameters arithmetic
-// in the global id) extended with a content-addressed checkpoint
-// chain in the shared pool and the ability to migrate between
-// facilities while parked.
+// tenant is one synthetic experiment in the federated fleet. Two
+// species, mixed 4:1: bursty tenants work a few seconds of activity
+// ticks, park voluntarily and sleep, for a few cycles; hogs tick until
+// their owed work is done, never yielding — the tenant preemption
+// exists for. Each carries a content-addressed checkpoint chain in the
+// shared pool and can migrate between facilities while parked.
 type tenant struct {
 	fed  *Federation
 	fac  *Facility // current home; reassigned only at migration delivery
@@ -162,10 +163,9 @@ func chainAddr(id, k int) storage.Addr {
 // delta instead of deepening the replay.
 const maxChainDepth = 8
 
-// newTenant creates tenant id homed at fac and wires its job. Unlike
-// the scale recipe's seed-invariant fleet, every per-tenant parameter
-// is a Mix64 draw over (seed, id), so the seed genuinely reshapes the
-// workload — without consuming any facility's RNG stream, which only
+// newTenant creates tenant id homed at fac and wires its job. Every
+// per-tenant parameter is a Mix64 draw over (seed, id), so the seed
+// genuinely reshapes the workload — without consuming any facility's RNG stream, which only
 // bus delivery jitter draws from. Hooks resolve t.fac at call time,
 // so one closure set survives migration.
 func (fed *Federation) newTenant(id int, fac *Facility) *tenant {

@@ -55,8 +55,9 @@ type Config struct {
 	// reference); Tenants the fleet size across the federation.
 	Facilities int
 	Tenants    int
-	// PoolPer is each facility's hardware pool; 0 sizes it like the
-	// scale benchmark: clamp(perFacilityTenants/4, 4, 256).
+	// PoolPer is each facility's hardware pool; 0 sizes it as
+	// clamp(perFacilityTenants/4, 4, 256), so past 1k tenants per
+	// facility more tenants add contention, not capacity.
 	PoolPer int
 	Seed    int64
 	// Workers is the facility-worker pool width: 1 (default) is the
@@ -404,7 +405,7 @@ func (fac *Facility) deliver(m Message, arrival sim.Time) {
 
 // Result is one federated run's sim-domain outcome plus its digest.
 // Every field is bit-deterministic under (config, seed) — there are
-// no wall-clock fields here; timing lives in the evalrun table.
+// no wall-clock fields here; timing lives in the benchmarks.
 type Result struct {
 	Facilities int     `json:"facilities"`
 	Tenants    int     `json:"tenants"`

@@ -50,6 +50,21 @@ func TestFederationDeterministic(t *testing.T) {
 	}
 }
 
+// TestFederationSingleFacilityDeterministicAt1k is the at-scale
+// determinism guard for the single-world fleet: the same seed must
+// drive 1000 tenants — queue churn, victim heaps, scoped fan-out,
+// timer reuse and all — to a byte-identical digest twice.
+func TestFederationSingleFacilityDeterministicAt1k(t *testing.T) {
+	cfg := Config{Facilities: 1, Tenants: 1000, Seed: 7, Workers: 1, Migration: true, WarmUp: true}
+	a, b := Run(cfg), Run(cfg)
+	if a.Digest != b.Digest {
+		t.Fatalf("same-seed 1k-tenant runs diverged: %s vs %s", a.Digest, b.Digest)
+	}
+	if a.Completed == 0 {
+		t.Fatal("1k fleet made no progress")
+	}
+}
+
 // TestFederationDataPlane: the federation actually federates — WAN
 // chatter flows, tenants migrate, warm-up ships bytes, and the shared
 // pool holds every committed chain.

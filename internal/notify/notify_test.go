@@ -1,6 +1,7 @@
 package notify
 
 import (
+	"fmt"
 	"testing"
 
 	"emucheck/internal/sim"
@@ -62,6 +63,49 @@ func TestDeliveryLatencyVariability(t *testing.T) {
 	}
 	if max > b.BaseLatency+b.JitterMax {
 		t.Fatalf("delivery too late: %v", max)
+	}
+}
+
+// TestScopedPublishReachesOnlyItsScope: with two subscribers per
+// scope across many scopes, each publish reaches exactly its own
+// scope's pair, so Delivered is twice Published — no other tenant's
+// daemon is touched.
+func TestScopedPublishReachesOnlyItsScope(t *testing.T) {
+	s := sim.New(1)
+	b := NewBus(s)
+	const scopes, perScope = 8, 2
+	got := make([]int, scopes)
+	for i := 0; i < scopes; i++ {
+		scope := fmt.Sprintf("t%d", i)
+		for k := 0; k < perScope; k++ {
+			b.SubscribeScoped(TopicCheckpoint, scope, scope, func(m *Msg) {
+				if m.Scope != scope {
+					t.Errorf("subscriber of %s got a publish scoped to %s", scope, m.Scope)
+				}
+				got[i]++
+			})
+		}
+	}
+	// Scope t3 publishes three times, t5 once; the rest stay silent.
+	for _, scope := range []string{"t3", "t3", "t5", "t3"} {
+		b.Publish(&Msg{Topic: TopicCheckpoint, From: scope, Scope: scope})
+	}
+	s.Run()
+	for i, n := range got {
+		want := 0
+		switch i {
+		case 3:
+			want = 3 * perScope
+		case 5:
+			want = perScope
+		}
+		if n != want {
+			t.Fatalf("scope t%d: %d deliveries, want %d", i, n, want)
+		}
+	}
+	if b.Published != 4 || b.Delivered != perScope*b.Published {
+		t.Fatalf("published %d, delivered %d; want delivered = %d x published",
+			b.Published, b.Delivered, perScope)
 	}
 }
 

@@ -474,8 +474,8 @@ type eqSpec struct {
 	costBase    int64
 }
 
-// eqRunner is the tenant state machine (mirroring the evalrun scale
-// fleet): burst of activity ticks, then a voluntary park and an idle
+// eqRunner is the tenant state machine (mirroring the federation
+// package's synthetic fleet): burst of activity ticks, then a voluntary park and an idle
 // sleep, across cycles; hogs tick until their owed work is done.
 type eqRunner struct {
 	api   fleetAPI

@@ -470,7 +470,7 @@ func RunFiles(files []*scenario.File, sources []string) *Report {
 // assembled strictly in input order, and nothing in a RunReport
 // depends on scheduling, so the report — and its emusuite/v1 JSON and
 // JUnit renderings — is byte-identical to a serial run's. Speedup is
-// observable only on the wall clock (and in the suitebench table);
+// observable only on the wall clock (BenchmarkSuiteParallel);
 // the report deliberately has nowhere to record it.
 func RunFilesParallel(files []*scenario.File, sources []string, workers int) *Report {
 	pool := newSem(workers)

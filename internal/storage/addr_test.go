@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"slices"
 	"testing"
 
 	"emucheck/internal/sim"
@@ -8,10 +9,11 @@ import (
 
 // epochOf builds an epoch from (vba, tag) pairs given in any order.
 func epochOf(memPages int, pairs ...int64) *Epoch {
-	blocks := make(map[int64]int64, len(pairs)/2)
+	var blocks []Block
 	for i := 0; i < len(pairs); i += 2 {
-		blocks[pairs[i]] = pairs[i+1]
+		blocks = append(blocks, Block{VBA: pairs[i], Tag: pairs[i+1]})
 	}
+	slices.SortFunc(blocks, byVBA)
 	return &Epoch{Blocks: blocks, MemPages: memPages}
 }
 

@@ -1,6 +1,9 @@
 package storage
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // TestDeltaCacheDeterministicAccounting drives a fixed access script
 // and asserts the exact hit/miss/evict ledger: the cache's behavior is
@@ -140,7 +143,7 @@ func TestCacheEvictionNeverDropsChainData(t *testing.T) {
 
 	l := cs.NewLineage(3)
 	for i := int64(0); i < 8; i++ {
-		e := l.Commit(map[int64]int64{i: i + 1, 50 + i: i + 9}, 1)
+		e := l.Commit([]Block{{i, i + 1}, {50 + i, i + 9}}, 1)
 		segs := l.Segments()
 		c.Put(segs[len(segs)-1].Addr, e.DiskBytes())
 	}
@@ -152,14 +155,8 @@ func TestCacheEvictionNeverDropsChainData(t *testing.T) {
 	if c.Stats().Evictions == 0 {
 		t.Fatal("the script should have forced evictions")
 	}
-	got := l.Materialize()
-	if len(got) != len(want) {
-		t.Fatalf("replay lost blocks: %d vs %d", len(got), len(want))
-	}
-	for vba, tag := range want {
-		if got[vba] != tag {
-			t.Fatalf("block %d: tag %d vs %d", vba, got[vba], tag)
-		}
+	if got := l.Materialize(); !slices.Equal(got, want) {
+		t.Fatalf("replay %v, want %v", got, want)
 	}
 	// And every chain segment is still resident on the authoritative
 	// tier, whatever the cache evicted.

@@ -12,8 +12,8 @@ import (
 // and lineages share it by reference.
 type Addr uint64
 
-// addr computes the epoch's content address (FNV-1a over the sorted
-// block set). The epoch ID is deliberately excluded: identity is the
+// addr computes the epoch's content address (FNV-1a over the block run
+// in VBA order). The epoch ID is deliberately excluded: identity is the
 // delta's content, not its position in any particular chain.
 func (e *Epoch) addr() Addr {
 	const offset64, prime64 = 14695981039346656037, 1099511628211
@@ -25,14 +25,9 @@ func (e *Epoch) addr() Addr {
 			v >>= 8
 		}
 	}
-	vbas := make([]int64, 0, len(e.Blocks))
-	for vba := range e.Blocks {
-		vbas = append(vbas, vba)
-	}
-	slices.Sort(vbas)
-	for _, vba := range vbas {
-		mix(uint64(vba))
-		mix(uint64(e.Blocks[vba]))
+	for _, b := range e.Blocks {
+		mix(uint64(b.VBA))
+		mix(uint64(b.Tag))
 	}
 	mix(uint64(e.MemPages))
 	return Addr(h)
@@ -104,7 +99,7 @@ func (cs *ChainStore) NewLineage(maxDepth int) *Lineage {
 		maxDepth = DefaultMaxDepth
 	}
 	l := &Lineage{MaxDepth: maxDepth, store: cs, nextID: 1}
-	l.base, l.baseAddr = cs.retain(&Epoch{ID: 0, Blocks: make(map[int64]int64)})
+	l.base, l.baseAddr = cs.retain(&Epoch{ID: 0})
 	return l
 }
 
@@ -156,18 +151,11 @@ func (cs *ChainStore) release(a Addr, gc bool) {
 // keep replaying byte-identically. The caller re-retains the epoch
 // after mutating it (its address will have changed).
 func (cs *ChainStore) exclusive(a Addr) *Epoch {
-	ent := cs.epochs[a]
-	if ent.refs == 1 {
-		delete(cs.epochs, a)
-		cs.dropped(a)
-		return ent.e
+	e := cs.epochs[a].e
+	if cs.release(a, false); cs.Refs(a) == 0 {
+		return e
 	}
-	ent.refs--
-	cp := &Epoch{ID: ent.e.ID, MemPages: ent.e.MemPages, Blocks: make(map[int64]int64, len(ent.e.Blocks))}
-	for vba, tag := range ent.e.Blocks {
-		cp.Blocks[vba] = tag
-	}
-	return cp
+	return &Epoch{ID: e.ID, MemPages: e.MemPages, Blocks: slices.Clone(e.Blocks)}
 }
 
 // Refs reports how many lineages reference the address (0 if absent).

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"emucheck/internal/sim"
@@ -13,7 +14,7 @@ func TestChainStoreForkSharesByReference(t *testing.T) {
 	cs := NewChainStore()
 	l := cs.NewLineage(3)
 	for epoch := 0; epoch < 5; epoch++ {
-		blocks := map[int64]int64{int64(epoch): int64(100 + epoch), int64(epoch + 50): int64(epoch)}
+		blocks := []Block{{int64(epoch), int64(100 + epoch)}, {int64(epoch + 50), int64(epoch)}}
 		l.Commit(blocks, 1)
 	}
 	before := cs.StoredBytes()
@@ -28,12 +29,12 @@ func TestChainStoreForkSharesByReference(t *testing.T) {
 	}
 
 	// Divergence is branch-private.
-	b.Commit(map[int64]int64{999: 1}, 0)
+	b.Commit([]Block{{999, 1}}, 0)
 	got, parent := b.Materialize(), l.Materialize()
-	if _, ok := parent[999]; ok {
+	if _, ok := find(parent, 999); ok {
 		t.Fatal("branch commit leaked into the parent's replay view")
 	}
-	if got[999] != 1 {
+	if i, ok := find(got, 999); !ok || got[i].Tag != 1 {
 		t.Fatal("branch lost its private commit")
 	}
 }
@@ -44,26 +45,20 @@ func TestChainStoreCopyOnWritePrune(t *testing.T) {
 	cs := NewChainStore()
 	l := cs.NewLineage(2)
 	for epoch := 0; epoch < 2; epoch++ {
-		l.Commit(map[int64]int64{int64(epoch): int64(epoch + 10)}, 0)
+		l.Commit([]Block{{int64(epoch), int64(epoch + 10)}}, 0)
 	}
 	b := l.Fork()
 	want := b.Materialize()
 
 	// Drive the parent through several prune folds.
 	for epoch := 2; epoch < 8; epoch++ {
-		l.Commit(map[int64]int64{int64(epoch): int64(epoch + 10)}, 0)
+		l.Commit([]Block{{int64(epoch), int64(epoch + 10)}}, 0)
 	}
 	if l.MergedBytes == 0 {
 		t.Fatal("parent never pruned; copy-on-write untested")
 	}
-	got := b.Materialize()
-	if len(got) != len(want) {
-		t.Fatalf("sibling view changed size: %d -> %d blocks", len(want), len(got))
-	}
-	for vba, tag := range want {
-		if got[vba] != tag {
-			t.Fatalf("sibling block %d changed: tag %d -> %d", vba, tag, got[vba])
-		}
+	if got := b.Materialize(); !slices.Equal(got, want) {
+		t.Fatalf("sibling view changed: %v -> %v", want, got)
 	}
 }
 
@@ -72,10 +67,10 @@ func TestChainStoreCopyOnWritePrune(t *testing.T) {
 func TestChainStoreReleaseGCs(t *testing.T) {
 	cs := NewChainStore()
 	l := cs.NewLineage(4)
-	l.Commit(map[int64]int64{1: 1, 2: 2}, 0)
+	l.Commit([]Block{{1, 1}, {2, 2}}, 0)
 	b := l.Fork()
-	b.Commit(map[int64]int64{3: 3}, 0) // branch-private
-	l.Commit(map[int64]int64{4: 4}, 0) // parent-private
+	b.Commit([]Block{{3, 3}}, 0) // branch-private
+	l.Commit([]Block{{4, 4}}, 0) // parent-private
 
 	want := l.Materialize()
 	stored := cs.StoredBytes()
@@ -86,11 +81,8 @@ func TestChainStoreReleaseGCs(t *testing.T) {
 	if cs.StoredBytes() != stored-BlockSize {
 		t.Fatalf("store holds %d bytes after release, want %d", cs.StoredBytes(), stored-BlockSize)
 	}
-	got := l.Materialize()
-	for vba, tag := range want {
-		if got[vba] != tag {
-			t.Fatalf("survivor block %d changed after sibling release: tag %d -> %d", vba, tag, got[vba])
-		}
+	if got := l.Materialize(); !slices.Equal(got, want) {
+		t.Fatalf("survivor changed after sibling release: %v -> %v", want, got)
 	}
 	b.Release() // idempotent
 	if cs.GCBytes != BlockSize {
@@ -110,10 +102,9 @@ func TestChainStoreDedup(t *testing.T) {
 	cs := NewChainStore()
 	a := cs.NewLineage(4)
 	b := cs.NewLineage(4)
-	blocks := map[int64]int64{7: 70, 8: 80}
-	a.Commit(blocks, 2)
+	a.Commit([]Block{{7, 70}, {8, 80}}, 2)
 	before := cs.StoredBytes()
-	b.Commit(blocks, 2)
+	b.Commit([]Block{{7, 70}, {8, 80}}, 2)
 	if cs.StoredBytes() != before {
 		t.Fatalf("identical commit stored again: %d -> %d bytes", before, cs.StoredBytes())
 	}
@@ -154,14 +145,8 @@ func TestChainStoreBranchReplayIdentity(t *testing.T) {
 			br.v.Merge(true, nil)
 		}
 		check := func(br *branch, when string) {
-			got, want := br.l.Materialize(), br.v.Snapshot(nil)
-			if len(got) != len(want) {
-				t.Fatalf("seed %d %s: replay has %d blocks, snapshot %d", seed, when, len(got), len(want))
-			}
-			for vba, tag := range want {
-				if got[vba] != tag {
-					t.Fatalf("seed %d %s: block %d replayed tag %d, want %d", seed, when, vba, got[vba], tag)
-				}
+			if got, want := br.l.Materialize(), br.v.Snapshot(nil); !slices.Equal(got, want) {
+				t.Fatalf("seed %d %s: replay %v, snapshot %v", seed, when, got, want)
 			}
 		}
 
@@ -177,12 +162,8 @@ func TestChainStoreBranchReplayIdentity(t *testing.T) {
 		branches := []*branch{parent}
 		for i := 0; i < 3; i++ {
 			bv := newTestVolume(s)
-			bv.content = make(map[int64]int64)
-			for vba, tag := range parent.v.Snapshot(nil) {
-				bv.content[vba] = tag
-				bv.Agg.append(vba)
-			}
-			bv.writeSeq = parent.v.writeSeq
+			bv.Agg = parent.v.Snapshot(nil)
+			bv.merged = parent.v.merged
 			branches = append(branches, &branch{v: bv, l: parent.l.Fork()})
 		}
 

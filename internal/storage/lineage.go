@@ -1,6 +1,9 @@
 package storage
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Epoch is one committed incremental checkpoint: the set of blocks
 // dirtied since the parent epoch (content-tagged so reconstruction can
@@ -9,8 +12,10 @@ type Epoch struct {
 	// ID orders epochs within a lineage; the parent is the previous
 	// epoch in the chain (or the merged base).
 	ID int
-	// Blocks maps dirtied virtual block addresses to their content tag.
-	Blocks map[int64]int64
+	// Blocks is the run of dirtied blocks with their content tags,
+	// sorted by virtual block address. A run held in a ChainStore is
+	// never mutated: folds and drops work on an exclusive copy.
+	Blocks []Block
 	// MemPages is the count of dirty memory pages captured in this epoch.
 	MemPages int
 }
@@ -65,16 +70,14 @@ func NewLineage(maxDepth int) *Lineage {
 // Store returns the backing chain store.
 func (l *Lineage) Store() *ChainStore { return l.store }
 
-// Commit appends one incremental checkpoint — the blocks dirtied since
-// the previous commit and the dirty memory pages saved alongside — and
-// prunes the chain back under MaxDepth. It returns the committed epoch
+// Commit appends one incremental checkpoint — the run of blocks dirtied
+// since the previous commit (as Volume.EpochBlocks returns it) and the
+// dirty memory pages saved alongside — and prunes the chain back under
+// MaxDepth. Commit takes ownership of blocks: the caller must neither
+// use nor change the run afterwards. It returns the committed epoch
 // (the store's canonical copy if the content already existed).
-func (l *Lineage) Commit(blocks map[int64]int64, memPages int) *Epoch {
-	cp := make(map[int64]int64, len(blocks))
-	for vba, tag := range blocks {
-		cp[vba] = tag
-	}
-	e := &Epoch{ID: l.nextID, Blocks: cp, MemPages: memPages}
+func (l *Lineage) Commit(blocks []Block, memPages int) *Epoch {
+	e := &Epoch{ID: l.nextID, Blocks: blocks, MemPages: memPages}
 	l.nextID++
 	e, a := l.store.retain(e)
 	l.chain = append(l.chain, e)
@@ -93,9 +96,7 @@ func (l *Lineage) prune() {
 		oldest, oldestAddr := l.chain[0], l.addrs[0]
 		l.chain, l.addrs = l.chain[1:], l.addrs[1:]
 		base := l.store.exclusive(l.baseAddr)
-		for vba, tag := range oldest.Blocks {
-			base.Blocks[vba] = tag
-		}
+		base.Blocks = mergeRuns(base.Blocks, oldest.Blocks)
 		base.MemPages += oldest.MemPages
 		base.ID = oldest.ID
 		l.MergedBytes += oldest.DiskBytes()
@@ -138,7 +139,7 @@ func (l *Lineage) Release() {
 	for _, a := range l.addrs {
 		l.store.release(a, true)
 	}
-	l.base = &Epoch{Blocks: make(map[int64]int64)}
+	l.base = &Epoch{}
 	l.chain, l.addrs = nil, nil
 }
 
@@ -208,57 +209,38 @@ func (l *Lineage) SharedBytes() int64 {
 }
 
 // Materialize replays base + chain in commit order and returns the
-// reconstructed content view. Against Volume.Snapshot this is the
-// byte-identity check: a block is correct iff its content tag matches.
-func (l *Lineage) Materialize() map[int64]int64 {
-	out := make(map[int64]int64, len(l.base.Blocks))
-	for vba, tag := range l.base.Blocks {
-		out[vba] = tag
-	}
+// reconstructed content view as a fresh run. Against Volume.Snapshot
+// this is the byte-identity check: a block is correct iff its content
+// tag matches.
+func (l *Lineage) Materialize() []Block {
+	out := slices.Clone(l.base.Blocks)
 	for _, e := range l.chain {
-		for vba, tag := range e.Blocks {
-			out[vba] = tag
-		}
+		out = mergeRuns(out, e.Blocks)
 	}
 	return out
 }
 
 // Drop removes blocks from every epoch (base and chain) — free-block
 // elimination applied retroactively to the server-side history, so a
-// replay does not resurrect blocks the filesystem has freed. Shared
-// epochs are unshared copy-on-write first; a sibling branch's replay
-// view never changes.
+// replay does not resurrect blocks the filesystem has freed. An epoch
+// holding a freed block is filtered as an exclusive copy (unshared
+// copy-on-write first), so a sibling branch's replay view never changes.
 func (l *Lineage) Drop(isFree func(vba int64) bool) {
 	if isFree == nil {
 		return
 	}
-	touches := func(e *Epoch) bool {
-		for vba := range e.Blocks {
-			if isFree(vba) {
-				return true
-			}
+	freed := func(b Block) bool { return isFree(b.VBA) }
+	drop := func(e *Epoch, a Addr) (*Epoch, Addr) {
+		if !slices.ContainsFunc(e.Blocks, freed) {
+			return e, a
 		}
-		return false
+		e = l.store.exclusive(a)
+		e.Blocks = slices.DeleteFunc(e.Blocks, freed)
+		return l.store.retain(e)
 	}
-	drop := func(e *Epoch) {
-		for vba := range e.Blocks {
-			if isFree(vba) {
-				delete(e.Blocks, vba)
-			}
-		}
-	}
-	if touches(l.base) {
-		base := l.store.exclusive(l.baseAddr)
-		drop(base)
-		l.base, l.baseAddr = l.store.retain(base)
-	}
+	l.base, l.baseAddr = drop(l.base, l.baseAddr)
 	for i := range l.chain {
-		if !touches(l.chain[i]) {
-			continue
-		}
-		e := l.store.exclusive(l.addrs[i])
-		drop(e)
-		l.chain[i], l.addrs[i] = l.store.retain(e)
+		l.chain[i], l.addrs[i] = drop(l.chain[i], l.addrs[i])
 	}
 }
 

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"emucheck/internal/node"
@@ -49,14 +50,8 @@ func TestLineageReplayIdentity(t *testing.T) {
 				pruned = true
 			}
 
-			got, want := l.Materialize(), v.Snapshot(nil)
-			if len(got) != len(want) {
-				t.Fatalf("seed %d epoch %d: replay has %d blocks, snapshot %d", seed, epoch, len(got), len(want))
-			}
-			for vba, tag := range want {
-				if got[vba] != tag {
-					t.Fatalf("seed %d epoch %d: block %d replayed tag %d, want %d", seed, epoch, vba, got[vba], tag)
-				}
+			if got, want := l.Materialize(), v.Snapshot(nil); !slices.Equal(got, want) {
+				t.Fatalf("seed %d epoch %d: replay %v, snapshot %v", seed, epoch, got, want)
 			}
 		}
 		if !pruned {
@@ -91,16 +86,13 @@ func TestLineageFreeBlockDrop(t *testing.T) {
 	l.Drop(isFree)
 
 	got, want := l.Materialize(), v.Snapshot(isFree)
-	if len(got) != len(want) {
-		t.Fatalf("replay has %d blocks, snapshot %d", len(got), len(want))
+	for _, b := range want {
+		if isFree(b.VBA) {
+			t.Fatalf("snapshot retains freed block %d", b.VBA)
+		}
 	}
-	for vba, tag := range want {
-		if isFree(vba) {
-			t.Fatalf("snapshot retains freed block %d", vba)
-		}
-		if got[vba] != tag {
-			t.Fatalf("block %d replayed tag %d, want %d", vba, got[vba], tag)
-		}
+	if !slices.Equal(got, want) {
+		t.Fatalf("replay %v, snapshot %v", got, want)
 	}
 }
 
@@ -111,12 +103,11 @@ func TestLineageReplayBounded(t *testing.T) {
 	// Every epoch rewrites the same 10 hot blocks plus 2 fresh ones.
 	fresh := int64(1000)
 	for epoch := 0; epoch < 50; epoch++ {
-		blocks := make(map[int64]int64)
+		var blocks []Block
 		for b := int64(0); b < 10; b++ {
-			blocks[b] = int64(epoch*100) + b
+			blocks = append(blocks, Block{b, int64(epoch*100) + b})
 		}
-		blocks[fresh] = int64(epoch)
-		blocks[fresh+1] = int64(epoch)
+		blocks = append(blocks, Block{fresh, int64(epoch)}, Block{fresh + 1, int64(epoch)})
 		fresh += 2
 		l.Commit(blocks, 0)
 	}

@@ -4,131 +4,431 @@ import (
 	"maps"
 	"math/rand"
 	"slices"
-	"sort"
 	"testing"
 
 	"emucheck/internal/sim"
 )
 
-// refMerge is the map-based Merge that the in-place one replaced, kept
-// as the oracle: it collects the surviving blocks in a fresh set,
-// appends them to a fresh aggregated delta and replaces the current
-// delta with a fresh one.
-func refMerge(v *Volume, reorder bool, isFree func(vba int64) bool) int64 {
-	merged := make(map[int64]bool, len(v.Agg.Index)+len(v.Cur.Index))
-	for vba := range v.Agg.Index {
-		merged[vba] = true
+// The map-based model below is the volume and checkpoint-chain
+// bookkeeping that the sorted block runs replaced, kept as the oracle:
+// hash indexes for both deltas, a content map tagging every written
+// block, and epochs holding map[VBA]tag, addressed by collecting and
+// sorting their keys.
+
+// refVolume models a Volume's two delta indexes and its content view.
+type refVolume struct {
+	aggIndex, curIndex map[int64]int64
+	aggOrder, curOrder []int64
+	content            map[int64]int64
+	writeSeq           int64
+}
+
+func newRefVolume() *refVolume {
+	return &refVolume{aggIndex: map[int64]int64{}, curIndex: map[int64]int64{}, content: map[int64]int64{}}
+}
+
+// write records a Volume.Write of n blocks from first.
+func (r *refVolume) write(first, n int64) {
+	for vba := first; vba < first+n; vba++ {
+		r.writeSeq++
+		r.content[vba] = r.writeSeq
+		r.curIndex[vba] = int64(len(r.curOrder))
+		r.curOrder = append(r.curOrder, vba)
 	}
-	for vba := range v.Cur.Index {
-		merged[vba] = true
-	}
-	newAgg := NewDelta(AggBase)
-	vbas := make([]int64, 0, len(merged))
-	for vba := range merged {
-		if isFree != nil && isFree(vba) {
-			delete(v.content, vba)
-			continue
-		}
-		vbas = append(vbas, vba)
-	}
-	if reorder {
-		sort.Slice(vbas, func(i, j int) bool { return vbas[i] < vbas[j] })
-	} else {
-		vbas = vbas[:0]
-		seen := make(map[int64]bool)
-		for _, vba := range append(append([]int64{}, v.Agg.Order...), v.Cur.Order...) {
-			if seen[vba] || (isFree != nil && isFree(vba)) || !merged[vba] {
-				continue
-			}
+}
+
+// merge is Merge: the surviving blocks of both deltas take fresh slots,
+// by VBA or in order of first appearance in the two logs.
+func (r *refVolume) merge(reorder bool, isFree func(vba int64) bool) int64 {
+	freed := func(vba int64) bool { return isFree != nil && isFree(vba) }
+	var vbas []int64
+	seen := make(map[int64]bool)
+	for _, vba := range append(slices.Clone(r.aggOrder), r.curOrder...) {
+		if freed(vba) {
+			delete(r.content, vba)
+		} else if !seen[vba] {
 			seen[vba] = true
 			vbas = append(vbas, vba)
 		}
 	}
+	if reorder {
+		slices.Sort(vbas)
+	}
+	r.aggIndex, r.aggOrder = make(map[int64]int64), vbas
+	for slot, vba := range vbas {
+		r.aggIndex[vba] = int64(slot)
+	}
+	r.curIndex, r.curOrder = make(map[int64]int64), nil
+	return int64(len(vbas)) * BlockSize
+}
+
+// view returns the content tags of the blocks of idx that isFree
+// (optional) does not report freed.
+func (r *refVolume) view(idx map[int64]int64, isFree func(vba int64) bool) map[int64]int64 {
+	out := make(map[int64]int64)
+	for vba := range idx {
+		if isFree == nil || !isFree(vba) {
+			out[vba] = r.content[vba]
+		}
+	}
+	return out
+}
+
+// lba is locate: current delta, then aggregated delta, then golden.
+func (r *refVolume) lba(vba int64) int64 {
+	if slot, ok := r.curIndex[vba]; ok {
+		return CurBase + slot*BlockSize
+	}
+	if slot, ok := r.aggIndex[vba]; ok {
+		return AggBase + slot*BlockSize
+	}
+	return GoldenBase + vba*BlockSize
+}
+
+// runOf is the run a map view must equal.
+func runOf(m map[int64]int64) []Block {
+	out := make([]Block, 0, len(m))
+	for vba, tag := range m {
+		out = append(out, Block{vba, tag})
+	}
+	slices.SortFunc(out, byVBA)
+	return out
+}
+
+type refEpoch struct {
+	blocks   map[int64]int64
+	memPages int
+}
+
+func (e *refEpoch) bytes() int64 { return int64(len(e.blocks)) * BlockSize }
+
+// addr is the content address computed from the map: keys collected,
+// sorted, and hashed with their tags, then the page count.
+func (e *refEpoch) addr() Addr {
+	h := uint64(14695981039346656037)
+	mix := func(v uint64) {
+		for i := 0; i < 8; i++ {
+			h ^= v & 0xff
+			h *= 1099511628211
+			v >>= 8
+		}
+	}
+	vbas := make([]int64, 0, len(e.blocks))
+	for vba := range e.blocks {
+		vbas = append(vbas, vba)
+	}
+	slices.Sort(vbas)
 	for _, vba := range vbas {
-		newAgg.append(vba)
+		mix(uint64(vba))
+		mix(uint64(e.blocks[vba]))
 	}
-	v.Agg = newAgg
-	v.Cur = NewDelta(CurBase)
-	v.writesSinceMeta = 0
-	return newAgg.Bytes()
+	mix(uint64(e.memPages))
+	return Addr(h)
 }
 
-// TestMergeMatchesReference drives the in-place Merge and refMerge
-// through the same seeded sequences of writes, merges and free-block
-// sets, reordering and not, and requires every observable of the two
-// volumes to agree after each step: both deltas' indexes and log
-// orders, sizes, the content views and where each block reads from.
-func TestMergeMatchesReference(t *testing.T) {
+type refEntry struct {
+	e    *refEpoch
+	refs int
+}
+
+// refStore models ChainStore: refcounted, content-addressed epochs.
+type refStore struct {
+	epochs              map[Addr]*refEntry
+	gcBytes, dedupBytes int64
+}
+
+func (cs *refStore) retain(e *refEpoch) (*refEpoch, Addr) {
+	a := e.addr()
+	if ent, ok := cs.epochs[a]; ok {
+		ent.refs++
+		if ent.e != e {
+			cs.dedupBytes += e.bytes()
+		}
+		return ent.e, a
+	}
+	cs.epochs[a] = &refEntry{e: e, refs: 1}
+	return e, a
+}
+
+func (cs *refStore) release(a Addr, gc bool) {
+	ent := cs.epochs[a]
+	if ent.refs--; ent.refs == 0 {
+		delete(cs.epochs, a)
+		if gc {
+			cs.gcBytes += ent.e.bytes()
+		}
+	}
+}
+
+func (cs *refStore) exclusive(a Addr) *refEpoch {
+	ent := cs.epochs[a]
+	if ent.refs == 1 {
+		delete(cs.epochs, a)
+		return ent.e
+	}
+	ent.refs--
+	return &refEpoch{blocks: maps.Clone(ent.e.blocks), memPages: ent.e.memPages}
+}
+
+func (cs *refStore) bytes() int64 {
+	var n int64
+	for _, ent := range cs.epochs {
+		n += ent.e.bytes()
+	}
+	return n
+}
+
+// refLineage models Lineage over a refStore.
+type refLineage struct {
+	store       *refStore
+	maxDepth    int
+	base        *refEpoch
+	baseAddr    Addr
+	chain       []*refEpoch
+	addrs       []Addr
+	mergedBytes int64
+}
+
+func (cs *refStore) newLineage(maxDepth int) *refLineage {
+	l := &refLineage{store: cs, maxDepth: maxDepth}
+	l.base, l.baseAddr = cs.retain(&refEpoch{blocks: map[int64]int64{}})
+	return l
+}
+
+func (l *refLineage) commit(blocks map[int64]int64, memPages int) {
+	e, a := l.store.retain(&refEpoch{blocks: maps.Clone(blocks), memPages: memPages})
+	l.chain, l.addrs = append(l.chain, e), append(l.addrs, a)
+	for len(l.chain) > l.maxDepth {
+		oldest, oldestAddr := l.chain[0], l.addrs[0]
+		l.chain, l.addrs = l.chain[1:], l.addrs[1:]
+		base := l.store.exclusive(l.baseAddr)
+		maps.Copy(base.blocks, oldest.blocks)
+		base.memPages += oldest.memPages
+		l.mergedBytes += oldest.bytes()
+		l.store.release(oldestAddr, false)
+		l.base, l.baseAddr = l.store.retain(base)
+	}
+}
+
+func (l *refLineage) fork() *refLineage {
+	nl := *l
+	nl.chain, nl.addrs, nl.mergedBytes = slices.Clone(l.chain), slices.Clone(l.addrs), 0
+	for _, a := range append([]Addr{l.baseAddr}, l.addrs...) {
+		l.store.epochs[a].refs++
+	}
+	return &nl
+}
+
+func (l *refLineage) release() {
+	for _, a := range append([]Addr{l.baseAddr}, l.addrs...) {
+		l.store.release(a, true)
+	}
+}
+
+func (l *refLineage) drop(isFree func(vba int64) bool) {
+	if isFree == nil {
+		return
+	}
+	drop := func(e *refEpoch, a Addr) (*refEpoch, Addr) {
+		touched := false
+		for vba := range e.blocks {
+			touched = touched || isFree(vba)
+		}
+		if !touched {
+			return e, a
+		}
+		e = l.store.exclusive(a)
+		maps.DeleteFunc(e.blocks, func(vba, _ int64) bool { return isFree(vba) })
+		return l.store.retain(e)
+	}
+	l.base, l.baseAddr = drop(l.base, l.baseAddr)
+	for i := range l.chain {
+		l.chain[i], l.addrs[i] = drop(l.chain[i], l.addrs[i])
+	}
+}
+
+func (l *refLineage) materialize() map[int64]int64 {
+	out := maps.Clone(l.base.blocks)
+	for _, e := range l.chain {
+		maps.Copy(out, e.blocks)
+	}
+	return out
+}
+
+func (l *refLineage) segments() []Segment {
+	out := []Segment{{l.baseAddr, l.base.bytes()}}
+	for i, e := range l.chain {
+		out = append(out, Segment{l.addrs[i], e.bytes()})
+	}
+	return out
+}
+
+// oracleBranch pairs a volume and its lineage with their models.
+type oracleBranch struct {
+	v  *Volume
+	l  *Lineage
+	rv *refVolume
+	rl *refLineage
+}
+
+// driveOracle runs seeded steps on volumes and the model side by side
+// and compares every observable after each step. Without chains the
+// steps are writes and merges only; with them they add commits (with
+// and without a retroactive drop), drops, forks and releases of
+// branches whose lineages share one store, and prunes on every commit
+// past a small depth bound.
+func driveOracle(t *testing.T, seed int64, steps int, reorder func(*rand.Rand) bool, chains bool) {
 	const blocks = 96
-	for _, mode := range []string{"reorder", "append-order", "mixed"} {
-		for seed := int64(1); seed <= 8; seed++ {
-			rng := rand.New(rand.NewSource(seed))
-			sGot, sWant := sim.New(seed), sim.New(seed)
-			got, want := newTestVolume(sGot), newTestVolume(sWant)
-			for step := 0; step < 200; step++ {
-				switch op := rng.Intn(10); {
-				case op < 7:
-					off := int64(rng.Intn(blocks)) * BlockSize
-					n := int64(1+rng.Intn(4)) * BlockSize
-					if off+n > blocks*BlockSize {
-						n = blocks*BlockSize - off
-					}
-					got.Write(off, n, nil)
-					want.Write(off, n, nil)
-					sGot.Run()
-					sWant.Run()
-				default:
-					reorder := mode == "reorder" || (mode == "mixed" && rng.Intn(2) == 0)
-					var isFree func(int64) bool
-					if rng.Intn(2) == 0 {
-						free := make(map[int64]bool)
-						for i := rng.Intn(8); i > 0; i-- {
-							free[int64(rng.Intn(blocks))] = true
-						}
-						isFree = func(vba int64) bool { return free[vba] }
-					}
-					g, w := got.Merge(reorder, isFree), refMerge(want, reorder, isFree)
-					if g != w {
-						t.Fatalf("%s seed %d step %d: Merge = %d, reference %d", mode, seed, step, g, w)
-					}
-					compareVolumes(t, got, want, isFree, blocks)
-				}
+	rng := rand.New(rand.NewSource(seed))
+	s := sim.New(seed)
+	cs, rs := NewChainStore(), &refStore{epochs: map[Addr]*refEntry{}}
+	depth := 1 + rng.Intn(3)
+	branches := []*oracleBranch{{v: newTestVolume(s), l: cs.NewLineage(depth), rv: newRefVolume(), rl: rs.newLineage(depth)}}
+	for step := 0; step < steps; step++ {
+		var isFree func(int64) bool
+		if rng.Intn(2) == 0 {
+			free := make(map[int64]bool)
+			for i := rng.Intn(8); i > 0; i-- {
+				free[int64(rng.Intn(blocks))] = true
 			}
-			compareVolumes(t, got, want, nil, blocks)
+			isFree = func(vba int64) bool { return free[vba] }
+		}
+		bi := rng.Intn(len(branches))
+		br := branches[bi]
+		op := rng.Intn(10)
+		if chains {
+			op = rng.Intn(20)
+		}
+		switch {
+		case op < 7:
+			first, n := int64(rng.Intn(blocks)), int64(1+rng.Intn(4))
+			n = min(n, blocks-first)
+			br.v.Write(first*BlockSize, n*BlockSize, nil)
+			br.rv.write(first, n)
+			s.Run()
+		case op < 10:
+			ro := reorder(rng)
+			if g, w := br.v.Merge(ro, isFree), br.rv.merge(ro, isFree); g != w {
+				t.Fatalf("seed %d step %d: Merge = %d, reference %d", seed, step, g, w)
+			}
+		case op < 14:
+			got, want := br.v.EpochBlocks(isFree), br.rv.view(br.rv.curIndex, isFree)
+			if !slices.Equal(got, runOf(want)) {
+				t.Fatalf("seed %d step %d: epoch blocks %v, reference %v", seed, step, got, want)
+			}
+			mem := rng.Intn(3)
+			br.l.Commit(got, mem)
+			br.rl.commit(want, mem)
+			if rng.Intn(2) == 0 {
+				br.l.Drop(isFree)
+				br.rl.drop(isFree)
+			}
+			br.v.Merge(true, isFree)
+			br.rv.merge(true, isFree)
+		case op < 16:
+			br.l.Drop(isFree)
+			br.rl.drop(isFree)
+		case op < 18:
+			// A branch starts from its parent's checkpoint state: the
+			// parent's merged volume and a fork of its lineage.
+			br.v.Merge(true, nil)
+			br.rv.merge(true, nil)
+			nb := &oracleBranch{v: newTestVolume(s), l: br.l.Fork(), rv: newRefVolume(), rl: br.rl.fork()}
+			nb.v.Agg, nb.v.merged = br.v.Snapshot(nil), br.v.merged
+			nb.rv.content, nb.rv.writeSeq = maps.Clone(br.rv.content), br.rv.writeSeq
+			nb.rv.aggIndex, nb.rv.aggOrder = maps.Clone(br.rv.aggIndex), slices.Clone(br.rv.aggOrder)
+			branches = append(branches, nb)
+		default:
+			if len(branches) > 1 {
+				br.l.Release()
+				br.rl.release()
+				branches = slices.Delete(branches, bi, bi+1)
+			}
+		}
+		for _, b := range branches {
+			compareBranch(t, seed, step, b, isFree, blocks, chains)
+		}
+		if chains && (cs.Entries() != len(rs.epochs) || cs.GCBytes != rs.gcBytes ||
+			cs.DedupBytes != rs.dedupBytes || cs.StoredBytes() != rs.bytes()) {
+			t.Fatalf("seed %d step %d: store entries/gc/dedup/stored %d/%d/%d/%d, reference %d/%d/%d/%d",
+				seed, step, cs.Entries(), cs.GCBytes, cs.DedupBytes, cs.StoredBytes(),
+				len(rs.epochs), rs.gcBytes, rs.dedupBytes, rs.bytes())
 		}
 	}
 }
 
-// compareVolumes fails the test unless got and want agree on every
-// observable the swap pipeline and the read path use.
-func compareVolumes(t *testing.T, got, want *Volume, isFree func(int64) bool, blocks int64) {
+// compareBranch fails the test unless a branch and its model agree on
+// every observable the swap pipeline, the read path and the store use.
+func compareBranch(t *testing.T, seed int64, step int, b *oracleBranch, isFree func(int64) bool, blocks int64, chains bool) {
 	t.Helper()
-	for _, d := range []struct {
-		name      string
-		got, want *Delta
-	}{{"agg", got.Agg, want.Agg}, {"cur", got.Cur, want.Cur}} {
-		if !maps.Equal(d.got.Index, d.want.Index) {
-			t.Fatalf("%s index %v, reference %v", d.name, d.got.Index, d.want.Index)
-		}
-		if !slices.Equal(d.got.Order, d.want.Order) {
-			t.Fatalf("%s order %v, reference %v", d.name, d.got.Order, d.want.Order)
-		}
-		if d.got.Bytes() != d.want.Bytes() {
-			t.Fatalf("%s bytes %d, reference %d", d.name, d.got.Bytes(), d.want.Bytes())
-		}
+	v, r := b.v, b.rv
+	if len(v.Agg) != len(r.aggOrder) || v.Cur.Slots() != len(r.curOrder) {
+		t.Fatalf("seed %d step %d: agg/cur slots %d/%d, reference %d/%d",
+			seed, step, len(v.Agg), v.Cur.Slots(), len(r.aggOrder), len(r.curOrder))
 	}
-	if !maps.Equal(got.Snapshot(isFree), want.Snapshot(isFree)) {
-		t.Fatal("snapshot differs from reference")
+	if got, want := v.Snapshot(isFree), runOf(r.view(r.content, isFree)); !slices.Equal(got, want) {
+		t.Fatalf("seed %d step %d: snapshot %v, reference %v", seed, step, got, want)
 	}
-	if !maps.Equal(got.EpochBlocks(isFree), want.EpochBlocks(isFree)) {
-		t.Fatal("epoch blocks differ from reference")
+	if got, want := v.EpochBlocks(isFree), runOf(r.view(r.curIndex, isFree)); !slices.Equal(got, want) {
+		t.Fatalf("seed %d step %d: epoch blocks %v, reference %v", seed, step, got, want)
 	}
 	for vba := int64(0); vba < blocks; vba++ {
-		if g, w := got.locate(vba), want.locate(vba); g != w {
-			t.Fatalf("block %d reads from %d, reference %d", vba, g, w)
+		if g, w := v.locate(vba), r.lba(vba); g != w {
+			t.Fatalf("seed %d step %d: block %d reads from %d, reference %d", seed, step, vba, g, w)
 		}
 	}
-	if got.ReadsCur != want.ReadsCur || got.ReadsAgg != want.ReadsAgg || got.ReadsGolden != want.ReadsGolden {
-		t.Fatal("read level counters differ from reference")
+	if !chains {
+		return
+	}
+	l, rl := b.l, b.rl
+	if got, want := l.Materialize(), runOf(rl.materialize()); !slices.Equal(got, want) {
+		t.Fatalf("seed %d step %d: materialized %v, reference %v", seed, step, got, want)
+	}
+	if got, want := l.Segments(), rl.segments(); !slices.Equal(got, want) {
+		t.Fatalf("seed %d step %d: segments (addr, bytes) %v, reference %v", seed, step, got, want)
+	}
+	if l.Depth() != len(rl.chain) || l.ReplayBytes() != rl.base.bytes()+sumBytes(rl.chain) || l.MergedBytes != rl.mergedBytes {
+		t.Fatalf("seed %d step %d: depth/replay/merged %d/%d/%d, reference %d/%d/%d", seed, step,
+			l.Depth(), l.ReplayBytes(), l.MergedBytes, len(rl.chain), rl.base.bytes()+sumBytes(rl.chain), rl.mergedBytes)
+	}
+}
+
+func sumBytes(es []*refEpoch) int64 {
+	var n int64
+	for _, e := range es {
+		n += e.bytes()
+	}
+	return n
+}
+
+// TestMergeMatchesReference drives writes and merges, reordering and
+// not, with and without free-block sets, and requires the volume to
+// agree with the map-based model after each step: delta sizes, where
+// every block reads from, the snapshot and the epoch blocks.
+func TestMergeMatchesReference(t *testing.T) {
+	for _, mode := range []struct {
+		name    string
+		reorder func(*rand.Rand) bool
+	}{
+		{"reorder", func(*rand.Rand) bool { return true }},
+		{"append-order", func(*rand.Rand) bool { return false }},
+		{"mixed", func(r *rand.Rand) bool { return r.Intn(2) == 0 }},
+	} {
+		t.Run(mode.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 8; seed++ {
+				driveOracle(t, seed, 200, mode.reorder, false)
+			}
+		})
+	}
+}
+
+// TestRunsMatchMapReference adds the checkpoint chain to the oracle:
+// commits, prunes, forks, drops and releases on several branches sharing
+// one store must leave every lineage's replay view, content addresses,
+// depth, replay and merged bytes, and the store's entry count, GC,
+// dedup and stored bytes, equal to the map-based model's.
+func TestRunsMatchMapReference(t *testing.T) {
+	for seed := int64(1); seed <= 12; seed++ {
+		driveOracle(t, seed, 400, func(r *rand.Rand) bool { return r.Intn(4) != 0 }, true)
 	}
 }

@@ -8,15 +8,16 @@
 // appended at the log head, so COW never performs a read-before-write
 // (§5.3, the order-of-magnitude improvement over stock LVM snapshots —
 // OriginalLVM mode models the stock behaviour for Fig. 8's comparison).
-// Reads cost a current-delta hash lookup, then an aggregated-delta hash
-// lookup, then fall through to the golden image's linear addressing.
+// Reads cost a current-delta hash lookup, then a binary search of the
+// aggregated delta, then fall through to golden's linear addressing.
 //
 // After a swap-out, the current delta is merged into the aggregated
-// delta offline; the merge re-sorts blocks by virtual address to restore
+// delta offline; the merge lays blocks out by virtual address to restore
 // locality lost across repeated swap cycles (§5.3).
 package storage
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -66,8 +67,47 @@ const (
 	CopyAreaBase = 120 << 30            // stock-LVM copy-aside region
 )
 
-// Delta is one COW branch: a hash index from virtual block number to a
-// slot in an append-only on-disk log.
+// Block is a virtual block address (VBA) tagged with the sequence number
+// of the write that last filled it: equal tags mean the same bytes, so
+// views of a volume compare for byte-identity without storing data.
+// Blocks travel as runs: sorted by VBA, each VBA at most once.
+type Block struct {
+	VBA, Tag int64
+}
+
+// find reports where vba is, or would go, in the run.
+func find(run []Block, vba int64) (int, bool) {
+	return slices.BinarySearchFunc(run, vba, func(b Block, vba int64) int { return cmp.Compare(b.VBA, vba) })
+}
+
+// mergeRuns merges run add into run dst, add winning where both hold a
+// VBA. It works backwards inside dst's storage (grown if short), so a
+// dst with spare capacity costs no allocation; add is only read.
+func mergeRuns(dst, add []Block) []Block {
+	i, k := len(dst)-1, len(dst)+len(add)-1
+	dst = slices.Grow(dst, len(add))[:k+1]
+	for j := len(add) - 1; j >= 0; k-- {
+		if i >= 0 && dst[i].VBA > add[j].VBA {
+			dst[k], i = dst[i], i-1
+			continue
+		}
+		if i >= 0 && dst[i].VBA == add[j].VBA {
+			i-- // superseded
+		}
+		dst[k], j = add[j], j-1
+	}
+	// Each superseded block left one unwritten slot between dst[:i+1]
+	// and the merged tail dst[k+1:].
+	if k > i {
+		dst = dst[:i+1+copy(dst[i+1:], dst[k+1:])]
+	}
+	return dst
+}
+
+func byVBA(a, b Block) int { return cmp.Compare(a.VBA, b.VBA) }
+
+// Delta is the current delta: a hash index from virtual block number to
+// a slot in an append-only on-disk redo log.
 type Delta struct {
 	// Index maps a virtual block address to its occupied log slot.
 	Index map[int64]int64
@@ -131,10 +171,14 @@ type Volume struct {
 
 	// GoldenBytes is the immutable golden image's size.
 	GoldenBytes int64
-	// Agg is the aggregated delta (all changes from previous swap-ins);
-	// Cur the current delta (changes since the last swap-in).
-	Agg *Delta
+	// Agg is the aggregated delta (all changes from previous swap-ins)
+	// as a run; its log starts at AggBase. Cur is the current delta
+	// (changes since the last swap-in).
+	Agg []Block
 	Cur *Delta
+	// aggSlots gives each Agg block's log slot; nil means the log is in
+	// VBA order (Agg[i] in slot i), as every reordering merge leaves it.
+	aggSlots []int64
 
 	// MetadataEvery controls how often a redo-log append must also
 	// update an on-disk metadata region (a long seek). On a fresh disk
@@ -154,12 +198,11 @@ type Volume struct {
 	// granularity) that have already been preserved.
 	cowCopied map[int64]bool
 
-	// content tags every written block with a monotonically increasing
-	// write sequence number, so two views of the volume can be compared
-	// for byte-identity without storing data: equal tags mean the block
-	// was last written by the same write, hence holds the same bytes.
-	content  map[int64]int64
-	writeSeq int64
+	// merged counts the block writes merged into Agg. Each block write
+	// is tagged with the next sequence number, so current-delta slot s
+	// holds tag merged+s+1.
+	merged int64
+	run    []Block // Merge's scratch run of the current delta
 
 	// ReadsCur, ReadsAgg and ReadsGolden count which level satisfied
 	// each block lookup; CowCopies counts stock-LVM copy-asides.
@@ -174,7 +217,6 @@ func NewVolume(disk *node.Disk, goldenBytes int64, mode Mode) *Volume {
 		Disk:          disk,
 		Mode:          mode,
 		GoldenBytes:   goldenBytes,
-		Agg:           NewDelta(AggBase),
 		Cur:           NewDelta(CurBase),
 		MetadataEvery: 96,
 	}
@@ -215,9 +257,12 @@ func (v *Volume) locate(vba int64) int64 {
 		v.ReadsCur++
 		return lba
 	}
-	if lba := v.Agg.lookup(vba); lba >= 0 {
+	if i, ok := find(v.Agg, vba); ok {
 		v.ReadsAgg++
-		return lba
+		if v.aggSlots != nil {
+			i = int(v.aggSlots[i])
+		}
+		return AggBase + int64(i)*BlockSize
 	}
 	v.ReadsGolden++
 	return GoldenBase + vba*BlockSize
@@ -284,11 +329,6 @@ func (v *Volume) Write(off, n int64, done func()) {
 				v.Disk.Submit(&node.DiskRequest{Op: node.Write, LBA: CopyAreaBase + v.CowCopies*lvmChunk, Bytes: lvmChunk})
 			}
 		}
-		if v.content == nil {
-			v.content = make(map[int64]int64)
-		}
-		v.writeSeq++
-		v.content[b] = v.writeSeq
 		spans = append(spans, span{lba: v.Cur.append(b), n: BlockSize})
 		if v.MetadataEvery > 0 {
 			v.writesSinceMeta++
@@ -309,102 +349,91 @@ func (v *Volume) CurrentDeltaBytes(isFree func(vba int64) bool) int64 {
 	return v.Cur.LiveBytes(isFree)
 }
 
-// EpochBlocks returns the content-tagged view of the current delta —
-// every block dirtied since the last Merge, keyed by virtual block
-// address — optionally after free-block elimination. This is the
-// per-epoch diff an incremental swap-out uploads and commits to a
-// checkpoint Lineage.
-func (v *Volume) EpochBlocks(isFree func(vba int64) bool) map[int64]int64 {
-	out := make(map[int64]int64, len(v.Cur.Index))
-	for vba := range v.Cur.Index {
-		if isFree != nil && isFree(vba) {
-			continue
+// curRun appends the current delta to dst as a run, each block tagged
+// by its slot, leaving out blocks isFree (optional) reports freed.
+func (v *Volume) curRun(dst []Block, isFree func(vba int64) bool) []Block {
+	for vba, slot := range v.Cur.Index {
+		if isFree == nil || !isFree(vba) {
+			dst = append(dst, Block{VBA: vba, Tag: v.merged + slot + 1})
 		}
-		out[vba] = v.content[vba]
 	}
-	return out
+	slices.SortFunc(dst, byVBA)
+	return dst
+}
+
+// EpochBlocks returns the current delta — every block dirtied since the
+// last Merge — as a fresh run, optionally after free-block elimination.
+// This is the per-epoch diff an incremental swap-out uploads and commits
+// to a checkpoint Lineage, which takes the run over.
+func (v *Volume) EpochBlocks(isFree func(vba int64) bool) []Block {
+	return v.curRun(make([]Block, 0, len(v.Cur.Index)), isFree)
 }
 
 // Snapshot returns the content-tagged view of every block ever written
-// (current plus aggregated history), optionally after free-block
-// elimination — the "full checkpoint" a replayed delta chain must
-// reconstruct exactly.
-func (v *Volume) Snapshot(isFree func(vba int64) bool) map[int64]int64 {
-	out := make(map[int64]int64, len(v.content))
-	for vba, tag := range v.content {
-		if isFree != nil && isFree(vba) {
-			continue
-		}
-		out[vba] = tag
+// (current plus aggregated history) as a fresh run, optionally after
+// free-block elimination — the "full checkpoint" a replayed delta chain
+// must reconstruct exactly.
+func (v *Volume) Snapshot(isFree func(vba int64) bool) []Block {
+	out := mergeRuns(slices.Clone(v.Agg), v.curRun(nil, nil))
+	if isFree != nil {
+		out = slices.DeleteFunc(out, func(b Block) bool { return isFree(b.VBA) })
 	}
 	return out
 }
 
 // Merge folds the current delta into the aggregated delta and empties
 // it, as the offline post-swap-out step does. When reorder is true the
-// merged log is re-sorted by virtual block address, restoring locality
-// for subsequent sequential reads; isFree (optional) drops freed blocks.
-// It reports the merged delta's size in bytes.
+// merged log is laid out by virtual block address, restoring locality
+// for subsequent sequential reads; isFree (optional) drops freed blocks
+// for good, so reads fall through to golden. It reports the merged
+// delta's size in bytes.
 //
-// The merge works in place: the aggregated index and log order are
-// rebuilt inside their own map and slice, and the current delta is
-// cleared rather than replaced, so a volume going through swap cycles
-// reuses the same storage every epoch. A caller must therefore not hold
-// v.Agg or v.Cur, or their Index or Order, across a merge; the swap
-// pipeline only reads Cur.Slots() before it merges.
+// The merge works in place: the current delta's run joins the
+// aggregated run in one linear pass inside its storage, and the current
+// delta is cleared, not replaced, so swap cycles reuse the same storage.
+// A caller must not hold v.Agg, v.Cur.Index or v.Cur.Order
+// across a merge; the swap pipeline only reads Cur.Slots() before it.
 func (v *Volume) Merge(reorder bool, isFree func(vba int64) bool) int64 {
-	agg, cur := v.Agg, v.Cur
-	// Fold the current blocks into the aggregated index; every slot is
-	// reassigned below.
-	for vba := range cur.Index {
-		agg.Index[vba] = -1
+	cur := v.Cur
+	var log []int64 // unordered: every VBA in log order, aggregated first
+	if !reorder {
+		log = make([]int64, len(v.Agg), len(v.Agg)+len(cur.Order))
+		for i, b := range v.Agg {
+			if v.aggSlots != nil {
+				i = int(v.aggSlots[i])
+			}
+			log[i] = b.VBA
+		}
+		log = append(log, cur.Order...)
 	}
 	if isFree != nil {
-		for vba := range agg.Index {
-			if isFree(vba) {
-				// Eliminated for good: the block leaves the delta history, so
-				// reads fall through to golden and the content view must agree.
-				delete(agg.Index, vba)
-				delete(v.content, vba)
+		v.Agg = slices.DeleteFunc(v.Agg, func(b Block) bool { return isFree(b.VBA) })
+	}
+	v.run = v.curRun(v.run[:0], isFree)
+	v.Agg, v.aggSlots = mergeRuns(v.Agg, v.run), nil
+	if !reorder {
+		// The baseline §5.3's reorder improves on: each surviving block
+		// takes the next slot at its first appearance in the log.
+		v.aggSlots = make([]int64, len(v.Agg))
+		for i := range v.aggSlots {
+			v.aggSlots[i] = -1
+		}
+		var next int64
+		for _, vba := range log {
+			if i, ok := find(v.Agg, vba); ok && v.aggSlots[i] < 0 {
+				v.aggSlots[i], next = next, next+1
 			}
 		}
 	}
-	vbas := agg.Order[:0]
-	if reorder {
-		for vba := range agg.Index {
-			vbas = append(vbas, vba)
-		}
-		slices.Sort(vbas)
-		for slot, vba := range vbas {
-			agg.Index[vba] = int64(slot)
-		}
-	} else {
-		// Preserve historical append order: aggregated first, then
-		// current, each surviving block taking a slot at its first
-		// appearance (-1 marks one not yet placed). agg.Order holds each
-		// block once, so compacting it in place never writes ahead of
-		// the read position.
-		for vba := range agg.Index {
-			agg.Index[vba] = -1
-		}
-		for _, order := range [2][]int64{agg.Order, cur.Order} {
-			for _, vba := range order {
-				if slot, ok := agg.Index[vba]; ok && slot < 0 {
-					agg.Index[vba] = int64(len(vbas))
-					vbas = append(vbas, vba)
-				}
-			}
-		}
-	}
-	agg.Order = vbas
+	v.merged += int64(len(cur.Order))
 	clear(cur.Index)
 	cur.Order = cur.Order[:0]
 	v.writesSinceMeta = 0
-	return agg.Bytes()
+	return int64(len(v.Agg)) * BlockSize
 }
 
 // String summarizes the volume for diagnostics.
 func (v *Volume) String() string {
 	return fmt.Sprintf("volume[%s] golden=%dMB agg=%dMB cur=%dMB",
-		v.Mode, v.GoldenBytes>>20, v.Agg.Bytes()>>20, v.Cur.Bytes()>>20)
+		v.Mode, v.GoldenBytes>>20, int64(len(v.Agg))*BlockSize>>20, v.Cur.Bytes()>>20)
 }

@@ -67,8 +67,8 @@ func TestRepeatedSwapCycleMergesAccumulate(t *testing.T) {
 		s.Run()
 		v.Merge(true, nil)
 	}
-	if got := v.Agg.Bytes(); got != 12*BlockSize {
-		t.Fatalf("aggregated = %d blocks worth", got/BlockSize)
+	if got := len(v.Agg); got != 12 {
+		t.Fatalf("aggregated = %d blocks", got)
 	}
 	if v.Cur.Slots() != 0 {
 		t.Fatal("cur not empty after merges")

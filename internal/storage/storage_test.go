@@ -25,7 +25,7 @@ func TestWriteGoesToCurrentDelta(t *testing.T) {
 	if v.Cur.Slots() != 1 {
 		t.Fatalf("cur slots = %d", v.Cur.Slots())
 	}
-	if v.Agg.Slots() != 0 {
+	if len(v.Agg) != 0 {
 		t.Fatal("agg polluted")
 	}
 }

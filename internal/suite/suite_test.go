@@ -13,6 +13,7 @@ import (
 	"emucheck"
 	"emucheck/internal/scenario"
 	"emucheck/internal/scengen"
+	"emucheck/internal/storage"
 )
 
 // loadExamples parses every shipped example scenario.
@@ -188,7 +189,7 @@ func TestInvariantsAreNotVacuous(t *testing.T) {
 		}
 		// A lineage no tenant owns commits an epoch: its entry is
 		// unreachable from any live lineage the suite can see.
-		c.Chains.NewLineage(0).Commit(map[int64]int64{0: 1 << 20}, 4)
+		c.Chains.NewLineage(0).Commit([]storage.Block{{VBA: 0, Tag: 1 << 20}}, 4)
 		if inv := checkChains(c); inv.Ok {
 			t.Fatal("orphaned chain entry not flagged")
 		}

@@ -973,7 +973,7 @@ func (m *Manager) CommitEpoch(done func(moved int64)) {
 	type pendingCommit struct {
 		n        *Node
 		lin      *storage.Lineage
-		blocks   map[int64]int64
+		blocks   []storage.Block
 		memPages int
 		// pooled marks an epoch whose bytes already crossed to the pool
 		// in the transfer stage (remote tier, or a snapshot disk known

@@ -1,6 +1,7 @@
 package swap
 
 import (
+	"slices"
 	"testing"
 
 	"emucheck/internal/metrics"
@@ -180,7 +181,7 @@ func TestStandaloneManagerMirrorsPrivateStore(t *testing.T) {
 // chain state through every backend, and that state must match the
 // volume's own snapshot (the lineage correctness invariant).
 func TestTieredReplayByteIdentical(t *testing.T) {
-	materialize := func(be *storage.Tier, cacheMB int64) (map[int64]int64, map[int64]int64) {
+	materialize := func(be *storage.Tier, cacheMB int64) ([]storage.Block, []storage.Block) {
 		r := newTierRig(21, be, cacheMB)
 		runCycles(t, r, 4)
 		lin := r.m.Lineage("n0")
@@ -190,15 +191,10 @@ func TestTieredReplayByteIdentical(t *testing.T) {
 	diskChain, diskVol := materialize(storage.NewDiskTier(0), 0)
 	remoteChain, remoteVol := materialize(storage.NewRemoteTier(), 256)
 
-	equal := func(name string, got, want map[int64]int64) {
+	equal := func(name string, got, want []storage.Block) {
 		t.Helper()
-		if len(got) != len(want) {
-			t.Fatalf("%s: %d blocks vs %d", name, len(got), len(want))
-		}
-		for vba, tag := range want {
-			if got[vba] != tag {
-				t.Fatalf("%s: block %d tag %d vs %d", name, vba, got[vba], tag)
-			}
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: %v vs %v", name, got, want)
 		}
 	}
 	equal("disk vs legacy chain", diskChain, legacyChain)

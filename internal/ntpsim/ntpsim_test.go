@@ -221,3 +221,45 @@ func TestMemoizedErrorAtAllocatesNothing(t *testing.T) {
 		t.Fatalf("memoized ErrorAt: %v allocs", allocs)
 	}
 }
+
+// TestDrawsMatchMathRand holds the directly computed stream to
+// rand.New(rand.NewSource(seed)): the first three outputs on 100 000
+// random seeds plus zero, negative seeds and multiples of the seeding
+// modulus (which reduce to zero), the Intn(2)/Float64/Int63 draws the
+// model makes, and outputs past the third, which come from a real source.
+func TestDrawsMatchMathRand(t *testing.T) {
+	seeds := []int64{0, 1, -1, -2, math.MinInt64, math.MaxInt64, lcgMod, -lcgMod, 2 * lcgMod, 12345 * lcgMod, lcgMod - 1, lcgMod + 1, 89482311}
+	gen := rand.New(rand.NewSource(42))
+	for i := 0; i < 100000; i++ {
+		s := gen.Int63()
+		if i%2 == 1 {
+			s = -s
+		}
+		seeds = append(seeds, s)
+	}
+	for i, seed := range seeds {
+		got, want := newStream(seed), rand.New(rand.NewSource(seed))
+		outputs := 3
+		if i < 1000 {
+			outputs = 8 // past the three computed ones
+		}
+		for k := 0; k < outputs; k++ {
+			if g, w := got.Int63(), want.Int63(); g != w {
+				t.Fatalf("seed %d output %d: %d, math/rand %d", seed, k, g, w)
+			}
+		}
+		if i >= 1000 {
+			continue
+		}
+		got, want = newStream(seed), rand.New(rand.NewSource(seed))
+		if g, w := got.intn2(), want.Intn(2); g != w {
+			t.Fatalf("seed %d: Intn(2) %d, math/rand %d", seed, g, w)
+		}
+		if g, w := got.float64(), want.Float64(); g != w {
+			t.Fatalf("seed %d: Float64 %v, math/rand %v", seed, g, w)
+		}
+		if g, w := got.Int63(), want.Int63(); g != w {
+			t.Fatalf("seed %d: Int63 %d, math/rand %d", seed, g, w)
+		}
+	}
+}

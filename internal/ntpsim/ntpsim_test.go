@@ -144,10 +144,9 @@ func TestPropertyBounded(t *testing.T) {
 	}
 }
 
-// freshDraws is the reference the reseeded source must match: the
-// node's start-up draws and the steady-state floor of each epoch, each
-// from its own rand.NewSource, as the model drew them before it kept
-// one source per Sync.
+// freshDraws is the reference the model's draws must match: the node's
+// start-up draws and the steady-state floor of each epoch, each from
+// its own rand.NewSource.
 type freshDraws struct {
 	amp  float64
 	salt int64

@@ -391,8 +391,8 @@ func (v *Volume) Snapshot(isFree func(vba int64) bool) []Block {
 // The merge works in place: the current delta's run joins the
 // aggregated run in one linear pass inside its storage, and the current
 // delta is cleared, not replaced, so swap cycles reuse the same storage.
-// A caller must not hold v.Agg, v.Cur.Index or v.Cur.Order
-// across a merge; the swap pipeline only reads Cur.Slots() before it.
+// A caller must not hold v.Agg, v.Cur.Index or v.Cur.Order across a
+// merge; the swap pipeline only reads Cur.Slots() before it merges.
 func (v *Volume) Merge(reorder bool, isFree func(vba int64) bool) int64 {
 	cur := v.Cur
 	var log []int64 // unordered: every VBA in log order, aggregated first

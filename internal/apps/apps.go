@@ -113,6 +113,13 @@ func (e *tcpEnv) NewTimer(name string, fn func()) tcpsim.Timer {
 	return e.k.FW.NewTimer(firewall.TimerJob, name, fn)
 }
 
-func (e *tcpEnv) Output(seg *tcpsim.Segment) {
-	e.k.Send(e.peer, seg.WireSize(), &guest.Message{Port: e.port, Data: seg})
+// Output sends seg in one allocation: the segment, the message that
+// carries it and that message's packet share one heap object.
+func (e *tcpEnv) Output(seg tcpsim.Segment) {
+	f := &struct {
+		m   guest.Message
+		seg tcpsim.Segment
+	}{seg: seg}
+	f.m.Port, f.m.Data = e.port, &f.seg
+	e.k.Send(e.peer, seg.WireSize(), &f.m)
 }

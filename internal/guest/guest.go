@@ -25,9 +25,15 @@ import (
 
 // Message is the envelope guest applications exchange. Port multiplexes
 // services on a node (an iperf sink, a BitTorrent peer, an event agent).
+//
+// A message embeds the packet it travels in, so a message and its
+// packet are one heap object. Kernel.Send takes the message over:
+// build a fresh Message for every send.
 type Message struct {
 	Port string
 	Data any
+
+	pkt simnet.Packet
 }
 
 // BlockBackend is where guest block I/O lands: the raw disk for a plain
@@ -328,9 +334,17 @@ func (k *Kernel) Handle(port string, h func(from simnet.Addr, m *Message)) {
 // Each packet costs XenNetTxCost of CPU inside the firewall before
 // hitting the NIC, so the tx path stalls during checkpoints and slows
 // under dom0 interference.
+//
+// Send allocates nothing: m travels in its embedded packet. Send takes
+// ownership of m, since the network, or a delay-node snapshot, may hold
+// that packet after delivery; a second Send of the same message panics.
 func (k *Kernel) Send(dst simnet.Addr, size int, m *Message) {
-	pkt := &simnet.Packet{Dst: dst, Size: size, Payload: m}
-	k.txq.Push(pkt)
+	if m.pkt.Payload != nil {
+		panic(fmt.Sprintf("guest: %s: message on port %q sent twice", k.Name, m.Port))
+	}
+	// pkt is zero until its first Send: set only what Send owns.
+	m.pkt.Dst, m.pkt.Size, m.pkt.Payload = dst, size, m
+	k.txq.Push(&m.pkt)
 	if !k.txBusy {
 		k.txPump()
 	}

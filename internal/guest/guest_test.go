@@ -1,6 +1,8 @@
 package guest
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -97,6 +99,34 @@ func TestSendReceive(t *testing.T) {
 	}
 	if ka.SentPackets != 1 || kb.RcvdPackets != 1 {
 		t.Fatal("packet counters")
+	}
+}
+
+func TestSendMessageTwicePanics(t *testing.T) {
+	s, ka, _ := kernelPair(1)
+	m := &Message{Port: "echo"}
+	ka.Send("b", 100, m)
+	s.Run()
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "sent twice") {
+			t.Fatalf("second send of one message: recovered %v, want a sent-twice panic", r)
+		}
+	}()
+	ka.Send("b", 100, m)
+}
+
+// TestSendMessageAllocs holds a send of a fresh message, delivered end
+// to end, to the one allocation of the message itself: its packet is
+// embedded in it.
+func TestSendMessageAllocs(t *testing.T) {
+	s, ka, kb := kernelPair(1)
+	kb.Handle("echo", func(simnet.Addr, *Message) {})
+	allocs := testing.AllocsPerRun(100, func() {
+		ka.Send("b", 100, &Message{Port: "echo"})
+		s.Run()
+	})
+	if allocs != 1 {
+		t.Fatalf("%.2f allocations per send, want 1", allocs)
 	}
 }
 

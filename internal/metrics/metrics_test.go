@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -9,6 +10,30 @@ import (
 
 	"emucheck/internal/sim"
 )
+
+// TestSeriesAddAllocs holds an append-only series to geometric growth:
+// 1<<20 samples take one allocation per doubling from 64, where
+// append's 1.25x large-slice growth takes about 39.
+func TestSeriesAddAllocs(t *testing.T) {
+	const n = 1 << 20
+	s := NewSeries("x")
+	allocs := testing.AllocsPerRun(1, func() {
+		s.Samples = nil
+		for i := 0; i < n; i++ {
+			s.Add(sim.Time(i), float64(i))
+		}
+	})
+	if limit := math.Ceil(math.Log2(n/64)) + 1; allocs > limit {
+		t.Fatalf("%v allocations for %d samples, limit %v", allocs, n, limit)
+	}
+	var ref []Sample
+	for i := 0; i < n; i++ {
+		ref = append(ref, Sample{sim.Time(i), float64(i)})
+	}
+	if !slices.Equal(s.Samples, ref) {
+		t.Fatal("samples differ from a plain append")
+	}
+}
 
 func TestSeriesBasics(t *testing.T) {
 	s := NewSeries("x")

@@ -599,15 +599,13 @@ func workloadSetup(c *emucheck.Cluster, e *Experiment, st *ExpStats) func(*emuch
 		return func(s *emucheck.Session) {
 			self := s.Scenario.Spec.Name
 			k := s.Kernel(first)
-			var step func()
-			step = func() {
-				k.Usleep(100*sim.Millisecond, func() {
-					st.Ticks++
-					c.Touch(self)
-					step()
-				})
+			var tick func()
+			tick = func() {
+				st.Ticks++
+				c.Touch(self)
+				k.Usleep(100*sim.Millisecond, tick)
 			}
-			step()
+			k.Usleep(100*sim.Millisecond, tick)
 		}
 	case "pingpong":
 		a, b := e.Nodes[0].Name, e.Nodes[1].Name
@@ -634,16 +632,15 @@ func workloadSetup(c *emucheck.Cluster, e *Experiment, st *ExpStats) func(*emuch
 			self := s.Scenario.Spec.Name
 			k := s.Kernel(first)
 			var off int64
-			var step func()
-			step = func() {
-				k.WriteDisk(1<<30+off%(1<<30), 512<<10, func() {
-					off += 512 << 10
-					st.Ticks++
-					c.Touch(self)
-					k.Usleep(sim.Second, step)
-				})
+			var write, wrote func()
+			write = func() { k.WriteDisk(1<<30+off%(1<<30), 512<<10, wrote) }
+			wrote = func() {
+				off += 512 << 10
+				st.Ticks++
+				c.Touch(self)
+				k.Usleep(sim.Second, write)
 			}
-			step()
+			write()
 		}
 	case "racyelect":
 		return racyElectSetup(c, e, st)

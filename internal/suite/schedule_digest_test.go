@@ -1,6 +1,8 @@
 package suite
 
 import (
+	"math"
+	"slices"
 	"testing"
 
 	"emucheck"
@@ -78,31 +80,44 @@ func TestScheduleDigestReplaysInProcess(t *testing.T) {
 }
 
 // maxAllocsPerSegment bounds the heap allocations one TCP data segment
-// costs on the steady packet path, with its ACK: the segment, the
-// message and packet envelopes of the segment and the ACK, and the
-// ACK itself. Events, firewall handles, delay-line slots and closures
-// are all reused.
-const maxAllocsPerSegment = 8
+// costs on the steady packet path, with its ACK: one object per guest
+// message, for the data segment and for its ACK, each holding the
+// segment, its message and the message's packet. Events, firewall
+// handles, delay-line slots and closures are all reused.
+const maxAllocsPerSegment = 2
 
 // TestPacketPathAllocsPerSegment holds the Fig 6 stream to its
 // allocation budget over two simulated seconds of 1 Gbps iperf, after
 // a warm-up second that grows the pools to their peak.
+//
+// Two costs outside the packet path are kept out of the count. The
+// receiver's packet trace is the app's tcpdump: it doubles when full
+// (TestSeriesAddAllocs bounds that), so room for every window is
+// reserved up front. And the Go runtime can allocate inside a window
+// on its own, as when a GC mark worker blocks on a semaphore and takes
+// a fresh sudog; that only ever adds, so the best of three windows is
+// the path's cost. A per-segment allocation shows in every window.
 func TestPacketPathAllocsPerSegment(t *testing.T) {
 	sess, ip := fig6Session(1)
 	sess.RunFor(sim.Second)
-	segs := 0
-	allocs := testing.AllocsPerRun(1, func() {
-		s0 := ip.Sender.SegmentsSent
-		sess.RunFor(2 * sim.Second)
-		segs = ip.Sender.SegmentsSent - s0
-	})
-	if segs == 0 {
-		t.Fatal("no segments sent")
+	ip.Trace.Samples = slices.Grow(ip.Trace.Samples, 1<<20)
+	best := math.Inf(1)
+	for range 3 {
+		segs := 0
+		allocs := testing.AllocsPerRun(1, func() {
+			s0 := ip.Sender.SegmentsSent
+			sess.RunFor(2 * sim.Second)
+			segs = ip.Sender.SegmentsSent - s0
+		})
+		if segs == 0 {
+			t.Fatal("no segments sent")
+		}
+		t.Logf("%.0f allocs over %d segments", allocs, segs)
+		best = min(best, allocs/float64(segs))
 	}
-	perSeg := allocs / float64(segs)
-	t.Logf("%.0f allocs over %d segments: %.2f per segment", allocs, segs, perSeg)
-	if perSeg > maxAllocsPerSegment {
-		t.Fatalf("%.2f allocs per segment, budget %d", perSeg, maxAllocsPerSegment)
+	t.Logf("%.2f allocs per segment", best)
+	if best > maxAllocsPerSegment {
+		t.Fatalf("%.2f allocs per segment, budget %d", best, maxAllocsPerSegment)
 	}
 }
 

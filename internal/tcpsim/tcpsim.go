@@ -49,13 +49,15 @@ type Timer interface {
 }
 
 // Env abstracts the guest kernel services TCP needs. Timers must be
-// guest virtual-time timers (inside the firewall); Output hands a
-// segment to the network path.
+// guest virtual-time timers (inside the firewall).
 type Env interface {
 	Now() sim.Time
 	// NewTimer returns an idle Timer that runs fn each time it fires.
 	NewTimer(name string, fn func()) Timer
-	Output(seg *Segment)
+	// Output hands a segment to the network path. The segment comes by
+	// value, so the sender and receiver allocate nothing per segment;
+	// the environment decides where the copy lives on the wire.
+	Output(seg Segment)
 }
 
 // Sender is the transmitting half of a one-directional stream.
@@ -138,7 +140,7 @@ func (s *Sender) pump() {
 		if s.goal >= 0 && s.goal-s.nxt < n {
 			n = s.goal - s.nxt
 		}
-		seg := &Segment{Conn: s.conn, Seq: s.nxt, Len: int(n), Wnd: s.rwnd, SentV: s.env.Now()}
+		seg := Segment{Conn: s.conn, Seq: s.nxt, Len: int(n), Wnd: s.rwnd, SentV: s.env.Now()}
 		if s.rttSeq < 0 {
 			// Time this segment for SRTT (Karn's rule: only new data).
 			s.rttSeq = s.nxt
@@ -198,7 +200,7 @@ func (s *Sender) retransmit() {
 	}
 	s.Retransmits++
 	s.SegmentsSent++
-	s.env.Output(&Segment{Conn: s.conn, Seq: s.una, Len: int(n), Wnd: s.rwnd, Rtx: true, SentV: s.env.Now()})
+	s.env.Output(Segment{Conn: s.conn, Seq: s.una, Len: int(n), Wnd: s.rwnd, Rtx: true, SentV: s.env.Now()})
 }
 
 // HandleSegment processes an inbound (pure-ACK) segment from the peer.
@@ -322,7 +324,7 @@ func (r *Receiver) HandleSegment(g *Segment) {
 		r.DupData++
 	}
 	r.AcksSent++
-	r.env.Output(&Segment{Conn: r.conn, Ack: r.rcvNxt, Wnd: r.wnd, SentV: r.env.Now()})
+	r.env.Output(Segment{Conn: r.conn, Ack: r.rcvNxt, Wnd: r.wnd, SentV: r.env.Now()})
 }
 
 // OOOSegments reports buffered out-of-order segments (sorted, for tests).

@@ -20,13 +20,13 @@ func (e *fakeEnv) Now() sim.Time { return e.s.Now() }
 func (e *fakeEnv) NewTimer(name string, fn func()) Timer {
 	return simTimer{e.s.NewTimer(name, fn)}
 }
-func (e *fakeEnv) Output(g *Segment) {
+func (e *fakeEnv) Output(g Segment) {
 	e.sent++
 	if g.Len > 0 && e.dropSeq[g.Seq] && !g.Rtx {
 		delete(e.dropSeq, g.Seq)
 		return
 	}
-	e.s.After(e.delay, "net", func() { e.peer(g) })
+	e.s.After(e.delay, "net", func() { e.peer(&g) })
 }
 
 // simTimer adapts a plain simulator timer to Timer.

@@ -38,21 +38,12 @@ func main() {
 	)
 	flag.Parse()
 
-	iters4, iters5 := 6000, 600
-	fileMB7 := int64(3 << 10) // the paper's 3 GB torrent
-	fileMB8 := int64(512)
-	copyMB9 := int64(512)
+	sz := sizesFor(*quick)
 	ticksTS := int64(0) // timeshare default: 900 ticks per tenant
-	if *quick {
-		iters4, iters5 = 1500, 150
-		fileMB7 = 512
-		fileMB8 = 256
-		copyMB9 = 256
-		// ticksTS stays at the default: a shorter target parks each
-		// tenant at most once, and a first swap-out is always a full
-		// save, which would erase the incremental-vs-full comparison
-		// the timeshare table exists to show.
-	}
+	// ticksTS stays at the default under -quick: a shorter target parks
+	// each tenant at most once, and a first swap-out is always a full
+	// save, which would erase the incremental-vs-full comparison the
+	// timeshare table exists to show.
 
 	type renderer interface{ Render() string }
 	results := make(map[string]any)
@@ -79,12 +70,12 @@ func main() {
 		}
 	}
 
-	run(4, func() renderer { return evalrun.Fig4(*seed, iters4) })
-	run(5, func() renderer { return evalrun.Fig5(*seed, iters5) })
+	run(4, func() renderer { return evalrun.Fig4(*seed, sz.iters4) })
+	run(5, func() renderer { return evalrun.Fig5(*seed, sz.iters5) })
 	run(6, func() renderer { return evalrun.Fig6(*seed) })
-	run(7, func() renderer { return evalrun.Fig7(*seed, fileMB7) })
-	run(8, func() renderer { return evalrun.Fig8(*seed, fileMB8) })
-	run(9, func() renderer { return evalrun.Fig9(*seed, copyMB9) })
+	run(7, func() renderer { return evalrun.Fig7(*seed, sz.fileMB7) })
+	run(8, func() renderer { return evalrun.Fig8(*seed, sz.fileMB8) })
+	run(9, func() renderer { return evalrun.Fig9(*seed, sz.copyMB9) })
 	runT("swap", "Stateful swapping (§7.2)", func() renderer { return evalrun.SwapTable(*seed) })
 	runT("freeblock", "Free-block elimination (§5.1)", func() renderer { return evalrun.FreeBlockTable(*seed) })
 	runT("sync", "Checkpoint synchronization (§4.3)", func() renderer { return evalrun.SyncTable(*seed) })
@@ -107,4 +98,19 @@ func main() {
 		}
 		fmt.Println(string(out))
 	}
+}
+
+// sizes are the figure workload sizes.
+type sizes struct {
+	iters4, iters5            int
+	fileMB7, fileMB8, copyMB9 int64
+}
+
+// sizesFor returns the full sizes, or the reduced ones of -quick.
+func sizesFor(quick bool) sizes {
+	if quick {
+		return sizes{iters4: 1500, iters5: 150, fileMB7: 512, fileMB8: 256, copyMB9: 256}
+	}
+	// fileMB7 is the paper's 3 GB torrent.
+	return sizes{iters4: 6000, iters5: 600, fileMB7: 3 << 10, fileMB8: 512, copyMB9: 512}
 }

@@ -1,11 +1,15 @@
 // Package dummynet models the FreeBSD Dummynet traffic-shaping subsystem
 // that Emulab delay nodes run (Rizzo 1997, paper §2, §4.4).
 //
-// A Pipe shapes one direction of an emulated link: packets first wait in
-// a bounded FIFO "router queue", drain through a bandwidth stage (one
-// packet transmitting at a time at the configured rate), and then sit in
-// a delay line for the link's propagation delay before being emitted
-// downstream.
+// A Pipe shapes one direction of an emulated link: packets wait in a
+// bounded FIFO router queue, drain through a bandwidth stage (one packet
+// transmitting at a time at the configured rate), and then sit in a
+// delay line for the link's propagation delay before being emitted
+// downstream. Both stages are fixed-rate FIFOs, so a packet's exit times
+// are known the moment it enters: it leaves the bandwidth stage at
+// txEnd = max(arrival, previous txEnd) + size/bandwidth and is emitted
+// at txEnd + delay. The pipe therefore fires one event per packet, its
+// emission; queue and delay-line membership are read off txEnd.
 //
 // The package implements the paper's delay-node checkpoint: a live,
 // non-destructive serialization of the whole pipe hierarchy — every
@@ -25,16 +29,17 @@ import (
 // DefaultQueueSlots matches Dummynet's default 50-slot router queue.
 const DefaultQueueSlots = 50
 
-// slot is a packet in the delay line, due to be emitted at emit. Its
-// timer's callback is bound once, when the pipe first allocates the
-// slot; an emitted slot goes back to the pipe's free list for the next
-// packet, so a pipe in steady state allocates no slots, events or
-// closures per packet.
+// slot is a packet inside the pipe: in the router queue until txEnd,
+// then in the delay line until emit. Its timer's callback is bound
+// once, when the pipe first allocates the slot; an emitted slot goes
+// back to the pipe's free list for the next packet, so a pipe in
+// steady state allocates no slots, events or closures per packet.
 type slot struct {
-	p    *Pipe
-	pkt  *simnet.Packet
-	emit sim.Time // absolute, in real simulation time
-	tm   sim.Timer
+	p     *Pipe
+	pkt   *simnet.Packet
+	txEnd sim.Time // leaves the bandwidth stage
+	emit  sim.Time // leaves the delay line
+	tm    sim.Timer
 }
 
 // Pipe is one shaping stage: bandwidth + delay + loss + bounded queue.
@@ -43,22 +48,28 @@ type Pipe struct {
 	sim  *sim.Simulator
 	out  simnet.Port
 
-	// Configuration, mirroring a `pipe config` in Dummynet.
+	// Configuration, mirroring a `pipe config` in Dummynet. A change of
+	// Bandwidth or Delay applies to packets accepted after it.
 	Bandwidth simnet.Bitrate // 0 means unlimited
 	Delay     sim.Time
 	PLR       float64 // packet loss rate in [0,1]
 	Slots     int     // router queue capacity in packets
 
-	queue   sim.FIFO[*simnet.Packet] // router queue; head is transmitting next
-	headTx  sim.Timer                // bandwidth-stage completion of the head
-	headEnd sim.Time                 // when the head packet finishes transmitting
-	line    sim.FIFO[*slot]          // delay line, in entry order
-	free    []*slot                  // emitted slots for reuse
-	emitTag string                   // event label of delay-line emissions
+	// slots holds every packet inside, in entry order; txEnd never
+	// decreases along it, so the router queue is its tail.
+	slots   sim.FIFO[*slot]
+	lastEnd sim.Time // txEnd of the newest packet
+	free    []*slot  // emitted slots for reuse
+	emitTag string   // event label of emissions
 
-	frozen   bool
-	frozeAt  sim.Time
-	headLeft sim.Time // remaining tx time of head packet at freeze
+	// While frozen, txEnd and emit stay in the frame of frozeAt; Thaw
+	// shifts them by the frozen interval. held counts the newest
+	// packets, accepted or restored while frozen: a stopped bandwidth
+	// stage sends nothing, so they stay queued until Thaw even when
+	// their transmission takes no time.
+	frozen  bool
+	frozeAt sim.Time
+	held    int
 
 	// Statistics.
 	Enqueued uint64
@@ -69,75 +80,62 @@ type Pipe struct {
 
 // NewPipe creates a shaping pipe feeding out.
 func NewPipe(s *sim.Simulator, name string, bw simnet.Bitrate, delay sim.Time, out simnet.Port) *Pipe {
-	p := &Pipe{
+	return &Pipe{
 		name: name, sim: s, out: out,
 		Bandwidth: bw, Delay: delay, Slots: DefaultQueueSlots,
 		emitTag: name + ".emit",
 	}
-	s.InitTimer(&p.headTx, name+".tx", p.finishHead)
-	return p
 }
 
-// Name reports the pipe's configured name.
-func (p *Pipe) Name() string { return p.name }
+// clock is the pipe's current time: now, or the freeze instant while
+// frozen.
+func (p *Pipe) clock() sim.Time {
+	if p.frozen {
+		return p.frozeAt
+	}
+	return p.sim.Now()
+}
 
 // QueueLen reports packets waiting in (or transmitting from) the router
-// queue.
-func (p *Pipe) QueueLen() int { return p.queue.Len() }
+// queue. A packet whose transmission ends now has left it.
+func (p *Pipe) QueueLen() int {
+	now, n := p.clock(), 0
+	for i := p.slots.Len() - 1; i >= 0 && p.slots.At(i).txEnd > now; i-- {
+		n++
+	}
+	return max(n, p.held)
+}
 
 // InFlight reports packets currently in the delay line — the
 // bandwidth-delay product the paper's delay-node checkpoint captures.
-func (p *Pipe) InFlight() int { return p.line.Len() }
+func (p *Pipe) InFlight() int { return p.slots.Len() - p.QueueLen() }
 
-// Accept implements simnet.Port: a packet enters the router queue.
+// Accept implements simnet.Port: a packet enters the router queue. A
+// frozen delay node is checkpoint-quiesced; with synchronized
+// checkpoints the endpoints are frozen too, so a frozen Accept only
+// happens inside the skew window. The packet is queued if there is
+// room: it is part of the captured network state.
 func (p *Pipe) Accept(pkt *simnet.Packet) {
-	if p.frozen {
-		// A frozen delay node is checkpoint-quiesced; with synchronized
-		// checkpoints the endpoints are frozen too, so this only happens
-		// inside the skew window. Queue the packet if there is room: it
-		// is part of the captured network state.
-		if p.queue.Len() >= p.Slots {
-			p.Dropped++
-			return
-		}
-		p.Enqueued++
-		p.queue.Push(pkt)
-		return
-	}
-	if p.PLR > 0 && p.sim.Rand().Float64() < p.PLR {
+	if !p.frozen && p.PLR > 0 && p.sim.Rand().Float64() < p.PLR {
 		p.PLRDrops++
 		return
 	}
-	if p.queue.Len() >= p.Slots {
+	if p.QueueLen() >= p.Slots {
 		p.Dropped++
 		return
 	}
 	p.Enqueued++
-	p.queue.Push(pkt)
-	if p.queue.Len() == 1 {
-		p.startHead()
+	if p.frozen {
+		p.held++
 	}
+	txEnd := max(p.clock(), p.lastEnd) + p.Bandwidth.TxTime(pkt.Size)
+	p.admit(pkt, txEnd, txEnd+p.Delay)
 }
 
-// startHead begins the bandwidth stage for the queue head.
-func (p *Pipe) startHead() {
-	if p.queue.Len() == 0 || p.frozen {
-		return
-	}
-	tx := p.Bandwidth.TxTime(p.queue.Peek().Size)
-	p.headEnd = p.sim.Now() + tx
-	p.headTx.Schedule(p.headEnd)
-}
-
-// finishHead moves the head packet into the delay line.
-func (p *Pipe) finishHead() {
-	p.enterDelayLine(p.queue.Pop(), p.sim.Now()+p.Delay)
-	p.startHead()
-}
-
-// enterDelayLine appends pkt to the delay line, due at emit, and arms
-// its emission unless the pipe is frozen.
-func (p *Pipe) enterDelayLine(pkt *simnet.Packet, emit sim.Time) {
+// admit appends pkt to the pipe, due to leave the bandwidth stage at
+// txEnd and the delay line at emit, and arms its emission unless the
+// pipe is frozen.
+func (p *Pipe) admit(pkt *simnet.Packet, txEnd, emit sim.Time) {
 	var sl *slot
 	if n := len(p.free); n > 0 {
 		sl = p.free[n-1]
@@ -146,8 +144,9 @@ func (p *Pipe) enterDelayLine(pkt *simnet.Packet, emit sim.Time) {
 		sl = &slot{p: p}
 		p.sim.InitTimer(&sl.tm, p.emitTag, sl.fire)
 	}
-	sl.pkt, sl.emit = pkt, emit
-	p.line.Push(sl)
+	sl.pkt, sl.txEnd, sl.emit = pkt, txEnd, emit
+	p.slots.Push(sl)
+	p.lastEnd = txEnd
 	if !p.frozen {
 		sl.tm.Schedule(emit)
 	}
@@ -158,14 +157,10 @@ func (sl *slot) fire() {
 	p := sl.p
 	// Emissions leave in entry order unless Delay shrank while packets
 	// were in flight.
-	if p.line.Peek() == sl {
-		p.line.Pop()
-	} else {
-		for i := 1; i < p.line.Len(); i++ {
-			if p.line.At(i) == sl {
-				p.line.Remove(i)
-				break
-			}
+	for i := 0; i < p.slots.Len(); i++ {
+		if p.slots.At(i) == sl {
+			p.slots.Remove(i)
+			break
 		}
 	}
 	pkt := sl.pkt
@@ -182,23 +177,18 @@ func (p *Pipe) recycle(sl *slot) {
 	p.free = append(p.free, sl)
 }
 
-// Freeze suspends the pipe non-destructively: the bandwidth stage and all
-// delay-line emissions are unhooked with their remaining times recorded.
-// This is the "suspend Dummynet" step of the delay-node checkpoint.
+// Freeze suspends the pipe non-destructively: every emission is
+// unhooked, and the transmission and emission times stay as they were,
+// to be shifted by the frozen interval on Thaw. This is the "suspend
+// Dummynet" step of the delay-node checkpoint.
 func (p *Pipe) Freeze() {
 	if p.frozen {
 		return
 	}
 	p.frozen = true
 	p.frozeAt = p.sim.Now()
-	if p.headTx.Pending() {
-		p.headLeft = p.headEnd - p.sim.Now()
-		p.headTx.Stop()
-	} else {
-		p.headLeft = -1
-	}
-	for i := 0; i < p.line.Len(); i++ {
-		p.line.At(i).tm.Stop()
+	for i := 0; i < p.slots.Len(); i++ {
+		p.slots.At(i).tm.Stop()
 	}
 }
 
@@ -206,34 +196,24 @@ func (p *Pipe) Freeze() {
 func (p *Pipe) Frozen() bool { return p.frozen }
 
 // Thaw resumes the pipe, virtualizing away the frozen interval: every
-// packet resumes with exactly the remaining delay it had at freeze time,
-// so the shaped link characteristics observed by the experiment are
-// unchanged (§4.4 "resume execution by unblocking Dummynet and
-// virtualizing time to account for the time spent in the checkpoint").
+// packet resumes with exactly the remaining transmission and delay it
+// had at freeze time, so the shaped link characteristics observed by
+// the experiment are unchanged (§4.4 "resume execution by unblocking
+// Dummynet and virtualizing time to account for the time spent in the
+// checkpoint").
 func (p *Pipe) Thaw() {
 	if !p.frozen {
 		return
 	}
-	p.frozen = false
-	now := p.sim.Now()
-	// Re-arm delay line with remaining delays.
-	for i := 0; i < p.line.Len(); i++ {
-		sl := p.line.At(i)
-		remaining := sl.emit - p.frozeAt
-		if remaining < 0 {
-			remaining = 0
-		}
-		sl.emit = now + remaining
+	p.frozen, p.held = false, 0
+	shift := p.sim.Now() - p.frozeAt
+	p.lastEnd += shift
+	for i := 0; i < p.slots.Len(); i++ {
+		sl := p.slots.At(i)
+		sl.txEnd += shift
+		sl.emit += shift
 		sl.tm.Schedule(sl.emit)
 	}
-	// Re-arm the bandwidth stage.
-	if p.headLeft >= 0 && p.queue.Len() > 0 {
-		p.headEnd = now + p.headLeft
-		p.headTx.Schedule(p.headEnd)
-	} else if p.queue.Len() > 0 {
-		p.startHead()
-	}
-	p.headLeft = -1
 }
 
 // PacketState is one serialized packet with its shaping progress.
@@ -281,50 +261,48 @@ func (p *Pipe) Serialize() (*PipeState, error) {
 		return nil, fmt.Errorf("dummynet: serialize of running pipe %s", p.name)
 	}
 	st := &PipeState{
-		Name: p.name, Bandwidth: p.Bandwidth, Delay: p.Delay, PLR: p.PLR, Slots: p.Slots,
-		HeadTxLeft:  p.headLeft,
-		StatsEnq:    p.Enqueued,
-		StatsEmit:   p.Emitted,
-		StatsDrop:   p.Dropped,
-		StatsPLRDrp: p.PLRDrops,
+		Name: p.name, Bandwidth: p.Bandwidth, Delay: p.Delay, PLR: p.PLR, Slots: p.Slots, HeadTxLeft: -1,
+		StatsEnq: p.Enqueued, StatsEmit: p.Emitted, StatsDrop: p.Dropped, StatsPLRDrp: p.PLRDrops,
 	}
-	for i := 0; i < p.queue.Len(); i++ {
-		st.Queue = append(st.Queue, PacketState{Packet: p.queue.At(i).Clone()})
-	}
-	for i := 0; i < p.line.Len(); i++ {
-		sl := p.line.At(i)
-		st.DelayLine = append(st.DelayLine, PacketState{
-			Packet:         sl.pkt.Clone(),
-			RemainingDelay: sl.emit - p.frozeAt,
-		})
+	for i := 0; i < p.slots.Len(); i++ {
+		sl := p.slots.At(i)
+		if sl.txEnd <= p.frozeAt && i < p.slots.Len()-p.held {
+			st.DelayLine = append(st.DelayLine, PacketState{
+				Packet:         sl.pkt.Clone(),
+				RemainingDelay: sl.emit - p.frozeAt,
+			})
+			continue
+		}
+		if len(st.Queue) == 0 {
+			st.HeadTxLeft = sl.txEnd - p.frozeAt
+		}
+		st.Queue = append(st.Queue, PacketState{Packet: sl.pkt.Clone()})
 	}
 	return st, nil
 }
 
 // Restore reconstructs the pipe from a serialized state. The pipe comes
-// back frozen; Thaw resumes it with the captured remaining delays.
+// back frozen; Thaw resumes it with the captured remaining delays and
+// the head's remaining transmission.
 func (p *Pipe) Restore(st *PipeState) {
 	p.Freeze()
-	p.Bandwidth = st.Bandwidth
-	p.Delay = st.Delay
-	p.PLR = st.PLR
-	p.Slots = st.Slots
-	p.Enqueued = st.StatsEnq
-	p.Emitted = st.StatsEmit
-	p.Dropped = st.StatsDrop
-	p.PLRDrops = st.StatsPLRDrp
-	p.queue.Clear()
-	for _, q := range st.Queue {
-		p.queue.Push(q.Packet.Clone())
-	}
-	for p.line.Len() > 0 {
-		p.recycle(p.line.Pop())
+	p.Bandwidth, p.Delay, p.PLR, p.Slots = st.Bandwidth, st.Delay, st.PLR, st.Slots
+	p.Enqueued, p.Emitted, p.Dropped, p.PLRDrops = st.StatsEnq, st.StatsEmit, st.StatsDrop, st.StatsPLRDrp
+	for p.slots.Len() > 0 {
+		p.recycle(p.slots.Pop())
 	}
 	p.frozeAt = p.sim.Now()
 	for _, d := range st.DelayLine {
-		p.enterDelayLine(d.Packet.Clone(), p.frozeAt+d.RemainingDelay)
+		p.admit(d.Packet.Clone(), p.frozeAt, p.frozeAt+d.RemainingDelay)
 	}
-	p.headLeft = st.HeadTxLeft
+	p.lastEnd, p.held = p.frozeAt, len(st.Queue)
+	for i, q := range st.Queue {
+		tx := p.Bandwidth.TxTime(q.Packet.Size)
+		if i == 0 && st.HeadTxLeft >= 0 {
+			tx = st.HeadTxLeft
+		}
+		p.admit(q.Packet.Clone(), p.lastEnd+tx, p.lastEnd+tx+p.Delay)
+	}
 }
 
 // DelayNode is an Emulab delay node interposed on one duplex link: one
@@ -372,7 +350,7 @@ func (d *DelayNode) Thaw() {
 
 // InFlight reports the total captured bandwidth-delay packets.
 func (d *DelayNode) InFlight() int {
-	return d.Forward.InFlight() + d.Reverse.InFlight() + d.Forward.QueueLen() + d.Reverse.QueueLen()
+	return d.Forward.slots.Len() + d.Reverse.slots.Len()
 }
 
 // State is a serialized delay node.

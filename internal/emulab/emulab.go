@@ -251,24 +251,18 @@ func (tb *Testbed) SwapIn(spec Spec) (*Experiment, error) {
 		}
 	}
 
-	// Attach each node's egress router. Map order is harmless: each
-	// node's attach touches only its own NIC and schedules nothing.
+	// Attach each node's egress router. A node on one segment sends
+	// everything there; one on several resolves the segment by
+	// destination when it sends. Map order is harmless: each node's
+	// attach touches only its own NIC and schedules nothing.
 	for name, n := range e.Nodes {
 		table := routes[name]
-		switch len(table) {
-		case 0:
-			// Isolated node: leave unattached.
-		case 1:
-			for _, p := range table {
+		for dst, p := range table {
+			if len(table) == 1 {
 				n.M.ExpNIC.Attach(p)
+			} else {
+				n.M.ExpNIC.Route(dst, p)
 			}
-		default:
-			t := table
-			n.M.ExpNIC.Attach(simnet.PortFunc(func(pkt *simnet.Packet) {
-				if out, ok := t[pkt.Dst]; ok {
-					out.Accept(pkt)
-				}
-			}))
 		}
 	}
 

@@ -31,6 +31,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"time"
 
 	"emucheck/internal/emulab"
@@ -401,6 +402,22 @@ func (e *Experiment) Spec() emulab.Spec {
 	return sp
 }
 
+// checkShaping reports each shaping value of a link or LAN that is
+// negative, NaN or infinite, and a loss percentage above 100.
+func checkShaping(bad func(string, ...any), where string, bandwidthMbps, delayMs, lossPct float64) {
+	for _, v := range [...]struct {
+		name string
+		v    float64
+	}{{"bandwidth_mbps", bandwidthMbps}, {"delay_ms", delayMs}, {"loss_pct", lossPct}} {
+		switch {
+		case v.v < 0 || math.IsNaN(v.v) || math.IsInf(v.v, 0):
+			bad("%s: %s %v must be a finite non-negative number", where, v.name, v.v)
+		case v.name == "loss_pct" && v.v > 100:
+			bad("%s: loss_pct %v exceeds 100", where, v.v)
+		}
+	}
+}
+
 // Validate checks the scenario semantically; it returns every problem
 // found, not just the first.
 func Validate(f *File) []error {
@@ -506,8 +523,10 @@ func Validate(f *File) []error {
 			if !local[l.A] || !local[l.B] {
 				bad("experiment %q: link %s-%s references unknown node", e.Name, l.A, l.B)
 			}
+			checkShaping(bad, fmt.Sprintf("experiment %q: link %s-%s", e.Name, l.A, l.B), l.BandwidthMbps, l.DelayMs, l.LossPct)
 		}
 		for _, lan := range e.LANs {
+			checkShaping(bad, fmt.Sprintf("experiment %q: LAN %s", e.Name, lan.Name), lan.BandwidthMbps, 0, 0)
 			for _, m := range lan.Members {
 				if !local[m] {
 					bad("experiment %q: LAN %s references unknown node %s", e.Name, lan.Name, m)

@@ -1,6 +1,9 @@
 package scenario
 
 import (
+	"math"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -63,6 +66,16 @@ func TestValidateNegativeTable(t *testing.T) {
 		{"link-unknown-node", func(f *File) { f.Experiments[1].Links[0].B = "ghost" }, "link b-ghost references unknown node"},
 		{"lan-unknown-node", func(f *File) { f.Experiments[1].LANs = []LAN{{Name: "l", Members: []string{"b", "ghost"}}} },
 			"LAN l references unknown node ghost"},
+		{"link-negative-delay", func(f *File) { f.Experiments[1].Links[0].DelayMs = -5 },
+			"link b-c: delay_ms -5 must be a finite non-negative number"},
+		{"link-nan-bandwidth", func(f *File) { f.Experiments[1].Links[0].BandwidthMbps = math.NaN() },
+			"link b-c: bandwidth_mbps NaN must be a finite non-negative number"},
+		{"link-infinite-loss", func(f *File) { f.Experiments[1].Links[0].LossPct = math.Inf(1) },
+			"link b-c: loss_pct +Inf must be a finite non-negative number"},
+		{"link-loss-over-100", func(f *File) { f.Experiments[1].Links[0].LossPct = 150 }, "link b-c: loss_pct 150 exceeds 100"},
+		{"lan-negative-bandwidth", func(f *File) {
+			f.Experiments[1].LANs = []LAN{{Name: "l", Members: []string{"b", "c"}, BandwidthMbps: -1}}
+		}, "LAN l: bandwidth_mbps -1 must be a finite non-negative number"},
 		{"exp-exceeds-pool", func(f *File) { f.Pool = 1 }, "it can never be admitted"},
 
 		// Search stanza.
@@ -180,5 +193,35 @@ func TestValidateNegativeTable(t *testing.T) {
 				t.Fatalf("want substring %q in:\n%s", tc.want, all)
 			}
 		})
+	}
+}
+
+// TestNegativeLinkDelayRejected takes the shipped swapcycle scenario
+// with a negative link delay, which once passed Validate and then
+// panicked the run by scheduling a delay-line emission in the past.
+// Validate must name the field, and the run must return that error
+// without panicking.
+func TestNegativeLinkDelayRejected(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "examples", "scenarios", "swapcycle.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := Parse(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Experiments[0].Links[0].DelayMs = -5
+	const want = `experiment "web": link weba-webb: delay_ms -5 must be a finite non-negative number`
+	errs := Validate(f)
+	if len(errs) != 1 || errs[0].Error() != want {
+		t.Fatalf("Validate: %v, want [%s]", errs, want)
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("run panicked: %v", r)
+		}
+	}()
+	if _, err := Run(f); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Run: %v, want an error naming %q", err, want)
 	}
 }

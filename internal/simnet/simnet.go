@@ -89,16 +89,11 @@ type NIC struct {
 	sim     *sim.Simulator
 	addr    Addr
 	speed   Bitrate
-	out     Port
+	out     *hop          // egress for destinations without a route
+	routes  map[Addr]*hop // per-destination egress of a multi-link node
 	handler func(*Packet)
 
 	txFreeAt sim.Time // when the transmitter finishes its current queue
-	// onWire holds the packets accepted for transmit but not yet handed
-	// downstream, with the port each leaves through. Their wire-exit
-	// events fire in send order, so each event delivers the head, and
-	// one pre-bound callback (txDone) serves every packet.
-	onWire sim.FIFO[hop]
-	txDone func()
 
 	frozen    bool
 	replay    []*Packet // arrival-ordered log of packets received while frozen
@@ -117,50 +112,90 @@ type NIC struct {
 	Dropped uint64
 }
 
-// hop is a packet in flight to the next port of its path.
+// hop is a fixed-latency FIFO path into one port: a wire's propagation,
+// a switch's forwarding, or a plain hand-off. A packet entering at t
+// arrives at t+latency, and one event per packet runs the arrival.
+// Due times entering one hop never decrease (a NIC's transmitter and
+// the clock both only move forward), so every event pops the head and
+// one bound callback serves every packet.
 type hop struct {
-	pkt *Packet
-	to  Port
+	sim     *sim.Simulator
+	name    string
+	latency sim.Time
+	arrive  func(*Packet)
+	q       sim.FIFO[*Packet]
+	fire    func()
 }
 
-// deliverHead hands the oldest in-flight packet to its port. It is
-// the callback of every event a FIFO-ordered stage (a NIC transmitter,
-// a wire, a switch) schedules, so the stage binds it once instead of
-// building a closure per packet.
-func deliverHead(q *sim.FIFO[hop]) {
-	h := q.Pop()
-	h.to.Accept(h.pkt)
+// newHop builds the path into p. A Wire or Switch contributes its delay
+// and its arrival action; any other port takes the packet directly.
+func newHop(s *sim.Simulator, p Port) *hop {
+	h := &hop{sim: s}
+	switch p := p.(type) {
+	case *Wire:
+		h.name, h.latency, h.arrive = "wire", p.delay, p.arrive
+	case *Switch:
+		h.name, h.latency, h.arrive = "switch", p.latency, p.forward
+	default:
+		h.name, h.arrive = "nic.tx", p.Accept
+	}
+	h.fire = func() { h.arrive(h.q.Pop()) }
+	return h
+}
+
+// enter sends pkt down the hop at time at, not before now.
+func (h *hop) enter(pkt *Packet, at sim.Time) {
+	h.q.Push(pkt)
+	h.sim.DoAt(at+h.latency, h.name, h.fire)
 }
 
 // NewNIC creates an interface with the given address and line rate.
 // The replay gap defaults to 1 µs, approximating back-to-back delivery
 // without creating simultaneous events.
 func NewNIC(s *sim.Simulator, addr Addr, speed Bitrate) *NIC {
-	n := &NIC{sim: s, addr: addr, speed: speed, replayGap: sim.Microsecond}
-	n.txDone = func() { deliverHead(&n.onWire) }
-	return n
+	return &NIC{sim: s, addr: addr, speed: speed, replayGap: sim.Microsecond}
 }
 
 // Addr reports the NIC's address.
 func (n *NIC) Addr() Addr { return n.addr }
 
-// Speed reports the NIC's line rate.
-func (n *NIC) Speed() Bitrate { return n.speed }
-
 // Attach connects the transmit side to a downstream port.
-func (n *NIC) Attach(out Port) { n.out = out }
+func (n *NIC) Attach(out Port) { n.out = newHop(n.sim, out) }
+
+// Route sends packets addressed to dst through out instead of the
+// attached port: the egress table of a node on several links. Once a
+// NIC has routes, a packet for a destination with neither a route nor
+// an attached port is serialized and then lost, like a frame for an
+// unknown station.
+func (n *NIC) Route(dst Addr, out Port) {
+	if n.routes == nil {
+		n.routes = make(map[Addr]*hop)
+	}
+	n.routes[dst] = newHop(n.sim, out)
+}
 
 // OnReceive installs the inbound packet handler.
 func (n *NIC) OnReceive(h func(*Packet)) { n.handler = h }
 
-// QueuedTx reports packets accepted for transmit but not yet delivered
-// to the downstream port.
-func (n *NIC) QueuedTx() int { return n.onWire.Len() }
+// QueuedTx reports packets sent but not yet arrived at the far end of
+// their first hop.
+func (n *NIC) QueuedTx() int {
+	q := 0
+	if n.out != nil {
+		q = n.out.q.Len()
+	}
+	for _, h := range n.routes {
+		q += h.q.Len()
+	}
+	return q
+}
 
-// Send serializes the packet onto the attached port, honoring the line
+// Send serializes the packet onto its egress port, honoring the line
 // rate: a packet begins transmission only after all previously queued
-// packets have left the interface. It returns the scheduled wire-exit
-// time. Sending with no attached port counts as a drop.
+// packets have left the interface. It returns the wire-exit time, and
+// schedules the packet's arrival at the far end of its first hop right
+// away, since a FIFO transmitter knows every exit time on entry.
+// Sending with no attached port counts as a drop.
 func (n *NIC) Send(pkt *Packet) sim.Time {
 	pkt.Src = n.addr
 	if pkt.Flow == "" {
@@ -169,20 +204,21 @@ func (n *NIC) Send(pkt *Packet) sim.Time {
 	n.nextID++
 	pkt.ID = n.nextID
 	pkt.SentAt = n.sim.Now()
-	if n.out == nil {
+	if n.out == nil && n.routes == nil {
 		n.Dropped++
 		return n.sim.Now()
 	}
-	start := n.sim.Now()
-	if n.txFreeAt > start {
-		start = n.txFreeAt
-	}
-	done := start + n.speed.TxTime(pkt.Size)
+	done := max(n.sim.Now(), n.txFreeAt) + n.speed.TxTime(pkt.Size)
 	n.txFreeAt = done
 	n.TX.Packets++
 	n.TX.Bytes += uint64(pkt.Size)
-	n.onWire.Push(hop{pkt, n.out})
-	n.sim.DoAt(done, "nic.tx", n.txDone)
+	h := n.out
+	if r, ok := n.routes[pkt.Dst]; ok {
+		h = r
+	}
+	if h != nil {
+		h.enter(pkt, done)
+	}
 	return done
 }
 
@@ -258,16 +294,13 @@ func (n *NIC) SetReplayGap(d sim.Time) {
 
 // Wire is a unidirectional point-to-point segment with fixed propagation
 // delay and optional random loss. Bandwidth is enforced by the sending
-// NIC (or delay-node pipe), not the wire.
+// NIC (or delay-node pipe), not the wire. The loss draw happens when a
+// packet arrives at the far end, in the same event that delivers it.
 type Wire struct {
-	sim   *sim.Simulator
 	delay sim.Time
 	loss  float64 // probability in [0,1]
 	dst   Port
-	// inFlight holds the packets propagating; with one fixed delay
-	// they arrive in the order they entered.
-	inFlight sim.FIFO[hop]
-	arrive   func()
+	in    *hop // packets handed to Accept directly, not by a NIC
 
 	Delivered uint64
 	Lost      uint64
@@ -275,36 +308,26 @@ type Wire struct {
 
 // NewWire creates a wire to dst with the given one-way propagation delay.
 func NewWire(s *sim.Simulator, delay sim.Time, dst Port) *Wire {
-	w := &Wire{sim: s, delay: delay, dst: dst}
-	w.arrive = func() {
-		w.Delivered++
-		deliverHead(&w.inFlight)
-	}
+	w := &Wire{delay: delay, dst: dst}
+	w.in = newHop(s, w)
 	return w
 }
 
 // SetLoss sets the independent per-packet loss probability.
-func (w *Wire) SetLoss(p float64) {
-	if p < 0 {
-		p = 0
-	}
-	if p > 1 {
-		p = 1
-	}
-	w.loss = p
-}
-
-// Delay reports the propagation delay.
-func (w *Wire) Delay() sim.Time { return w.delay }
+func (w *Wire) SetLoss(p float64) { w.loss = min(max(p, 0), 1) }
 
 // Accept implements Port.
-func (w *Wire) Accept(pkt *Packet) {
-	if w.loss > 0 && w.sim.Rand().Float64() < w.loss {
+func (w *Wire) Accept(pkt *Packet) { w.in.enter(pkt, w.in.sim.Now()) }
+
+// arrive completes a packet's propagation: it is lost with the wire's
+// loss probability, else delivered.
+func (w *Wire) arrive(pkt *Packet) {
+	if w.loss > 0 && w.in.sim.Rand().Float64() < w.loss {
 		w.Lost++
 		return
 	}
-	w.inFlight.Push(hop{pkt, w.dst})
-	w.sim.DoAfter(w.delay, "wire", w.arrive)
+	w.Delivered++
+	w.dst.Accept(pkt)
 }
 
 // Switch is a store-and-forward L2 switch: packets are forwarded to the
@@ -312,12 +335,9 @@ func (w *Wire) Accept(pkt *Packet) {
 // latency. Unknown destinations are dropped (experiments are closed
 // worlds; there is no flooding).
 type Switch struct {
-	sim     *sim.Simulator
 	latency sim.Time
 	ports   map[Addr]Port
-	// inFlight holds the packets being forwarded, in arrival order.
-	inFlight sim.FIFO[hop]
-	forward  func()
+	in      *hop // packets handed to Accept directly, not by a NIC
 
 	Forwarded uint64
 	Unknown   uint64
@@ -325,11 +345,8 @@ type Switch struct {
 
 // NewSwitch creates a switch with the given per-packet forwarding latency.
 func NewSwitch(s *sim.Simulator, latency sim.Time) *Switch {
-	sw := &Switch{sim: s, latency: latency, ports: make(map[Addr]Port)}
-	sw.forward = func() {
-		sw.Forwarded++
-		deliverHead(&sw.inFlight)
-	}
+	sw := &Switch{latency: latency, ports: make(map[Addr]Port)}
+	sw.in = newHop(s, sw)
 	return sw
 }
 
@@ -337,12 +354,16 @@ func NewSwitch(s *sim.Simulator, latency sim.Time) *Switch {
 func (sw *Switch) Connect(addr Addr, p Port) { sw.ports[addr] = p }
 
 // Accept implements Port.
-func (sw *Switch) Accept(pkt *Packet) {
+func (sw *Switch) Accept(pkt *Packet) { sw.in.enter(pkt, sw.in.sim.Now()) }
+
+// forward hands a packet that has crossed the switch to the port of its
+// destination.
+func (sw *Switch) forward(pkt *Packet) {
 	dst, ok := sw.ports[pkt.Dst]
 	if !ok {
 		sw.Unknown++
 		return
 	}
-	sw.inFlight.Push(hop{pkt, dst})
-	sw.sim.DoAfter(sw.latency, "switch", sw.forward)
+	sw.Forwarded++
+	dst.Accept(pkt)
 }

@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -313,5 +314,68 @@ func TestPropertyFreezeLossless(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNICHopsArriveAtDonePlusLatency routes one NIC's packets over two
+// wires of different delay and a switch. Each packet's arrival is the
+// one event its send scheduled: it must land at the transmitter's
+// exit time plus the hop's latency, and each hop must deliver in send
+// order, although later packets on the fast wire overtake packets on
+// the slow one.
+func TestNICHopsArriveAtDonePlusLatency(t *testing.T) {
+	s := sim.New(1)
+	a := NewNIC(s, "a", 100*Mbps)
+	sw := NewSwitch(s, 2*sim.Microsecond)
+	latency := map[Addr]sim.Time{"b": 3 * sim.Microsecond, "c": 50 * sim.Microsecond, "d": 2 * sim.Microsecond}
+	type arrival struct {
+		id uint64
+		at sim.Time
+	}
+	got := map[Addr][]arrival{}
+	for _, dst := range []Addr{"b", "c", "d"} {
+		dst := dst
+		n := NewNIC(s, dst, 100*Mbps)
+		n.OnReceive(func(p *Packet) { got[dst] = append(got[dst], arrival{p.ID, s.Now()}) })
+		if dst == "d" {
+			sw.Connect(dst, n)
+			a.Route(dst, sw)
+		} else {
+			a.Route(dst, NewWire(s, latency[dst], n))
+		}
+	}
+	want := map[Addr][]arrival{}
+	for i := 0; i < 60; i++ {
+		dst := []Addr{"b", "c", "d"}[i*7%3]
+		pkt := &Packet{Dst: dst, Size: 64 + i*37%1400}
+		done := a.Send(pkt)
+		want[dst] = append(want[dst], arrival{pkt.ID, done + latency[dst]})
+		if i%9 == 0 {
+			s.RunFor(30 * sim.Microsecond)
+		}
+	}
+	if a.QueuedTx() == 0 {
+		t.Fatal("nothing in flight after a burst")
+	}
+	s.Run()
+	for dst, w := range want {
+		if !slices.Equal(got[dst], w) {
+			t.Fatalf("hop to %s: arrivals %v, want %v", dst, got[dst], w)
+		}
+	}
+	if a.QueuedTx() != 0 || sw.Forwarded != uint64(len(want["d"])) {
+		t.Fatalf("queued %d, forwarded %d after drain", a.QueuedTx(), sw.Forwarded)
+	}
+	if s.Fired() != 60 {
+		t.Fatalf("%d events for 60 packets, want one each", s.Fired())
+	}
+	overtaken := false
+	for _, c := range got["c"] {
+		for _, b := range got["b"] {
+			overtaken = overtaken || b.id > c.id && b.at < c.at
+		}
+	}
+	if !overtaken {
+		t.Fatal("no packet on the fast wire overtook one on the slow wire")
 	}
 }

@@ -38,53 +38,19 @@ func main() {
 	)
 	flag.Parse()
 
-	sz := sizesFor(*quick)
-	ticksTS := int64(0) // timeshare default: 900 ticks per tenant
-	// ticksTS stays at the default under -quick: a shorter target parks
-	// each tenant at most once, and a first swap-out is always a full
-	// save, which would erase the incremental-vs-full comparison the
-	// timeshare table exists to show.
-
-	type renderer interface{ Render() string }
 	results := make(map[string]any)
 	ran := false
-	emit := func(key, title string, f func() renderer) {
+	for _, e := range experiments(*seed, *quick, *fanout) {
+		if !*all && (e.fig == 0 || e.fig != *fig) && (e.table == "" || e.table != *table) {
+			continue
+		}
 		ran = true
-		r := f()
-		results[key] = r
-		if *asJSON {
-			return
-		}
-		fmt.Printf("== %s ==\n", title)
-		fmt.Print(r.Render())
-		fmt.Println()
-	}
-	run := func(n int, f func() renderer) {
-		if *all || *fig == n {
-			emit(fmt.Sprintf("fig%d", n), fmt.Sprintf("Figure %d", n), f)
+		r := e.run()
+		results[e.key] = r
+		if !*asJSON {
+			fmt.Print(e.section(r))
 		}
 	}
-	runT := func(name, title string, f func() renderer) {
-		if *all || *table == name {
-			emit(name, title, f)
-		}
-	}
-
-	run(4, func() renderer { return evalrun.Fig4(*seed, sz.iters4) })
-	run(5, func() renderer { return evalrun.Fig5(*seed, sz.iters5) })
-	run(6, func() renderer { return evalrun.Fig6(*seed) })
-	run(7, func() renderer { return evalrun.Fig7(*seed, sz.fileMB7) })
-	run(8, func() renderer { return evalrun.Fig8(*seed, sz.fileMB8) })
-	run(9, func() renderer { return evalrun.Fig9(*seed, sz.copyMB9) })
-	runT("swap", "Stateful swapping (§7.2)", func() renderer { return evalrun.SwapTable(*seed) })
-	runT("freeblock", "Free-block elimination (§5.1)", func() renderer { return evalrun.FreeBlockTable(*seed) })
-	runT("sync", "Checkpoint synchronization (§4.3)", func() renderer { return evalrun.SyncTable(*seed) })
-	runT("dom0", "Dom0 interference (§7.1)", func() renderer { return evalrun.Dom0Jobs(*seed) })
-	runT("ablation", "Ablation: delay-node capture (§4.4)", func() renderer { return evalrun.AblationDelayNode(*seed) })
-	runT("timeshare", "Multi-tenancy: incremental vs full-copy vs stateless swapping", func() renderer { return evalrun.Timeshare(*seed, ticksTS) })
-	runT("branch", "Branch fan-out: shared-lineage vs naive per-branch full copies", func() renderer { return evalrun.BranchTable(*seed, *fanout) })
-	runT("remediate", "Unattended remediation: health-loop policies vs scripted recovery vs restart", func() renderer { return evalrun.Remediate(*seed, *quick) })
-	runT("storage", "Tiered chain storage: cached vs uncached restores at fan-out", func() renderer { return evalrun.StorageTable(*seed, *fanout) })
 
 	if !ran {
 		flag.Usage()
@@ -113,4 +79,54 @@ func sizesFor(quick bool) sizes {
 	}
 	// fileMB7 is the paper's 3 GB torrent.
 	return sizes{iters4: 6000, iters5: 600, fileMB7: 3 << 10, fileMB8: 512, copyMB9: 512}
+}
+
+// renderer is a figure or table result.
+type renderer interface{ Render() string }
+
+// experiment is one figure or table benchrunner can regenerate: a
+// figure has its number in fig, a table its -table name in table.
+type experiment struct {
+	key, title string
+	fig        int
+	table      string
+	run        func() renderer
+}
+
+// section formats r the way the CLI prints it.
+func (e experiment) section(r renderer) string {
+	return fmt.Sprintf("== %s ==\n%s\n", e.title, r.Render())
+}
+
+// experiments lists everything -all regenerates, in print order.
+func experiments(seed int64, quick bool, fanout int) []experiment {
+	sz := sizesFor(quick)
+	ticksTS := int64(0) // timeshare default: 900 ticks per tenant
+	// ticksTS stays at the default under -quick: a shorter target parks
+	// each tenant at most once, and a first swap-out is always a full
+	// save, which would erase the incremental-vs-full comparison the
+	// timeshare table exists to show.
+	fig := func(n int, f func() renderer) experiment {
+		return experiment{key: fmt.Sprintf("fig%d", n), title: fmt.Sprintf("Figure %d", n), fig: n, run: f}
+	}
+	tab := func(name, title string, f func() renderer) experiment {
+		return experiment{key: name, title: title, table: name, run: f}
+	}
+	return []experiment{
+		fig(4, func() renderer { return evalrun.Fig4(seed, sz.iters4) }),
+		fig(5, func() renderer { return evalrun.Fig5(seed, sz.iters5) }),
+		fig(6, func() renderer { return evalrun.Fig6(seed) }),
+		fig(7, func() renderer { return evalrun.Fig7(seed, sz.fileMB7) }),
+		fig(8, func() renderer { return evalrun.Fig8(seed, sz.fileMB8) }),
+		fig(9, func() renderer { return evalrun.Fig9(seed, sz.copyMB9) }),
+		tab("swap", "Stateful swapping (§7.2)", func() renderer { return evalrun.SwapTable(seed) }),
+		tab("freeblock", "Free-block elimination (§5.1)", func() renderer { return evalrun.FreeBlockTable(seed) }),
+		tab("sync", "Checkpoint synchronization (§4.3)", func() renderer { return evalrun.SyncTable(seed) }),
+		tab("dom0", "Dom0 interference (§7.1)", func() renderer { return evalrun.Dom0Jobs(seed) }),
+		tab("ablation", "Ablation: delay-node capture (§4.4)", func() renderer { return evalrun.AblationDelayNode(seed) }),
+		tab("timeshare", "Multi-tenancy: incremental vs full-copy vs stateless swapping", func() renderer { return evalrun.Timeshare(seed, ticksTS) }),
+		tab("branch", "Branch fan-out: shared-lineage vs naive per-branch full copies", func() renderer { return evalrun.BranchTable(seed, fanout) }),
+		tab("remediate", "Unattended remediation: health-loop policies vs scripted recovery vs restart", func() renderer { return evalrun.Remediate(seed, quick) }),
+		tab("storage", "Tiered chain storage: cached vs uncached restores at fan-out", func() renderer { return evalrun.StorageTable(seed, fanout) }),
+	}
 }

@@ -1,34 +1,25 @@
 package main
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-
-	"emucheck/internal/evalrun"
 )
 
-// TestPaperRowsMatchGolden pins the Fig 6, 7 and 9 tables exactly as
-// `benchrunner -fig N -quick` prints them at seed 1 to
-// testdata/paper_rows.golden. The three figures carry the packet path
-// (iperf through a delay node), many TCP streams through checkpoints,
-// and copies across a stateful swap, so a change that moves any packet's
-// delivery time shows up here as a changed row. Regenerate deliberately
+// TestPaperRowsMatchGolden pins every figure and table exactly as
+// `benchrunner -all -quick` prints them at seed 1 to
+// testdata/paper_rows.golden. The figures carry the packet path (iperf
+// through a delay node, many TCP streams through checkpoints) and copies
+// across a stateful swap; the tables carry the swap pipeline, the
+// multi-tenant scheduler, branching, remediation and tiered storage. A
+// change that moves any packet's delivery time or any transfer's
+// completion shows up here as a changed row. Regenerate deliberately
 // with `go test ./cmd/benchrunner -update` when a row is meant to move.
 func TestPaperRowsMatchGolden(t *testing.T) {
-	sz := sizesFor(true)
 	var b strings.Builder
-	for _, f := range []struct {
-		n int
-		r interface{ Render() string }
-	}{
-		{6, evalrun.Fig6(1)},
-		{7, evalrun.Fig7(1, sz.fileMB7)},
-		{9, evalrun.Fig9(1, sz.copyMB9)},
-	} {
-		fmt.Fprintf(&b, "== Figure %d ==\n%s\n", f.n, f.r.Render())
+	for _, e := range experiments(1, true, 4) {
+		b.WriteString(e.section(e.run()))
 	}
 	path := filepath.Join("testdata", "paper_rows.golden")
 	if *update {

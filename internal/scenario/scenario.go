@@ -228,19 +228,35 @@ type Node struct {
 
 // Link declares one (possibly shaped) duplex link.
 type Link struct {
-	A             string  `json:"a"`
-	B             string  `json:"b"`
+	A string `json:"a"`
+	B string `json:"b"`
+	// BandwidthMbps caps the link (0 = unshaped); at most
+	// maxBandwidthMbps, and at least 1 bit/s when positive.
 	BandwidthMbps float64 `json:"bandwidth_mbps,omitempty"`
-	DelayMs       float64 `json:"delay_ms,omitempty"`
-	LossPct       float64 `json:"loss_pct,omitempty"`
+	// DelayMs is the one-way delay, at most maxDelayMs.
+	DelayMs float64 `json:"delay_ms,omitempty"`
+	// LossPct is the packet loss percentage, at most 100.
+	LossPct float64 `json:"loss_pct,omitempty"`
 }
 
 // LAN declares a switched LAN segment.
 type LAN struct {
-	Name          string   `json:"name"`
-	Members       []string `json:"members"`
-	BandwidthMbps float64  `json:"bandwidth_mbps,omitempty"`
+	Name    string   `json:"name"`
+	Members []string `json:"members"`
+	// BandwidthMbps caps each member's access link (0 = NIC rate), with
+	// the bounds of Link.BandwidthMbps.
+	BandwidthMbps float64 `json:"bandwidth_mbps,omitempty"`
 }
+
+// Shaping bounds. A delay_ms becomes sim.Time nanoseconds and a
+// bandwidth_mbps simnet.Bitrate bits/second, both int64 (limit about
+// 9.2e18); each bound stays four orders of magnitude below it, so the
+// converted value, and a delay added to the run's clock, cannot
+// overflow.
+const (
+	maxDelayMs       = 1e9 // 1e15 ns, about 11.6 days
+	maxBandwidthMbps = 1e9 // 1e15 bit/s
+)
 
 // Event is one timed action against a named experiment.
 type Event struct {
@@ -403,18 +419,22 @@ func (e *Experiment) Spec() emulab.Spec {
 }
 
 // checkShaping reports each shaping value of a link or LAN that is
-// negative, NaN or infinite, and a loss percentage above 100.
+// negative, NaN or infinite or above its bound, and a positive
+// bandwidth below 1 bit/s (which would convert to 0, unshaped).
 func checkShaping(bad func(string, ...any), where string, bandwidthMbps, delayMs, lossPct float64) {
 	for _, v := range [...]struct {
-		name string
-		v    float64
-	}{{"bandwidth_mbps", bandwidthMbps}, {"delay_ms", delayMs}, {"loss_pct", lossPct}} {
+		name   string
+		v, max float64
+	}{{"bandwidth_mbps", bandwidthMbps, maxBandwidthMbps}, {"delay_ms", delayMs, maxDelayMs}, {"loss_pct", lossPct, 100}} {
 		switch {
 		case v.v < 0 || math.IsNaN(v.v) || math.IsInf(v.v, 0):
 			bad("%s: %s %v must be a finite non-negative number", where, v.name, v.v)
-		case v.name == "loss_pct" && v.v > 100:
-			bad("%s: loss_pct %v exceeds 100", where, v.v)
+		case v.v > v.max:
+			bad("%s: %s %v exceeds %v", where, v.name, v.v, v.max)
 		}
+	}
+	if bandwidthMbps > 0 && simnet.Bitrate(bandwidthMbps*float64(simnet.Mbps)) == 0 {
+		bad("%s: bandwidth_mbps %v is below 1 bit/s (0 means unshaped)", where, bandwidthMbps)
 	}
 }
 

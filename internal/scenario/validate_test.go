@@ -73,6 +73,14 @@ func TestValidateNegativeTable(t *testing.T) {
 		{"link-infinite-loss", func(f *File) { f.Experiments[1].Links[0].LossPct = math.Inf(1) },
 			"link b-c: loss_pct +Inf must be a finite non-negative number"},
 		{"link-loss-over-100", func(f *File) { f.Experiments[1].Links[0].LossPct = 150 }, "link b-c: loss_pct 150 exceeds 100"},
+		{"link-delay-overflow", func(f *File) { f.Experiments[1].Links[0].DelayMs = 1e13 }, "link b-c: delay_ms 1e+13 exceeds 1e+09"},
+		{"link-bandwidth-overflow", func(f *File) { f.Experiments[1].Links[0].BandwidthMbps = 1e16 },
+			"link b-c: bandwidth_mbps 1e+16 exceeds 1e+09"},
+		{"link-bandwidth-below-1bps", func(f *File) { f.Experiments[1].Links[0].BandwidthMbps = 1e-7 },
+			"link b-c: bandwidth_mbps 1e-07 is below 1 bit/s"},
+		{"lan-bandwidth-overflow", func(f *File) {
+			f.Experiments[1].LANs = []LAN{{Name: "l", Members: []string{"b", "c"}, BandwidthMbps: 1e10}}
+		}, "LAN l: bandwidth_mbps 1e+10 exceeds 1e+09"},
 		{"lan-negative-bandwidth", func(f *File) {
 			f.Experiments[1].LANs = []LAN{{Name: "l", Members: []string{"b", "c"}, BandwidthMbps: -1}}
 		}, "LAN l: bandwidth_mbps -1 must be a finite non-negative number"},
@@ -202,6 +210,21 @@ func TestValidateNegativeTable(t *testing.T) {
 // Validate must name the field, and the run must return that error
 // without panicking.
 func TestNegativeLinkDelayRejected(t *testing.T) {
+	checkLinkDelayRejected(t, -5, `experiment "web": link weba-webb: delay_ms -5 must be a finite non-negative number`)
+}
+
+// TestOverflowingLinkDelayRejected: a delay whose nanoseconds overflow
+// sim.Time once validated and then panicked the run the same way (the
+// conversion wrapped to a negative delay).
+func TestOverflowingLinkDelayRejected(t *testing.T) {
+	checkLinkDelayRejected(t, 1e13, `experiment "web": link weba-webb: delay_ms 1e+13 exceeds 1e+09`)
+}
+
+// checkLinkDelayRejected sets the shipped swapcycle scenario's link
+// delay and requires Validate to report exactly want and Run to return
+// it without panicking.
+func checkLinkDelayRejected(t *testing.T, delayMs float64, want string) {
+	t.Helper()
 	data, err := os.ReadFile(filepath.Join("..", "..", "examples", "scenarios", "swapcycle.json"))
 	if err != nil {
 		t.Fatal(err)
@@ -210,8 +233,7 @@ func TestNegativeLinkDelayRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f.Experiments[0].Links[0].DelayMs = -5
-	const want = `experiment "web": link weba-webb: delay_ms -5 must be a finite non-negative number`
+	f.Experiments[0].Links[0].DelayMs = delayMs
 	errs := Validate(f)
 	if len(errs) != 1 || errs[0].Error() != want {
 		t.Fatalf("Validate: %v, want [%s]", errs, want)

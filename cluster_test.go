@@ -37,8 +37,8 @@ func tenantScenario(name string, ticks *int) Scenario {
 // clusterDigest captures everything observable about a run; two runs at
 // the same seed must produce identical digests.
 func clusterDigest(c *Cluster, ticks []int) string {
-	d := fmt.Sprintf("now=%v fired=%d rx=%d tx=%d queued=%v",
-		c.Now(), c.S.Fired(), c.TB.Server.Received, c.TB.Server.Served, c.TB.Server.Queued)
+	d := fmt.Sprintf("now=%v fired=%d rx=%d tx=%d",
+		c.Now(), c.S.Fired(), c.TB.Server.Received, c.TB.Server.Served)
 	for i, t := range c.Tenants() {
 		d += fmt.Sprintf(" [%s state=%s ticks=%d adm=%d pre=%d wait=%v]",
 			t.Scenario.Spec.Name, t.State(), ticks[i], t.Admissions(), t.Preemptions(), t.QueueWait())

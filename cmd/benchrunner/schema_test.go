@@ -13,7 +13,7 @@ import (
 	"emucheck/internal/evalrun"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden schema file")
+var update = flag.Bool("update", false, "rewrite the golden files under testdata")
 
 // benchSchema maps every figure/table key benchrunner can emit to the
 // result type marshaled under it. Adding an output to main() without

@@ -141,15 +141,13 @@ func Fig9(seed int64, copyMB int64) *Fig9Result {
 
 	r.NoSwap, r.DurNone = fig9Run(seed, bytes, nil)
 
-	// Eager copy-out: a rate-limited background CopyOut shares the
-	// spindle while the copy runs (swap triggered a fifth of the way
-	// in, like the paper's 60 s point in a ~300 s run).
+	// Eager copy-out: a rate-limited background copy to the server
+	// shares the spindle while the copy runs (swap triggered a fifth of
+	// the way in, like the paper's 60 s point in a ~300 s run).
 	r.EagerOut, r.DurEager = fig9Run(seed, bytes, func(s *sim.Simulator, m *node.Machine, k *guest.Kernel) {
 		server := xfer.NewServer(s, 0)
 		s.After(5*sim.Second, "fig9.swapout", func() {
-			c := xfer.NewCopier(s, m.Disk, server)
-			c.RateLimit = 6 << 20
-			c.CopyOut(storage.CurBase, 300<<20, func(int64) {})
+			server.Copy("", m.Disk, node.Read, storage.CurBase, 300<<20, 6<<20, func() {})
 		})
 	})
 
@@ -159,7 +157,7 @@ func Fig9(seed int64, copyMB int64) *Fig9Result {
 	remote := bytes / 6
 	r.LazyIn, r.DurLazy = fig9Run(seed, bytes, func(s *sim.Simulator, m *node.Machine, k *guest.Kernel) {
 		server := xfer.NewServer(s, 0)
-		lm := xfer.NewLazyMirror(s, k.Backend, server, m.Disk, remote)
+		lm := xfer.NewLazyMirror(s, k.Backend, server, remote)
 		lm.Base = 2 << 30 // the file-copy source region
 		// The paper attributes the larger lazy impact to "more
 		// aggressive prefetching" — a limitation of the rate limiter on

@@ -127,8 +127,11 @@ func TestPacketPathAllocsPerSegment(t *testing.T) {
 // delta merge. Sleep and block-completion handles are pooled, merges
 // reuse the volume's runs and index, a committed epoch is the one run
 // EpochBlocks returned, and NTP draws allocate nothing. What is left,
-// about 1.54 per event, is mostly per-request disk bookkeeping and the
-// swap-in block copier; the budget leaves 15% above that.
+// about 0.95 per event, is nearly all per-request disk bookkeeping: the
+// queue slot and completion closure of each disk request, and guest
+// block writes through the volume. The budget was set 15% above the
+// 1.54 measured while swap copies still moved chunk by chunk, each
+// chunk its own transfer.
 const maxAllocsPerControlEvent = 1.77
 
 // TestControlPathAllocsPerEvent holds a sleep-loop plus disk-churn

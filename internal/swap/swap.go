@@ -26,9 +26,10 @@
 // last resident checkpoint and commits them to a per-node lineage
 // (storage.Lineage); swap-in reconstructs state by replaying base +
 // delta chain, with chains pruned/merged past a depth bound so replay
-// cost stays flat. Per-node uploads pipeline through bandwidth-shared
-// parallel streams (xfer.Server.StreamUpload) instead of serialized
-// full copies, so preemption cost is proportional to dirtied state.
+// cost stays flat; preemption cost is proportional to dirtied state.
+// Every mode moves its bytes the same way, as bandwidth-shared streams
+// through the one file-server pipe (xfer.Server): the mode decides how
+// much state moves, never how it moves.
 //
 // Every swap-in and crash recovery runs one per-node restore plan
 // (golden fetch, node setup, memory leg, one disk stage), and every
@@ -157,20 +158,20 @@ type InReport struct {
 // Duration reports time until the experiment was running again.
 func (r *InReport) Duration() sim.Time { return r.Finished - r.Started }
 
-// Mode selects how much state a swap cycle moves.
+// Mode selects how much state a swap cycle moves. Every mode moves it
+// through the same fair-share streams of the file-server pipe.
 type Mode int
 
 // Swap modes.
 const (
 	// Full is the paper's full-copy pipeline: the whole resident memory
 	// image moves on every swap-out and the whole aggregated delta on
-	// every swap-in, serialized FIFO through the server pipe.
+	// every swap-in, all of it to and from the file server.
 	Full Mode = iota
 	// Incremental moves only deltas: swap-out moves the state dirtied
 	// since the last resident checkpoint (memory via the hypervisor's
 	// incremental save, disk via the current-delta epoch) and commits it
 	// to the per-node lineage; swap-in replays base + delta chain.
-	// Transfers go through bandwidth-shared parallel streams.
 	Incremental
 	// Branch is Incremental plus clone-aware restore — the mode of
 	// branch tenants, whose chains share a checkpoint prefix with their
@@ -520,56 +521,39 @@ func (m *Manager) SwapOut(o Options, done func([]*OutReport, error)) error {
 		ckpt()
 		return nil
 	}
-	// Eager pre-copy of every node's live current delta, in parallel.
-	// The full-copy path serializes the bytes FIFO through the shared
-	// server pipe; incremental mode pipelines them as bandwidth-shared
-	// streams so one node's delta never queues behind another's.
+	// Eager pre-copy of every node's live current delta, in parallel:
+	// each node's delta is one bandwidth-shared stream, so one node's
+	// delta never queues behind another's.
 	copied := join(len(m.Nodes), ckpt)
 	for i, n := range m.Nodes {
-		bytes := n.Vol.CurrentDeltaBytes(n.IsFree)
-		finish := func(moved int64) {
+		m.streamOut(n.Vol.Disk, n.Vol.CurrentDeltaBytes(n.IsFree), o.Mode == Full, func(moved int64) {
 			reports[i].PreCopyBytes = moved
 			copied()
-		}
-		if o.Mode != Full {
-			m.streamOut(n.Vol.Disk, bytes, finish)
-			continue
-		}
-		c := xfer.NewCopier(m.S, n.Vol.Disk, m.Server)
-		c.Tag = m.Tag
-		c.CopyOut(storage.CurBase, bytes, finish)
+		})
 	}
 	return nil
 }
 
 // streamOut reads a delta image off the node's disk and sends it to its
 // home concurrently; done fires with the bytes moved when both the
-// spindle and the sink are finished. The disk side reads in paced
-// chunks — pre-copy runs while the guest is live, and a monolithic read
-// would head-of-line block every foreground I/O behind the whole delta;
-// the network side is one stream, since fair sharing is the pipe's job.
-func (m *Manager) streamOut(disk *node.Disk, bytes int64, done func(moved int64)) {
+// spindle and the sink are finished. The disk side reads in chunks paced
+// at the rate limit — pre-copy runs while the guest is live, and a
+// monolithic read would head-of-line block every foreground I/O behind
+// the whole delta; the network side is one stream, since fair sharing is
+// the pipe's job. A full-copy delta goes to the file server; an
+// incremental one wherever sinkDelta sends it.
+func (m *Manager) streamOut(disk *node.Disk, bytes int64, full bool, done func(moved int64)) {
 	if bytes <= 0 {
 		m.S.DoAfter(0, "swap.stream0", func() { done(0) })
 		return
 	}
 	fin := join(2, func() { done(bytes) })
-	const chunk = 1 << 20
-	pace := sim.Time(float64(chunk) / float64(xfer.DefaultRateLimit) * float64(sim.Second))
-	var read func(cur int64)
-	read = func(cur int64) {
-		n := min(int64(chunk), bytes-cur)
-		floor := m.S.Now() + pace
-		disk.Submit(&node.DiskRequest{Op: node.Read, LBA: storage.CurBase + cur, Bytes: n, Done: func() {
-			if cur+n >= bytes {
-				fin()
-				return
-			}
-			m.S.DoAfter(floor-m.S.Now(), "swap.stream-pace", func() { read(cur + n) })
-		}})
+	xfer.PaceDisk(m.S, disk, node.Read, storage.CurBase, bytes, xfer.DefaultRateLimit, fin)
+	if full {
+		m.Server.StreamUpload(m.Tag, bytes, fin)
+	} else {
+		m.sinkDelta(bytes, 0, false, fin)
 	}
-	read(0)
-	m.sinkDelta(bytes, 0, false, fin)
 }
 
 // afterFreeze flushes residual deltas and memory accounting, commits
@@ -674,7 +658,7 @@ func (m *Manager) afterFreeze(o Options, res *core.Result, reports []*OutReport,
 			m.spill(spillBytes, offline)
 		}
 		if o.Mode == Full {
-			m.Server.UploadTagged(m.Tag, rep.ResidualBytes, afterFlush)
+			m.Server.StreamUpload(m.Tag, rep.ResidualBytes, afterFlush)
 		} else {
 			m.sinkDelta(rep.ResidualBytes, 0, false, afterFlush)
 		}
@@ -704,11 +688,8 @@ const (
 type restorePlan struct {
 	n   *Node
 	rep *InReport
-	// mem is the memory image to download; fifo sends it through the
-	// server's FIFO pipe (full-copy swap-in) rather than a fair-share
-	// stream.
-	mem  int64
-	fifo bool
+	// mem is the memory image to download.
+	mem int64
 	// disk is the disk state to stage; stage says how.
 	disk  int64
 	stage diskStage
@@ -831,11 +812,7 @@ func (m *Manager) stage(p *restorePlan, staged func()) {
 	}
 	setup := func() {
 		m.S.DoAfter(NodeSetupTime, "swap.setup", func() {
-			if p.fifo {
-				m.Server.DownloadTagged(m.Tag, p.mem, memDone)
-			} else {
-				m.Server.StreamDownload(m.Tag, p.mem, memDone)
-			}
+			m.Server.StreamDownload(m.Tag, p.mem, memDone)
 		})
 	}
 	if n.GoldenCached {
@@ -869,15 +846,13 @@ func (m *Manager) stageDisk(p *restorePlan, done func()) {
 		}
 		m.Server.StreamDownload(m.Tag, p.disk, done)
 	case stageEager:
-		c := xfer.NewCopier(m.S, p.n.Vol.Disk, m.Server)
-		c.Tag = m.Tag
-		c.CopyIn(storage.AggBase, p.disk, func(int64) { done() })
+		m.Server.Copy(m.Tag, p.n.Vol.Disk, node.Write, storage.AggBase, p.disk, xfer.DefaultRateLimit, done)
 	default:
 		// The staged disk image is demand-paged and back-filled into the
 		// COW log region (raw addressing — the delta is an image file,
 		// not guest-visible block space).
 		lm := xfer.NewLazyMirror(m.S, rawRegion{d: p.n.Vol.Disk, base: storage.AggBase},
-			m.Server, p.n.Vol.Disk, p.disk)
+			m.Server, p.disk)
 		lm.SetTag(m.Tag)
 		lm.StartBackground(func() { p.rep.BackgroundDone = m.S.Now() })
 		done()
@@ -908,7 +883,6 @@ func (m *Manager) SwapIn(o Options, done func([]*InReport, error)) error {
 			n:    n,
 			rep:  &InReport{Lazy: !o.Eager, Incremental: o.Mode != Full},
 			mem:  n.MemImageBytes,
-			fifo: o.Mode == Full,
 			disk: n.AggBytesOnServer,
 		}
 		if o.Eager {

@@ -12,7 +12,7 @@ func TestLazyMirrorPartialTailChunk(t *testing.T) {
 	d := node.NewDisk(s, node.DefaultParams())
 	sv := NewServer(s, 12<<20)
 	// Total not a multiple of the chunk size: 2.5 MB.
-	lm := NewLazyMirror(s, &memBackend{d}, sv, d, (2<<20)+(1<<19))
+	lm := NewLazyMirror(s, &memBackend{d}, sv, (2<<20)+(1<<19))
 	done := false
 	lm.StartBackground(func() { done = true })
 	s.Run()
@@ -22,13 +22,16 @@ func TestLazyMirrorPartialTailChunk(t *testing.T) {
 	if sv.Served != (2<<20)+(1<<19) {
 		t.Fatalf("served %d", sv.Served)
 	}
+	if got := lm.Resident(); got != (2<<20)+(1<<19) {
+		t.Fatalf("resident %d bytes of a filled 2.5 MB region", got)
+	}
 }
 
 func TestLazyMirrorBaseOffsetIsolation(t *testing.T) {
 	s := sim.New(1)
 	d := node.NewDisk(s, node.DefaultParams())
 	sv := NewServer(s, 12<<20)
-	lm := NewLazyMirror(s, &memBackend{d}, sv, d, 4<<20)
+	lm := NewLazyMirror(s, &memBackend{d}, sv, 4<<20)
 	lm.Base = 1 << 30
 	// Reads fully outside the managed window never fault.
 	lm.Read(0, 1<<20, nil)
@@ -49,7 +52,7 @@ func TestLazyMirrorFaultAndFillDoNotDuplicate(t *testing.T) {
 	s := sim.New(1)
 	d := node.NewDisk(s, node.DefaultParams())
 	sv := NewServer(s, 12<<20)
-	lm := NewLazyMirror(s, &memBackend{d}, sv, d, 8<<20)
+	lm := NewLazyMirror(s, &memBackend{d}, sv, 8<<20)
 	lm.SetBackgroundRate(0)
 	lm.StartBackground(nil)
 	// Demand-read everything while the fill races.
@@ -63,29 +66,17 @@ func TestLazyMirrorFaultAndFillDoNotDuplicate(t *testing.T) {
 	}
 }
 
+// TestCopierChunkBoundary: a copy whose length is not a chunk multiple
+// issues full chunks and then the remainder, moving every byte once.
 func TestCopierChunkBoundary(t *testing.T) {
 	s := sim.New(1)
 	d := node.NewDisk(s, node.DefaultParams())
 	sv := NewServer(s, 12<<20)
-	c := NewCopier(s, d, sv)
-	c.ChunkBytes = 1 << 20
-	var moved int64
-	c.CopyOut(0, (3<<20)+123, func(m int64) { moved = m })
+	const n = (3 << 20) + 123
+	done := false
+	sv.Copy("", d, node.Read, 0, n, DefaultRateLimit, func() { done = true })
 	s.Run()
-	if moved != (3<<20)+123 {
-		t.Fatalf("moved %d", moved)
-	}
-}
-
-func TestServerInterleavedDirections(t *testing.T) {
-	s := sim.New(1)
-	sv := NewServer(s, 10<<20)
-	var t1, t2 sim.Time
-	sv.UploadTagged("", 5<<20, func() { t1 = s.Now() })
-	sv.DownloadTagged("", 5<<20, func() { t2 = s.Now() })
-	s.Run()
-	// One shared pipe: the download queues behind the upload.
-	if t1 != 500*sim.Millisecond || t2 != sim.Second {
-		t.Fatalf("t1=%v t2=%v", t1, t2)
+	if !done || d.ReadBytes != n || d.ReadOps != 4 || sv.Received != n {
+		t.Fatalf("done=%v read %d bytes in %d ops, received %d", done, d.ReadBytes, d.ReadOps, sv.Received)
 	}
 }

@@ -7,39 +7,102 @@ import (
 	"emucheck/internal/sim"
 )
 
-func TestServerRateAndFIFO(t *testing.T) {
+// TestServerWorkConserving: transfers of mixed sizes and directions
+// admitted at one instant share the pipe, and the last one completes at
+// Σn/Rate — the batch drains exactly as fast as one serialized queue
+// would, which is what lets every swap mode use the one fair-share pipe.
+func TestServerWorkConserving(t *testing.T) {
 	s := sim.New(1)
 	sv := NewServer(s, 10<<20) // 10 MB/s
-	var t1, t2 sim.Time
-	sv.UploadTagged("", 10<<20, func() { t1 = s.Now() })
-	sv.UploadTagged("", 10<<20, func() { t2 = s.Now() })
+	sizes := []int64{5 << 20, 1 << 20, 12<<20 + 345, 3 << 20, 7<<20 + 1}
+	var total int64
+	var up, down uint64
+	var last sim.Time
+	for i, n := range sizes {
+		total += n
+		record := func() { last = max(last, s.Now()) }
+		if i%2 == 0 {
+			up += uint64(n)
+			sv.StreamUpload("a", n, record)
+		} else {
+			down += uint64(n)
+			sv.StreamDownload("b", n, record)
+		}
+	}
 	s.Run()
-	if t1 != sim.Second {
-		t.Fatalf("first transfer at %v", t1)
+	want := sim.Time(float64(total) / float64(sv.Rate) * float64(sim.Second))
+	if d := last - want; d < -sim.Microsecond || d > sim.Microsecond {
+		t.Fatalf("last transfer done at %v, want Σn/Rate = %v", last, want)
 	}
-	if t2 != 2*sim.Second {
-		t.Fatalf("second transfer at %v (no FIFO sharing)", t2)
+	if sv.Received != up || sv.Served != down {
+		t.Fatalf("received %d / served %d, want %d / %d", sv.Received, sv.Served, up, down)
 	}
-	if sv.Received != 20<<20 {
-		t.Fatal("byte accounting")
+	if sv.ByTag["a"]+sv.ByTag["b"] != total || len(sv.streams) != 0 {
+		t.Fatalf("tags %v, %d streams left", sv.ByTag, len(sv.streams))
 	}
 }
 
 func TestServerZeroBytes(t *testing.T) {
 	s := sim.New(1)
 	sv := NewServer(s, 0) // default rate
-	fired, streamed := false, false
-	sv.DownloadTagged("", 0, func() { fired = true })
-	sv.StreamDownload("", 0, func() { streamed = true })
+	up, down := false, false
+	sv.StreamUpload("", 0, func() { up = true })
+	sv.StreamDownload("", 0, func() { down = true })
 	s.Run()
-	if !fired || !streamed {
-		t.Fatalf("zero transfers never fired: fifo %v, stream %v", fired, streamed)
+	if !up || !down {
+		t.Fatalf("zero transfers never fired: upload %v, download %v", up, down)
 	}
-	if sv.Served != 0 || sv.ActiveStreams() != 0 {
-		t.Fatalf("zero transfers accounted %d bytes / %d streams", sv.Served, sv.ActiveStreams())
+	if sv.Received != 0 || sv.Served != 0 || len(sv.streams) != 0 {
+		t.Fatalf("zero transfers accounted %d+%d bytes / %d streams", sv.Received, sv.Served, len(sv.streams))
 	}
 	if sv.Rate != 12_500_000 {
 		t.Fatalf("default rate = %d", sv.Rate)
+	}
+}
+
+// TestServerCopy: a copy ends when the slower of its paced disk side and
+// its stream ends, charges its bytes to the ledgers once, and fires for
+// an empty range.
+func TestServerCopy(t *testing.T) {
+	const n = 10 << 20
+	// diskAlone times the paced disk side on its own.
+	diskAlone := func(rate int64) sim.Time {
+		s := sim.New(1)
+		var end sim.Time
+		PaceDisk(s, node.NewDisk(s, node.DefaultParams()), node.Read, 0, n, rate, func() { end = s.Now() })
+		s.Run()
+		return end
+	}
+	for _, c := range []struct {
+		name       string
+		rate, pipe int64
+	}{
+		{"disk-bound", 2 << 20, 50 << 20},
+		{"pipe-bound", 0, 1 << 20},
+	} {
+		s := sim.New(1)
+		d := node.NewDisk(s, node.DefaultParams())
+		sv := NewServer(s, c.pipe)
+		var end sim.Time
+		calls := 0
+		sv.Copy("e", d, node.Read, 0, n, c.rate, func() { end = s.Now(); calls++ })
+		s.Run()
+		stream := sim.Time(float64(n) / float64(c.pipe) * float64(sim.Second))
+		if want := max(diskAlone(c.rate), stream); calls != 1 || end != want {
+			t.Fatalf("%s: done %d times, at %v, want once at %v", c.name, calls, end, want)
+		}
+		if sv.Received != n || sv.Served != 0 || sv.ByTag["e"] != n || d.ReadBytes != n {
+			t.Fatalf("%s: received %d served %d tag %d disk %d", c.name, sv.Received, sv.Served, sv.ByTag["e"], d.ReadBytes)
+		}
+	}
+
+	s := sim.New(1)
+	sv := NewServer(s, 0)
+	fired := false
+	sv.Copy("e", node.NewDisk(s, node.DefaultParams()), node.Write, 0, 0, DefaultRateLimit, func() { fired = true })
+	s.Run()
+	if !fired || sv.Served != 0 || len(sv.ByTag) != 0 {
+		t.Fatalf("empty copy: fired %v, served %d, tags %v", fired, sv.Served, sv.ByTag)
 	}
 }
 
@@ -47,12 +110,11 @@ func TestCopyOutMovesEverything(t *testing.T) {
 	s := sim.New(1)
 	d := node.NewDisk(s, node.DefaultParams())
 	sv := NewServer(s, 12<<20)
-	c := NewCopier(s, d, sv)
-	var moved int64
-	c.CopyOut(0, 10<<20, func(m int64) { moved = m })
+	done := false
+	sv.Copy("", d, node.Read, 0, 10<<20, DefaultRateLimit, func() { done = true })
 	s.Run()
-	if moved != 10<<20 {
-		t.Fatalf("moved %d", moved)
+	if !done {
+		t.Fatal("copy never finished")
 	}
 	if d.ReadBytes != 10<<20 {
 		t.Fatalf("disk reads %d", d.ReadBytes)
@@ -67,10 +129,8 @@ func TestRateLimitSlowsCopy(t *testing.T) {
 		s := sim.New(1)
 		d := node.NewDisk(s, node.DefaultParams())
 		sv := NewServer(s, 50<<20)
-		c := NewCopier(s, d, sv)
-		c.RateLimit = limit
 		var end sim.Time
-		c.CopyOut(0, 20<<20, func(int64) { end = s.Now() })
+		sv.Copy("", d, node.Read, 0, 20<<20, limit, func() { end = s.Now() })
 		s.Run()
 		return end
 	}
@@ -84,35 +144,15 @@ func TestRateLimitSlowsCopy(t *testing.T) {
 	}
 }
 
-func TestCopierCancel(t *testing.T) {
-	s := sim.New(1)
-	d := node.NewDisk(s, node.DefaultParams())
-	sv := NewServer(s, 10<<20)
-	c := NewCopier(s, d, sv)
-	c.RateLimit = 1 << 20
-	var moved int64 = -1
-	c.CopyOut(0, 100<<20, func(m int64) { moved = m })
-	s.RunFor(3 * sim.Second)
-	c.Cancel()
-	s.Run()
-	if moved < 0 {
-		t.Fatal("done callback never fired")
-	}
-	if moved >= 100<<20 {
-		t.Fatal("cancel did not stop the copy")
-	}
-}
-
 func TestCopyInWritesDisk(t *testing.T) {
 	s := sim.New(1)
 	d := node.NewDisk(s, node.DefaultParams())
 	sv := NewServer(s, 12<<20)
-	c := NewCopier(s, d, sv)
-	var moved int64
-	c.CopyIn(0, 5<<20, func(m int64) { moved = m })
+	done := false
+	sv.Copy("", d, node.Write, 0, 5<<20, DefaultRateLimit, func() { done = true })
 	s.Run()
-	if moved != 5<<20 || d.WriteBytes != 5<<20 || sv.Served != 5<<20 {
-		t.Fatalf("moved=%d disk=%d served=%d", moved, d.WriteBytes, sv.Served)
+	if !done || d.WriteBytes != 5<<20 || sv.Served != 5<<20 {
+		t.Fatalf("done=%v disk=%d served=%d", done, d.WriteBytes, sv.Served)
 	}
 }
 
@@ -131,7 +171,7 @@ func TestLazyMirrorDemandFault(t *testing.T) {
 	s := sim.New(1)
 	d := node.NewDisk(s, node.DefaultParams())
 	sv := NewServer(s, 12<<20)
-	lm := NewLazyMirror(s, &memBackend{d}, sv, d, 16<<20)
+	lm := NewLazyMirror(s, &memBackend{d}, sv, 16<<20)
 	var readDone sim.Time
 	lm.Read(5<<20, 1<<20, func() { readDone = s.Now() })
 	s.Run()
@@ -155,7 +195,7 @@ func TestLazyMirrorBackgroundFill(t *testing.T) {
 	s := sim.New(1)
 	d := node.NewDisk(s, node.DefaultParams())
 	sv := NewServer(s, 12<<20)
-	lm := NewLazyMirror(s, &memBackend{d}, sv, d, 8<<20)
+	lm := NewLazyMirror(s, &memBackend{d}, sv, 8<<20)
 	done := false
 	lm.StartBackground(func() { done = true })
 	s.Run()
@@ -177,7 +217,7 @@ func TestLazyMirrorWriteMarksPresent(t *testing.T) {
 	s := sim.New(1)
 	d := node.NewDisk(s, node.DefaultParams())
 	sv := NewServer(s, 12<<20)
-	lm := NewLazyMirror(s, &memBackend{d}, sv, d, 8<<20)
+	lm := NewLazyMirror(s, &memBackend{d}, sv, 8<<20)
 	lm.Write(0, 1<<20, nil)
 	s.Run()
 	lm.Read(0, 1<<20, nil)

@@ -41,7 +41,8 @@ func main() {
 	results := make(map[string]any)
 	ran := false
 	for _, e := range experiments(*seed, *quick, *fanout) {
-		if !*all && (e.fig == 0 || e.fig != *fig) && (e.table == "" || e.table != *table) {
+		picked := (e.fig != 0 && e.fig == *fig) || (e.table != "" && e.table == *table)
+		if !*all && !picked {
 			continue
 		}
 		ran = true

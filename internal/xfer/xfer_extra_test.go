@@ -80,3 +80,20 @@ func TestCopierChunkBoundary(t *testing.T) {
 		t.Fatalf("done=%v read %d bytes in %d ops, received %d", done, d.ReadBytes, d.ReadOps, sv.Received)
 	}
 }
+
+// TestServerInterleavedDirections: uploads and downloads share the one
+// pipe rather than each getting the full rate in its own direction.
+func TestServerInterleavedDirections(t *testing.T) {
+	s := sim.New(1)
+	sv := NewServer(s, 10<<20)
+	var t1, t2 sim.Time
+	sv.StreamUpload("", 5<<20, func() { t1 = s.Now() })
+	sv.StreamDownload("", 5<<20, func() { t2 = s.Now() })
+	s.Run()
+	if t1 != sim.Second || t2 != sim.Second {
+		t.Fatalf("t1=%v t2=%v, want both at 1s", t1, t2)
+	}
+	if sv.Received != 5<<20 || sv.Served != 5<<20 {
+		t.Fatalf("received %d served %d", sv.Received, sv.Served)
+	}
+}

@@ -42,6 +42,46 @@ func TestServerWorkConserving(t *testing.T) {
 	}
 }
 
+// TestServerRateAndFIFO: a lone transfer drains at the pipe's rate, one
+// admitted when it ends follows it back to back, and equal transfers
+// admitted together finish at the same instant in admission order.
+func TestServerRateAndFIFO(t *testing.T) {
+	s := sim.New(1)
+	sv := NewServer(s, 10<<20) // 10 MB/s
+	var t1, t2 sim.Time
+	sv.StreamUpload("", 10<<20, func() {
+		t1 = s.Now()
+		sv.StreamUpload("", 10<<20, func() { t2 = s.Now() })
+	})
+	s.Run()
+	if t1 != sim.Second {
+		t.Fatalf("first transfer at %v", t1)
+	}
+	if t2 != 2*sim.Second {
+		t.Fatalf("second transfer at %v", t2)
+	}
+	if sv.Received != 20<<20 {
+		t.Fatal("byte accounting")
+	}
+
+	s = sim.New(1)
+	sv = NewServer(s, 10<<20)
+	var order []int
+	var ends []sim.Time
+	for i := range 3 {
+		sv.StreamUpload("", 10<<20, func() { order = append(order, i); ends = append(ends, s.Now()) })
+	}
+	s.Run()
+	if len(order) != 3 || order[0] != 0 || order[1] != 1 || order[2] != 2 {
+		t.Fatalf("completion order %v, want admission order", order)
+	}
+	for _, e := range ends {
+		if e != 3*sim.Second {
+			t.Fatalf("shared transfers ended at %v, want all at 3s", ends)
+		}
+	}
+}
+
 func TestServerZeroBytes(t *testing.T) {
 	s := sim.New(1)
 	sv := NewServer(s, 0) // default rate

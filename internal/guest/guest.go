@@ -38,7 +38,9 @@ type Message struct {
 
 // BlockBackend is where guest block I/O lands: the raw disk for a plain
 // image, or a branching COW volume (package storage) when the node is
-// swappable. Offsets are bytes within the guest's virtual disk.
+// swappable. Offsets are bytes within the guest's virtual disk. A
+// backend calls done exactly once per request, after the I/O completes:
+// the kernel recycles the completion the moment it fires.
 type BlockBackend interface {
 	Read(off, n int64, done func())
 	Write(off, n int64, done func())
@@ -228,6 +230,8 @@ type Kernel struct {
 	SentPackets uint64
 	RcvdPackets uint64
 	Checkpoints int
+
+	ioFree []*ioReq // recycled block-request completions
 }
 
 // New boots a guest kernel on machine m.
@@ -404,18 +408,49 @@ func (k *Kernel) TxQueueLen() int { return k.txq.Len() }
 
 // --- Block I/O -----------------------------------------------------
 
+// ioReq is one block request's completion: done, bound once when the
+// request is first made, hands fn to ioDone. Requests are recycled
+// through the kernel's free list, so steady block I/O allocates nothing.
+type ioReq struct {
+	k    *Kernel
+	fn   func()
+	done func()
+}
+
+// ioStart counts a request in flight and returns its completion.
+func (k *Kernel) ioStart(fn func()) func() {
+	k.inflightIO++
+	var r *ioReq
+	if n := len(k.ioFree); n > 0 {
+		r = k.ioFree[n-1]
+		k.ioFree = k.ioFree[:n-1]
+	} else {
+		r = &ioReq{k: k}
+		r.done = r.complete
+	}
+	r.fn = fn
+	return r.done
+}
+
+// complete recycles r before ioDone runs, so a continuation that issues
+// the next request reuses it.
+func (r *ioReq) complete() {
+	k, fn := r.k, r.fn
+	r.fn = nil
+	k.ioFree = append(k.ioFree, r)
+	k.ioDone(fn)
+}
+
 // ReadDisk reads n bytes at off through the block front-end; fn runs as
 // guest code when the I/O completes (parked if a checkpoint intervenes).
 func (k *Kernel) ReadDisk(off, n int64, fn func()) {
-	k.inflightIO++
 	k.Dirty.TouchBytes(n)
-	k.Backend.Read(off, n, func() { k.ioDone(fn) })
+	k.Backend.Read(off, n, k.ioStart(fn))
 }
 
 // WriteDisk writes n bytes at off through the block front-end.
 func (k *Kernel) WriteDisk(off, n int64, fn func()) {
-	k.inflightIO++
-	k.Backend.Write(off, n, func() { k.ioDone(fn) })
+	k.Backend.Write(off, n, k.ioStart(fn))
 }
 
 // ioDone runs as a block IRQ — outside the firewall so in-flight

@@ -9,9 +9,10 @@
 //
 // The monitor is mechanism-agnostic: what a "probe" actually touches is
 // a callback supplied by the hosting layer (the emucheck Cluster probes
-// the tenant's per-node hypervisors). Everything is driven by DoAfter
-// off the sim clock with seeded phase stagger — zero wall-clock reads,
-// so detection instants are byte-identical under the same seed.
+// the tenant's per-node hypervisors). Everything is driven by one
+// re-armed timer per target off the sim clock with seeded phase
+// stagger — zero wall-clock reads, so detection instants are
+// byte-identical under the same seed.
 package health
 
 import (
@@ -112,6 +113,9 @@ type target struct {
 	failStreak int
 	okStreak   int
 	stopped    bool
+	// probe fires each probe and is re-armed by step; a stopped
+	// target's pending probe still fires, and step ends the loop.
+	probe sim.Timer
 
 	probes     int
 	fails      int
@@ -170,7 +174,8 @@ func (m *Monitor) Watch(name string) error {
 	m.targets = append(m.targets, t)
 	m.byName[name] = t
 	phase := sim.Time(sim.Mix64(m.Seed, int64(t.idx), axPhase) % uint64(m.Policy.ProbePeriod))
-	m.S.DoAfter(phase, "health.probe", func() { m.step(t) })
+	m.S.InitTimer(&t.probe, "health.probe", func() { m.step(t) })
+	t.probe.Reset(phase)
 	return nil
 }
 
@@ -238,7 +243,7 @@ func (m *Monitor) step(t *target) {
 			m.verdict(t, false, r.Node, t.failStreak)
 		}
 	}
-	m.S.DoAfter(m.Policy.ProbePeriod, "health.probe", func() { m.step(t) })
+	t.probe.Reset(m.Policy.ProbePeriod)
 }
 
 func (m *Monitor) verdict(t *target, healthy bool, node string, streak int) {

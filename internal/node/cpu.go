@@ -11,6 +11,7 @@
 package node
 
 import (
+	"slices"
 	"sort"
 
 	"emucheck/internal/sim"
@@ -45,8 +46,10 @@ func (c *CPU) Steal(from, dur sim.Time, share float64) {
 	if share > 1 {
 		share = 1
 	}
-	c.steals = append(c.steals, stealInterval{From: from, To: from + dur, Share: share})
-	sort.Slice(c.steals, func(i, j int) bool { return c.steals[i].From < c.steals[j].From })
+	// After every interval starting no later, so equal starts keep
+	// arrival order.
+	i := sort.Search(len(c.steals), func(i int) bool { return c.steals[i].From > from })
+	c.steals = slices.Insert(c.steals, i, stealInterval{From: from, To: from + dur, Share: share})
 	c.StolenTotal += sim.Time(float64(dur) * share)
 }
 

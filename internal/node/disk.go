@@ -22,7 +22,8 @@ func (op DiskOp) String() string {
 	return "write"
 }
 
-// DiskRequest is one I/O submitted to the disk queue.
+// DiskRequest is one I/O submitted to the disk queue. Submit copies
+// it, so a caller may build it on the stack or reuse one for every I/O.
 type DiskRequest struct {
 	Op     DiskOp
 	LBA    int64 // logical block address in bytes
@@ -40,7 +41,9 @@ type Disk struct {
 	s *sim.Simulator
 	p Params
 
-	queue   []*DiskRequest
+	queue   sim.FIFO[DiskRequest]
+	cur     DiskRequest // the request in service while active
+	io      sim.Timer   // fires when cur completes
 	active  bool
 	headPos int64 // byte position after last transfer
 
@@ -62,12 +65,14 @@ type Disk struct {
 
 // NewDisk creates an idle disk.
 func NewDisk(s *sim.Simulator, p Params) *Disk {
-	return &Disk{s: s, p: p}
+	d := &Disk{s: s, p: p}
+	s.InitTimer(&d.io, "disk.io", d.complete)
+	return d
 }
 
 // QueueLen reports outstanding requests, including the active one.
 func (d *Disk) QueueLen() int {
-	n := len(d.queue)
+	n := d.queue.Len()
 	if d.active {
 		n++
 	}
@@ -87,13 +92,14 @@ func (d *Disk) SetThrottle(f float64) {
 	d.throttle = f
 }
 
-// Submit queues a request. Done fires when the transfer completes.
+// Submit queues a copy of r. Done fires when the transfer completes.
 func (d *Disk) Submit(r *DiskRequest) {
 	if r.Bytes <= 0 {
 		panic(fmt.Sprintf("disk: empty %s request", r.Op))
 	}
-	r.issued = d.s.Now()
-	d.queue = append(d.queue, r)
+	q := *r
+	q.issued = d.s.Now()
+	d.queue.Push(q)
 	if !d.active {
 		d.startNext()
 	}
@@ -123,37 +129,41 @@ func (d *Disk) ServiceTime(lba, bytes int64) sim.Time {
 }
 
 func (d *Disk) startNext() {
-	if len(d.queue) == 0 {
+	if d.queue.Len() == 0 {
 		d.active = false
 		return
 	}
 	d.active = true
-	r := d.queue[0]
-	d.queue = d.queue[1:]
-	svc := d.ServiceTime(r.LBA, r.Bytes)
+	d.cur = d.queue.Pop()
+	svc := d.ServiceTime(d.cur.LBA, d.cur.Bytes)
 	d.BusyTime += svc
-	d.s.DoAfter(svc, "disk.io", func() {
-		d.headPos = r.LBA + r.Bytes
-		if r.Op == Read {
-			d.ReadBytes += r.Bytes
-			d.ReadOps++
-		} else {
-			d.WriteBytes += r.Bytes
-			d.WriteOps++
+	d.io.Reset(svc)
+}
+
+// complete finishes the request in service and starts the next.
+func (d *Disk) complete() {
+	r := d.cur
+	d.cur = DiskRequest{}
+	d.headPos = r.LBA + r.Bytes
+	if r.Op == Read {
+		d.ReadBytes += r.Bytes
+		d.ReadOps++
+	} else {
+		d.WriteBytes += r.Bytes
+		d.WriteOps++
+	}
+	d.TotalLatency += d.s.Now() - r.issued
+	if r.Done != nil {
+		r.Done()
+	}
+	d.startNext()
+	if !d.active && len(d.waiters) > 0 {
+		ws := d.waiters
+		d.waiters = nil
+		for _, w := range ws {
+			w()
 		}
-		d.TotalLatency += d.s.Now() - r.issued
-		if r.Done != nil {
-			r.Done()
-		}
-		d.startNext()
-		if !d.active && len(d.waiters) > 0 {
-			ws := d.waiters
-			d.waiters = nil
-			for _, w := range ws {
-				w()
-			}
-		}
-	})
+	}
 }
 
 // Drain invokes fn once all in-flight requests have completed. This is
@@ -163,7 +173,7 @@ func (d *Disk) startNext() {
 // state. Requests submitted after Drain delay the notification further;
 // checkpointing guests stop submitting before draining.
 func (d *Disk) Drain(fn func()) {
-	if !d.active && len(d.queue) == 0 {
+	if !d.active && d.queue.Len() == 0 {
 		d.s.DoAfter(0, "disk.drain", fn)
 		return
 	}

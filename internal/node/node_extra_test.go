@@ -92,3 +92,26 @@ func TestDiskOpString(t *testing.T) {
 		t.Fatal("op strings")
 	}
 }
+
+// TestDiskSubmitAllocs holds the disk to zero heap allocations per
+// request: Submit queues a copy of the caller's request, so a literal
+// stays on the caller's stack, and one reused timer serves every
+// completion.
+func TestDiskSubmitAllocs(t *testing.T) {
+	s := sim.New(1)
+	d := NewDisk(s, DefaultParams())
+	completed := 0
+	done := func() { completed++ }
+	var lba int64
+	allocs := testing.AllocsPerRun(100, func() {
+		d.Submit(&DiskRequest{Op: Write, LBA: lba, Bytes: 4096, Done: done})
+		s.Run()
+		lba += 4096
+	})
+	if completed != 101 || d.WriteOps != 101 {
+		t.Fatalf("%d completions, %d write ops, want 101", completed, d.WriteOps)
+	}
+	if allocs != 0 {
+		t.Fatalf("%.1f allocations per request, want 0", allocs)
+	}
+}

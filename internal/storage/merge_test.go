@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"cmp"
 	"maps"
 	"math/rand"
 	"slices"
@@ -84,6 +85,8 @@ func (r *refVolume) lba(vba int64) int64 {
 	}
 	return GoldenBase + vba*BlockSize
 }
+
+func byVBA(a, b Block) int { return cmp.Compare(a.VBA, b.VBA) }
 
 // runOf is the run a map view must equal.
 func runOf(m map[int64]int64) []Block {
@@ -271,14 +274,30 @@ type oracleBranch struct {
 	rl *refLineage
 }
 
+// tailCoverage counts what an out-of-order driveOracle run did to the
+// current delta's tail of out-of-order writes.
+type tailCoverage struct {
+	folds    int // appends that reached maxTail and folded the tail
+	rewrites int // writes to a block the tail already held
+	reads    int // locates checked while the tail was not empty
+}
+
+func tailLen(d *Delta) int { return len(d.run) - d.sorted }
+
 // driveOracle runs seeded steps on volumes and the model side by side
 // and compares every observable after each step. Without chains the
 // steps are writes and merges only; with them they add commits (with
 // and without a retroactive drop), drops, forks and releases of
 // branches whose lineages share one store, and prunes on every commit
-// past a small depth bound.
-func driveOracle(t *testing.T, seed int64, steps int, reorder func(*rand.Rand) bool, chains bool) {
-	const blocks = 96
+// past a small depth bound. outOfOrder widens the block space and makes
+// each write step a burst of scattered writes, long enough to fill the
+// current delta's tail, with a locate checked after every write.
+func driveOracle(t *testing.T, seed int64, steps int, reorder func(*rand.Rand) bool, chains, outOfOrder bool) tailCoverage {
+	blocks := 96
+	if outOfOrder {
+		blocks = 1024
+	}
+	var cov tailCoverage
 	rng := rand.New(rand.NewSource(seed))
 	s := sim.New(seed)
 	cs, rs := NewChainStore(), &refStore{epochs: map[Addr]*refEntry{}}
@@ -301,10 +320,32 @@ func driveOracle(t *testing.T, seed int64, steps int, reorder func(*rand.Rand) b
 		}
 		switch {
 		case op < 7:
-			first, n := int64(rng.Intn(blocks)), int64(1+rng.Intn(4))
-			n = min(n, blocks-first)
-			br.v.Write(first*BlockSize, n*BlockSize, nil)
-			br.rv.write(first, n)
+			writes := 1
+			if outOfOrder {
+				writes = 1 + rng.Intn(2*maxTail)
+			}
+			for range writes {
+				first, n := int64(rng.Intn(blocks)), int64(1+rng.Intn(4))
+				n = min(n, int64(blocks)-first)
+				cur, tail := br.v.Cur, tailLen(br.v.Cur)
+				if slices.ContainsFunc(cur.run[cur.sorted:], func(b Block) bool { return b.VBA >= first && b.VBA < first+n }) {
+					cov.rewrites++
+				}
+				br.v.Write(first*BlockSize, n*BlockSize, nil)
+				br.rv.write(first, n)
+				if tailLen(cur) < tail {
+					cov.folds++
+				}
+				if !outOfOrder {
+					continue
+				}
+				if tailLen(cur) > 0 {
+					cov.reads++
+				}
+				if vba := int64(rng.Intn(blocks)); br.v.locate(vba) != br.rv.lba(vba) {
+					t.Fatalf("seed %d step %d: block %d reads from %d, reference %d", seed, step, vba, br.v.locate(vba), br.rv.lba(vba))
+				}
+			}
 			s.Run()
 		case op < 10:
 			ro := reorder(rng)
@@ -346,7 +387,10 @@ func driveOracle(t *testing.T, seed int64, steps int, reorder func(*rand.Rand) b
 			}
 		}
 		for _, b := range branches {
-			compareBranch(t, seed, step, b, isFree, blocks, chains)
+			if tailLen(b.v.Cur) > 0 {
+				cov.reads++
+			}
+			compareBranch(t, seed, step, b, isFree, int64(blocks), chains)
 		}
 		if chains && (cs.Entries() != len(rs.epochs) || cs.GCBytes != rs.gcBytes ||
 			cs.DedupBytes != rs.dedupBytes || cs.StoredBytes() != rs.bytes()) {
@@ -355,6 +399,7 @@ func driveOracle(t *testing.T, seed int64, steps int, reorder func(*rand.Rand) b
 				len(rs.epochs), rs.gcBytes, rs.dedupBytes, rs.bytes())
 		}
 	}
+	return cov
 }
 
 // compareBranch fails the test unless a branch and its model agree on
@@ -366,16 +411,17 @@ func compareBranch(t *testing.T, seed int64, step int, b *oracleBranch, isFree f
 		t.Fatalf("seed %d step %d: agg/cur slots %d/%d, reference %d/%d",
 			seed, step, len(v.Agg), v.Cur.Slots(), len(r.aggOrder), len(r.curOrder))
 	}
+	// Reads first: the snapshot and epoch blocks below fold the tail.
+	for vba := int64(0); vba < blocks; vba++ {
+		if g, w := v.locate(vba), r.lba(vba); g != w {
+			t.Fatalf("seed %d step %d: block %d reads from %d, reference %d", seed, step, vba, g, w)
+		}
+	}
 	if got, want := v.Snapshot(isFree), runOf(r.view(r.content, isFree)); !slices.Equal(got, want) {
 		t.Fatalf("seed %d step %d: snapshot %v, reference %v", seed, step, got, want)
 	}
 	if got, want := v.EpochBlocks(isFree), runOf(r.view(r.curIndex, isFree)); !slices.Equal(got, want) {
 		t.Fatalf("seed %d step %d: epoch blocks %v, reference %v", seed, step, got, want)
-	}
-	for vba := int64(0); vba < blocks; vba++ {
-		if g, w := v.locate(vba), r.lba(vba); g != w {
-			t.Fatalf("seed %d step %d: block %d reads from %d, reference %d", seed, step, vba, g, w)
-		}
 	}
 	if !chains {
 		return
@@ -416,7 +462,7 @@ func TestMergeMatchesReference(t *testing.T) {
 	} {
 		t.Run(mode.name, func(t *testing.T) {
 			for seed := int64(1); seed <= 8; seed++ {
-				driveOracle(t, seed, 200, mode.reorder, false)
+				driveOracle(t, seed, 200, mode.reorder, false, false)
 			}
 		})
 	}
@@ -429,6 +475,24 @@ func TestMergeMatchesReference(t *testing.T) {
 // dedup and stored bytes, equal to the map-based model's.
 func TestRunsMatchMapReference(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
-		driveOracle(t, seed, 400, func(r *rand.Rand) bool { return r.Intn(4) != 0 }, true)
+		driveOracle(t, seed, 400, func(r *rand.Rand) bool { return r.Intn(4) != 0 }, true, false)
+	}
+}
+
+// TestDeltaTailMatchesReference drives the oracle with bursts of
+// scattered writes over a wide block space, so the current delta's
+// out-of-order tail fills past its bound, takes rewrites of blocks it
+// already holds, and serves reads while it is not empty: the latest
+// write to a block must win both in locate and after the tail is folded
+// into the run.
+func TestDeltaTailMatchesReference(t *testing.T) {
+	var cov tailCoverage
+	for seed := int64(1); seed <= 6; seed++ {
+		c := driveOracle(t, seed, 60, func(r *rand.Rand) bool { return r.Intn(2) == 0 }, true, true)
+		cov.folds, cov.rewrites, cov.reads = cov.folds+c.folds, cov.rewrites+c.rewrites, cov.reads+c.reads
+	}
+	t.Logf("%d bound folds, %d tail rewrites, %d reads through a tail", cov.folds, cov.rewrites, cov.reads)
+	if cov.folds == 0 || cov.rewrites == 0 || cov.reads == 0 {
+		t.Fatalf("workload missed the tail: %+v", cov)
 	}
 }

@@ -8,8 +8,11 @@
 // appended at the log head, so COW never performs a read-before-write
 // (§5.3, the order-of-magnitude improvement over stock LVM snapshots —
 // OriginalLVM mode models the stock behaviour for Fig. 8's comparison).
-// Reads cost a current-delta hash lookup, then a binary search of the
-// aggregated delta, then fall through to golden's linear addressing.
+// Reads cost a binary search of the current delta's run (after a scan of
+// its short tail of out-of-order writes), then one of the aggregated
+// delta, then fall through to golden's linear addressing. No level
+// hashes: both deltas are runs of blocks sorted by virtual address, so
+// an epoch commit or a merge reads them in one linear pass.
 //
 // After a swap-out, the current delta is merged into the aggregated
 // delta offline; the merge lays blocks out by virtual address to restore
@@ -104,22 +107,34 @@ func mergeRuns(dst, add []Block) []Block {
 	return dst
 }
 
-func byVBA(a, b Block) int { return cmp.Compare(a.VBA, b.VBA) }
+// maxTail bounds a delta's out-of-order tail: the appends a lookup
+// scans linearly before normalize folds them into the sorted run.
+const maxTail = 256
 
-// Delta is the current delta: a hash index from virtual block number to
-// a slot in an append-only on-disk redo log.
+// Delta is the current delta: an append-only on-disk redo log, indexed
+// by a run of its blocks with Tag holding each block's log slot.
+//
+// The index is run[:sorted], a proper run, followed by a tail of
+// out-of-order appends in log order. An append above the run's last
+// block, or an overwrite of a block the run holds, keeps the tail
+// empty; that covers sequential and rewriting streams, so a typical
+// delta never leaves the run. Anything else joins the tail, which
+// normalize merges into the run when it reaches maxTail or a reader
+// needs the whole delta in VBA order.
 type Delta struct {
-	// Index maps a virtual block address to its occupied log slot.
-	Index map[int64]int64
 	// Order lists the VBAs in physical log-append order.
 	Order []int64
 	// BaseLBA is the byte LBA where the delta's log region starts.
 	BaseLBA int64
+
+	run     []Block
+	sorted  int
+	scratch []Block // normalize's copy of the tail
 }
 
 // NewDelta creates an empty delta whose log lives at base.
 func NewDelta(base int64) *Delta {
-	return &Delta{Index: make(map[int64]int64), BaseLBA: base}
+	return &Delta{BaseLBA: base}
 }
 
 // Slots reports occupied log slots.
@@ -134,31 +149,75 @@ func (d *Delta) LiveBytes(isFree func(vba int64) bool) int64 {
 	if isFree == nil {
 		return d.Bytes()
 	}
+	d.normalize()
 	var n int64
-	for vba := range d.Index {
-		if !isFree(vba) {
+	for _, b := range d.run {
+		if !isFree(b.VBA) {
 			n += BlockSize
 		}
 	}
 	return n
 }
 
-// lookup reports the physical LBA for vba, or -1.
+// lookup reports the physical LBA for vba, or -1. The tail is scanned
+// newest first, so the latest write wins.
 func (d *Delta) lookup(vba int64) int64 {
-	slot, ok := d.Index[vba]
-	if !ok {
-		return -1
+	for i := len(d.run) - 1; i >= d.sorted; i-- {
+		if d.run[i].VBA == vba {
+			return d.BaseLBA + d.run[i].Tag*BlockSize
+		}
 	}
-	return d.BaseLBA + slot*BlockSize
+	if i, ok := find(d.run[:d.sorted], vba); ok {
+		return d.BaseLBA + d.run[i].Tag*BlockSize
+	}
+	return -1
 }
 
 // append adds (or overwrites) vba at the log head and reports the
 // physical LBA written.
 func (d *Delta) append(vba int64) int64 {
 	slot := int64(len(d.Order))
-	d.Index[vba] = slot
 	d.Order = append(d.Order, vba)
+	switch n := len(d.run); {
+	case n > d.sorted:
+		d.run = append(d.run, Block{VBA: vba, Tag: slot})
+		if n+1-d.sorted >= maxTail {
+			d.normalize()
+		}
+	case n == 0 || d.run[n-1].VBA < vba:
+		d.run = append(d.run, Block{VBA: vba, Tag: slot})
+		d.sorted++
+	default:
+		if i, ok := find(d.run, vba); ok {
+			d.run[i].Tag = slot
+		} else {
+			d.run = append(d.run, Block{VBA: vba, Tag: slot})
+		}
+	}
 	return d.BaseLBA + slot*BlockSize
+}
+
+// normalize folds the tail into the run. The tail is copied aside
+// first: mergeRuns grows the run over the tail's storage.
+func (d *Delta) normalize() {
+	if len(d.run) == d.sorted {
+		return
+	}
+	tail := append(d.scratch[:0], d.run[d.sorted:]...)
+	slices.SortFunc(tail, func(a, b Block) int {
+		return cmp.Or(cmp.Compare(a.VBA, b.VBA), cmp.Compare(a.Tag, b.Tag))
+	})
+	// Keep the last (newest) slot of each VBA.
+	w := 0
+	for i, b := range tail {
+		if i+1 < len(tail) && tail[i+1].VBA == b.VBA {
+			continue
+		}
+		tail[w], w = b, w+1
+	}
+	d.run = mergeRuns(d.run[:d.sorted], tail[:w])
+	d.sorted = len(d.run)
+	d.scratch = tail
 }
 
 // Volume is a guest virtual disk assembled from the three levels.
@@ -202,7 +261,6 @@ type Volume struct {
 	// is tagged with the next sequence number, so current-delta slot s
 	// holds tag merged+s+1.
 	merged int64
-	run    []Block // Merge's scratch run of the current delta
 
 	// ReadsCur, ReadsAgg and ReadsGolden count which level satisfied
 	// each block lookup; CowCopies counts stock-LVM copy-asides.
@@ -350,14 +408,15 @@ func (v *Volume) CurrentDeltaBytes(isFree func(vba int64) bool) int64 {
 }
 
 // curRun appends the current delta to dst as a run, each block tagged
-// by its slot, leaving out blocks isFree (optional) reports freed.
+// by its write's sequence number, leaving out blocks isFree (optional)
+// reports freed, in one pass over the normalized delta. dst may be the
+// delta's own run, which it rewrites.
 func (v *Volume) curRun(dst []Block, isFree func(vba int64) bool) []Block {
-	for vba, slot := range v.Cur.Index {
-		if isFree == nil || !isFree(vba) {
-			dst = append(dst, Block{VBA: vba, Tag: v.merged + slot + 1})
+	for _, b := range v.Cur.run {
+		if isFree == nil || !isFree(b.VBA) {
+			dst = append(dst, Block{VBA: b.VBA, Tag: v.merged + b.Tag + 1})
 		}
 	}
-	slices.SortFunc(dst, byVBA)
 	return dst
 }
 
@@ -366,7 +425,8 @@ func (v *Volume) curRun(dst []Block, isFree func(vba int64) bool) []Block {
 // This is the per-epoch diff an incremental swap-out uploads and commits
 // to a checkpoint Lineage, which takes the run over.
 func (v *Volume) EpochBlocks(isFree func(vba int64) bool) []Block {
-	return v.curRun(make([]Block, 0, len(v.Cur.Index)), isFree)
+	v.Cur.normalize()
+	return v.curRun(make([]Block, 0, len(v.Cur.run)), isFree)
 }
 
 // Snapshot returns the content-tagged view of every block ever written
@@ -374,6 +434,7 @@ func (v *Volume) EpochBlocks(isFree func(vba int64) bool) []Block {
 // free-block elimination — the "full checkpoint" a replayed delta chain
 // must reconstruct exactly.
 func (v *Volume) Snapshot(isFree func(vba int64) bool) []Block {
+	v.Cur.normalize()
 	out := mergeRuns(slices.Clone(v.Agg), v.curRun(nil, nil))
 	if isFree != nil {
 		out = slices.DeleteFunc(out, func(b Block) bool { return isFree(b.VBA) })
@@ -388,11 +449,12 @@ func (v *Volume) Snapshot(isFree func(vba int64) bool) []Block {
 // for good, so reads fall through to golden. It reports the merged
 // delta's size in bytes.
 //
-// The merge works in place: the current delta's run joins the
-// aggregated run in one linear pass inside its storage, and the current
-// delta is cleared, not replaced, so swap cycles reuse the same storage.
-// A caller must not hold v.Agg, v.Cur.Index or v.Cur.Order across a
-// merge; the swap pipeline only reads Cur.Slots() before it merges.
+// The merge works in place: the current delta's run is retagged within
+// its own storage, then joins the aggregated run in one linear pass
+// within the aggregated run's storage. The current delta is cleared,
+// not replaced, so swap cycles reuse the same storage. A caller must
+// not hold v.Agg or v.Cur.Order across a merge; the swap pipeline only
+// reads Cur.Slots() before it merges.
 func (v *Volume) Merge(reorder bool, isFree func(vba int64) bool) int64 {
 	cur := v.Cur
 	var log []int64 // unordered: every VBA in log order, aggregated first
@@ -409,8 +471,8 @@ func (v *Volume) Merge(reorder bool, isFree func(vba int64) bool) int64 {
 	if isFree != nil {
 		v.Agg = slices.DeleteFunc(v.Agg, func(b Block) bool { return isFree(b.VBA) })
 	}
-	v.run = v.curRun(v.run[:0], isFree)
-	v.Agg, v.aggSlots = mergeRuns(v.Agg, v.run), nil
+	cur.normalize()
+	v.Agg, v.aggSlots = mergeRuns(v.Agg, v.curRun(cur.run[:0], isFree)), nil
 	if !reorder {
 		// The baseline §5.3's reorder improves on: each surviving block
 		// takes the next slot at its first appearance in the log.
@@ -426,8 +488,7 @@ func (v *Volume) Merge(reorder bool, isFree func(vba int64) bool) int64 {
 		}
 	}
 	v.merged += int64(len(cur.Order))
-	clear(cur.Index)
-	cur.Order = cur.Order[:0]
+	cur.Order, cur.run, cur.sorted = cur.Order[:0], cur.run[:0], 0
 	v.writesSinceMeta = 0
 	return int64(len(v.Agg)) * BlockSize
 }

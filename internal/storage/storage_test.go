@@ -263,3 +263,32 @@ func TestPropertyCOWConsistency(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestVolumeWriteAllocs holds the redo-log write path to zero heap
+// allocations: once the current delta's run and log, the disk queue
+// and the event heap have grown to a swap cycle's size, sequential
+// 512 KiB guest writes append in place and their disk requests are
+// queued by value.
+func TestVolumeWriteAllocs(t *testing.T) {
+	const write, writes = 512 << 10, 64
+	s, v := newVol(1, Optimized)
+	completed := 0
+	done := func() { completed++ }
+	for i := int64(0); i < writes; i++ {
+		v.Write(i*write, write, done)
+		s.Run()
+	}
+	v.Merge(true, nil)
+	var off int64
+	allocs := testing.AllocsPerRun(writes-1, func() {
+		v.Write(off, write, done)
+		s.Run()
+		off += write
+	})
+	if completed != 2*writes || v.Cur.Slots() != writes*write/BlockSize {
+		t.Fatalf("%d writes completed, %d current-delta slots", completed, v.Cur.Slots())
+	}
+	if allocs != 0 {
+		t.Fatalf("%.1f allocations per sequential write, want 0", allocs)
+	}
+}

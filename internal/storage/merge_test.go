@@ -342,8 +342,9 @@ func driveOracle(t *testing.T, seed int64, steps int, reorder func(*rand.Rand) b
 				if tailLen(cur) > 0 {
 					cov.reads++
 				}
-				if vba := int64(rng.Intn(blocks)); br.v.locate(vba) != br.rv.lba(vba) {
-					t.Fatalf("seed %d step %d: block %d reads from %d, reference %d", seed, step, vba, br.v.locate(vba), br.rv.lba(vba))
+				vba := int64(rng.Intn(blocks))
+				if g, w := br.v.locate(vba), br.rv.lba(vba); g != w {
+					t.Fatalf("seed %d step %d: block %d reads from %d, reference %d", seed, step, vba, g, w)
 				}
 			}
 			s.Run()

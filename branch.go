@@ -185,7 +185,7 @@ func (c *Cluster) Branch(parent string, ckpt TreeNodeID, specs ...BranchSpec) ([
 			if e.DiskBytes() > 0 {
 				c.TB.Server.StreamUpload(mgr.Tag, e.DiskBytes(), func() {})
 			}
-			n.Vol.Merge(true, n.IsFree)
+			n.Vol.Merge(n.IsFree)
 		}
 		n.MarkResident(lin)
 		prefixBytes += lin.ReplayBytes()

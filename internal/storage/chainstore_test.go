@@ -142,7 +142,7 @@ func TestChainStoreBranchReplayIdentity(t *testing.T) {
 		}
 		commit := func(br *branch) {
 			br.l.Commit(br.v.EpochBlocks(nil), 0)
-			br.v.Merge(true, nil)
+			br.v.Merge(nil)
 		}
 		check := func(br *branch, when string) {
 			if got, want := br.l.Materialize(), br.v.Snapshot(nil); !slices.Equal(got, want) {
@@ -177,7 +177,7 @@ func TestChainStoreBranchReplayIdentity(t *testing.T) {
 					free := int64(rng.Intn(8))
 					isFree := func(vba int64) bool { return vba == free }
 					br.l.Drop(isFree)
-					br.v.Merge(true, isFree)
+					br.v.Merge(isFree)
 					// Merge only filters Agg; a same-round future write may
 					// re-dirty it, which both sides then agree on.
 				}

@@ -12,7 +12,7 @@ import (
 var sink int64
 
 // BenchmarkDeltaWrites writes a block space into the current delta and
-// commits the epoch (EpochBlocks, then a reordering Merge), on the
+// commits the epoch (EpochBlocks, then a Merge), on the
 // Volume and on the map-based reference model. Sequential writes are
 // 512 KiB guest writes in address order; random ones are single blocks
 // at uniform addresses, overwrites included; random-reads also locates
@@ -51,7 +51,7 @@ func BenchmarkDeltaWrites(b *testing.B) {
 					}
 					s.Run()
 					sink += int64(len(v.EpochBlocks(nil)))
-					sink += v.Merge(true, nil)
+					sink += v.Merge(nil)
 				}
 			})
 			b.Run(name+"/map", func(b *testing.B) {
@@ -64,7 +64,7 @@ func BenchmarkDeltaWrites(b *testing.B) {
 						}
 					}
 					sink += int64(len(runOf(r.view(r.curIndex, nil))))
-					sink += r.merge(true, nil)
+					sink += r.merge(nil)
 				}
 			})
 		}

@@ -45,7 +45,7 @@ func TestLineageReplayIdentity(t *testing.T) {
 
 			// Commit the epoch delta and merge locally, as a swap-out does.
 			l.Commit(v.EpochBlocks(nil), 0)
-			v.Merge(true, nil)
+			v.Merge(nil)
 			if l.Depth() < l.MaxDepth+1 && l.Epochs() > l.MaxDepth {
 				pruned = true
 			}
@@ -81,7 +81,7 @@ func TestLineageFreeBlockDrop(t *testing.T) {
 		}
 		drain(s)
 		l.Commit(v.EpochBlocks(isFree), 0)
-		v.Merge(true, isFree)
+		v.Merge(isFree)
 	}
 	l.Drop(isFree)
 

@@ -38,9 +38,9 @@ func (r *refVolume) write(first, n int64) {
 	}
 }
 
-// merge is Merge: the surviving blocks of both deltas take fresh slots,
-// by VBA or in order of first appearance in the two logs.
-func (r *refVolume) merge(reorder bool, isFree func(vba int64) bool) int64 {
+// merge is Merge: the surviving blocks of both deltas take fresh slots
+// by VBA.
+func (r *refVolume) merge(isFree func(vba int64) bool) int64 {
 	freed := func(vba int64) bool { return isFree != nil && isFree(vba) }
 	var vbas []int64
 	seen := make(map[int64]bool)
@@ -52,9 +52,7 @@ func (r *refVolume) merge(reorder bool, isFree func(vba int64) bool) int64 {
 			vbas = append(vbas, vba)
 		}
 	}
-	if reorder {
-		slices.Sort(vbas)
-	}
+	slices.Sort(vbas)
 	r.aggIndex, r.aggOrder = make(map[int64]int64), vbas
 	for slot, vba := range vbas {
 		r.aggIndex[vba] = int64(slot)
@@ -292,7 +290,7 @@ func tailLen(d *Delta) int { return len(d.run) - d.sorted }
 // past a small depth bound. outOfOrder widens the block space and makes
 // each write step a burst of scattered writes, long enough to fill the
 // current delta's tail, with a locate checked after every write.
-func driveOracle(t *testing.T, seed int64, steps int, reorder func(*rand.Rand) bool, chains, outOfOrder bool) tailCoverage {
+func driveOracle(t *testing.T, seed int64, steps int, chains, outOfOrder bool) tailCoverage {
 	blocks := 96
 	if outOfOrder {
 		blocks = 1024
@@ -349,8 +347,7 @@ func driveOracle(t *testing.T, seed int64, steps int, reorder func(*rand.Rand) b
 			}
 			s.Run()
 		case op < 10:
-			ro := reorder(rng)
-			if g, w := br.v.Merge(ro, isFree), br.rv.merge(ro, isFree); g != w {
+			if g, w := br.v.Merge(isFree), br.rv.merge(isFree); g != w {
 				t.Fatalf("seed %d step %d: Merge = %d, reference %d", seed, step, g, w)
 			}
 		case op < 14:
@@ -365,16 +362,16 @@ func driveOracle(t *testing.T, seed int64, steps int, reorder func(*rand.Rand) b
 				br.l.Drop(isFree)
 				br.rl.drop(isFree)
 			}
-			br.v.Merge(true, isFree)
-			br.rv.merge(true, isFree)
+			br.v.Merge(isFree)
+			br.rv.merge(isFree)
 		case op < 16:
 			br.l.Drop(isFree)
 			br.rl.drop(isFree)
 		case op < 18:
 			// A branch starts from its parent's checkpoint state: the
 			// parent's merged volume and a fork of its lineage.
-			br.v.Merge(true, nil)
-			br.rv.merge(true, nil)
+			br.v.Merge(nil)
+			br.rv.merge(nil)
 			nb := &oracleBranch{v: newTestVolume(s), l: br.l.Fork(), rv: newRefVolume(), rl: br.rl.fork()}
 			nb.v.Agg, nb.v.merged = br.v.Snapshot(nil), br.v.merged
 			nb.rv.content, nb.rv.writeSeq = maps.Clone(br.rv.content), br.rv.writeSeq
@@ -448,24 +445,13 @@ func sumBytes(es []*refEpoch) int64 {
 	return n
 }
 
-// TestMergeMatchesReference drives writes and merges, reordering and
-// not, with and without free-block sets, and requires the volume to
-// agree with the map-based model after each step: delta sizes, where
-// every block reads from, the snapshot and the epoch blocks.
+// TestMergeMatchesReference drives writes and merges, with and without
+// free-block sets, and requires the volume to agree with the map-based
+// model after each step: delta sizes, where every block reads from, the
+// snapshot and the epoch blocks.
 func TestMergeMatchesReference(t *testing.T) {
-	for _, mode := range []struct {
-		name    string
-		reorder func(*rand.Rand) bool
-	}{
-		{"reorder", func(*rand.Rand) bool { return true }},
-		{"append-order", func(*rand.Rand) bool { return false }},
-		{"mixed", func(r *rand.Rand) bool { return r.Intn(2) == 0 }},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			for seed := int64(1); seed <= 8; seed++ {
-				driveOracle(t, seed, 200, mode.reorder, false, false)
-			}
-		})
+	for seed := int64(1); seed <= 8; seed++ {
+		driveOracle(t, seed, 200, false, false)
 	}
 }
 
@@ -476,7 +462,7 @@ func TestMergeMatchesReference(t *testing.T) {
 // dedup and stored bytes, equal to the map-based model's.
 func TestRunsMatchMapReference(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
-		driveOracle(t, seed, 400, func(r *rand.Rand) bool { return r.Intn(4) != 0 }, true, false)
+		driveOracle(t, seed, 400, true, false)
 	}
 }
 
@@ -489,7 +475,7 @@ func TestRunsMatchMapReference(t *testing.T) {
 func TestDeltaTailMatchesReference(t *testing.T) {
 	var cov tailCoverage
 	for seed := int64(1); seed <= 6; seed++ {
-		c := driveOracle(t, seed, 60, func(r *rand.Rand) bool { return r.Intn(2) == 0 }, true, true)
+		c := driveOracle(t, seed, 60, true, true)
 		cov.folds, cov.rewrites, cov.reads = cov.folds+c.folds, cov.rewrites+c.rewrites, cov.reads+c.reads
 	}
 	t.Logf("%d bound folds, %d tail rewrites, %d reads through a tail", cov.folds, cov.rewrites, cov.reads)

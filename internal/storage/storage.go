@@ -122,11 +122,10 @@ const maxTail = 256
 // normalize merges into the run when it reaches maxTail or a reader
 // needs the whole delta in VBA order.
 type Delta struct {
-	// Order lists the VBAs in physical log-append order.
-	Order []int64
 	// BaseLBA is the byte LBA where the delta's log region starts.
 	BaseLBA int64
 
+	slots   int64 // log slots appended
 	run     []Block
 	sorted  int
 	scratch []Block // normalize's copy of the tail
@@ -138,10 +137,10 @@ func NewDelta(base int64) *Delta {
 }
 
 // Slots reports occupied log slots.
-func (d *Delta) Slots() int { return len(d.Order) }
+func (d *Delta) Slots() int { return int(d.slots) }
 
 // Bytes reports the delta's on-disk size.
-func (d *Delta) Bytes() int64 { return int64(len(d.Order)) * BlockSize }
+func (d *Delta) Bytes() int64 { return d.slots * BlockSize }
 
 // LiveBytes reports the delta size after free-block elimination: blocks
 // the filesystem has freed are dropped (§5.1).
@@ -176,8 +175,8 @@ func (d *Delta) lookup(vba int64) int64 {
 // append adds (or overwrites) vba at the log head and reports the
 // physical LBA written.
 func (d *Delta) append(vba int64) int64 {
-	slot := int64(len(d.Order))
-	d.Order = append(d.Order, vba)
+	slot := d.slots
+	d.slots++
 	switch n := len(d.run); {
 	case n > d.sorted:
 		d.run = append(d.run, Block{VBA: vba, Tag: slot})
@@ -231,13 +230,11 @@ type Volume struct {
 	// GoldenBytes is the immutable golden image's size.
 	GoldenBytes int64
 	// Agg is the aggregated delta (all changes from previous swap-ins)
-	// as a run; its log starts at AggBase. Cur is the current delta
-	// (changes since the last swap-in).
+	// as a run laid out in VBA order: Agg[i] is in log slot i, counted
+	// from AggBase. Cur is the current delta (changes since the last
+	// swap-in).
 	Agg []Block
 	Cur *Delta
-	// aggSlots gives each Agg block's log slot; nil means the log is in
-	// VBA order (Agg[i] in slot i), as every reordering merge leaves it.
-	aggSlots []int64
 
 	// MetadataEvery controls how often a redo-log append must also
 	// update an on-disk metadata region (a long seek). On a fresh disk
@@ -317,9 +314,6 @@ func (v *Volume) locate(vba int64) int64 {
 	}
 	if i, ok := find(v.Agg, vba); ok {
 		v.ReadsAgg++
-		if v.aggSlots != nil {
-			i = int(v.aggSlots[i])
-		}
 		return AggBase + int64(i)*BlockSize
 	}
 	v.ReadsGolden++
@@ -443,52 +437,27 @@ func (v *Volume) Snapshot(isFree func(vba int64) bool) []Block {
 }
 
 // Merge folds the current delta into the aggregated delta and empties
-// it, as the offline post-swap-out step does. When reorder is true the
-// merged log is laid out by virtual block address, restoring locality
-// for subsequent sequential reads; isFree (optional) drops freed blocks
-// for good, so reads fall through to golden. It reports the merged
-// delta's size in bytes.
+// it, as the offline post-swap-out step does. The merged log is laid
+// out by virtual block address, restoring locality for subsequent
+// sequential reads (§5.3); isFree (optional) drops freed blocks for
+// good, so reads fall through to golden. It reports the merged delta's
+// size in bytes.
 //
 // The merge works in place: the current delta's run is retagged within
 // its own storage, then joins the aggregated run in one linear pass
 // within the aggregated run's storage. The current delta is cleared,
 // not replaced, so swap cycles reuse the same storage. A caller must
-// not hold v.Agg or v.Cur.Order across a merge; the swap pipeline only
-// reads Cur.Slots() before it merges.
-func (v *Volume) Merge(reorder bool, isFree func(vba int64) bool) int64 {
+// not hold v.Agg across a merge; the swap pipeline only reads
+// Cur.Slots() before it merges.
+func (v *Volume) Merge(isFree func(vba int64) bool) int64 {
 	cur := v.Cur
-	var log []int64 // unordered: every VBA in log order, aggregated first
-	if !reorder {
-		log = make([]int64, len(v.Agg), len(v.Agg)+len(cur.Order))
-		for i, b := range v.Agg {
-			if v.aggSlots != nil {
-				i = int(v.aggSlots[i])
-			}
-			log[i] = b.VBA
-		}
-		log = append(log, cur.Order...)
-	}
 	if isFree != nil {
 		v.Agg = slices.DeleteFunc(v.Agg, func(b Block) bool { return isFree(b.VBA) })
 	}
 	cur.normalize()
-	v.Agg, v.aggSlots = mergeRuns(v.Agg, v.curRun(cur.run[:0], isFree)), nil
-	if !reorder {
-		// The baseline §5.3's reorder improves on: each surviving block
-		// takes the next slot at its first appearance in the log.
-		v.aggSlots = make([]int64, len(v.Agg))
-		for i := range v.aggSlots {
-			v.aggSlots[i] = -1
-		}
-		var next int64
-		for _, vba := range log {
-			if i, ok := find(v.Agg, vba); ok && v.aggSlots[i] < 0 {
-				v.aggSlots[i], next = next, next+1
-			}
-		}
-	}
-	v.merged += int64(len(cur.Order))
-	cur.Order, cur.run, cur.sorted = cur.Order[:0], cur.run[:0], 0
+	v.Agg = mergeRuns(v.Agg, v.curRun(cur.run[:0], isFree))
+	v.merged += cur.slots
+	cur.slots, cur.run, cur.sorted = 0, cur.run[:0], 0
 	v.writesSinceMeta = 0
 	return int64(len(v.Agg)) * BlockSize
 }

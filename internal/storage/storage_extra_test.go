@@ -1,10 +1,6 @@
 package storage
 
-import (
-	"testing"
-
-	"emucheck/internal/sim"
-)
+import "testing"
 
 func TestReadSpansMultipleLevels(t *testing.T) {
 	s, v := newVol(1, Optimized)
@@ -12,7 +8,7 @@ func TestReadSpansMultipleLevels(t *testing.T) {
 	// Block 0 in cur, block 1 in agg, block 2 only in golden.
 	v.Write(BlockSize, BlockSize, nil) // will be merged to agg
 	s.Run()
-	v.Merge(true, nil)
+	v.Merge(nil)
 	v.Write(0, BlockSize, nil) // stays in cur
 	s.Run()
 	v.ReadsCur, v.ReadsAgg, v.ReadsGolden = 0, 0, 0
@@ -54,7 +50,7 @@ func TestOverwriteSupersedesInLog(t *testing.T) {
 		t.Fatalf("lookup = %d, want newest slot", got)
 	}
 	// Merge compacts the superseded slots away.
-	if got := v.Merge(true, nil); got != BlockSize {
+	if got := v.Merge(nil); got != BlockSize {
 		t.Fatalf("merged = %d", got)
 	}
 }
@@ -65,7 +61,7 @@ func TestRepeatedSwapCycleMergesAccumulate(t *testing.T) {
 	for cycle := int64(0); cycle < 3; cycle++ {
 		v.Write(cycle*8*BlockSize, 4*BlockSize, nil)
 		s.Run()
-		v.Merge(true, nil)
+		v.Merge(nil)
 	}
 	if got := len(v.Agg); got != 12 {
 		t.Fatalf("aggregated = %d blocks", got)
@@ -106,33 +102,5 @@ func TestRawModeAddressesGoldenDirectly(t *testing.T) {
 	}
 	if v.Disk.WriteBytes != 100 {
 		t.Fatalf("wrote %d", v.Disk.WriteBytes)
-	}
-}
-
-// TestLocalityDegradesWithoutReorder quantifies §5.3's rationale for
-// the offline reorder: after several unordered merges, sequential read
-// seeks grow with history.
-func TestLocalityDegradesWithoutReorder(t *testing.T) {
-	seeks := func(reorder bool, cycles int) int64 {
-		s, v := newVol(2, Optimized)
-		v.Age()
-		rnd := sim.New(9).Rand()
-		for c := 0; c < cycles; c++ {
-			// Random scattered writes each "session".
-			for i := 0; i < 32; i++ {
-				v.Write(int64(rnd.Intn(256))*BlockSize, BlockSize, nil)
-			}
-			s.Run()
-			v.Merge(reorder, nil)
-		}
-		pre := v.Disk.SeekOps
-		v.Read(0, 256*BlockSize, nil)
-		s.Run()
-		return v.Disk.SeekOps - pre
-	}
-	ordered := seeks(true, 4)
-	unordered := seeks(false, 4)
-	if ordered >= unordered {
-		t.Fatalf("reorder not helping: %d vs %d seeks", ordered, unordered)
 	}
 }

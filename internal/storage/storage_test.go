@@ -46,7 +46,7 @@ func TestReadFallThrough(t *testing.T) {
 		t.Fatalf("cur reads = %d", v.ReadsCur)
 	}
 	// After a merge, served from the aggregated delta.
-	v.Merge(true, nil)
+	v.Merge(nil)
 	v.Read(10*BlockSize, BlockSize, nil)
 	s.Run()
 	if v.ReadsAgg != 1 {
@@ -152,39 +152,40 @@ func TestRawBypassesCOW(t *testing.T) {
 }
 
 func TestMergeReorderRestoresLocality(t *testing.T) {
-	// Write blocks in reverse order, merge with reorder, and verify a
-	// sequential read is mostly seek-free versus an unordered merge.
-	seeks := func(reorder bool) int64 {
-		s, v := newVol(1, Optimized)
-		v.Age()
-		for i := int64(63); i >= 0; i-- {
-			v.Write(i*BlockSize, BlockSize, nil)
-		}
-		s.Run()
-		v.Merge(reorder, nil)
+	// Write blocks in reverse order, then read them sequentially from
+	// the log (reverse order on disk) and again after the merge lays
+	// them out by VBA: the merge must make the read mostly seek-free.
+	s, v := newVol(1, Optimized)
+	v.Age()
+	for i := int64(63); i >= 0; i-- {
+		v.Write(i*BlockSize, BlockSize, nil)
+	}
+	s.Run()
+	seeks := func() int64 {
 		pre := v.Disk.SeekOps
 		v.Read(0, 64*BlockSize, nil)
 		s.Run()
 		return v.Disk.SeekOps - pre
 	}
-	ordered := seeks(true)
-	unordered := seeks(false)
-	if ordered >= unordered {
-		t.Fatalf("reorder did not reduce seeks: %d vs %d", ordered, unordered)
+	logOrder := seeks()
+	v.Merge(nil)
+	ordered := seeks()
+	if ordered >= logOrder {
+		t.Fatalf("merge did not reduce seeks: %d vs %d in log order", ordered, logOrder)
 	}
 	if ordered > 2 {
-		t.Fatalf("sequential read after reorder still seeks %d times", ordered)
+		t.Fatalf("sequential read after merge still seeks %d times", ordered)
 	}
 }
 
 func TestMergeSupersedesAndClears(t *testing.T) {
 	s, v := newVol(1, Optimized)
 	v.Write(0, BlockSize, nil)
-	v.Merge(true, nil)
+	v.Merge(nil)
 	v.Write(0, BlockSize, nil) // overwrite in a new swap cycle
 	v.Write(BlockSize, BlockSize, nil)
 	s.Run()
-	got := v.Merge(true, nil)
+	got := v.Merge(nil)
 	if got != 2*BlockSize {
 		t.Fatalf("merged bytes = %d, want 2 blocks", got)
 	}
@@ -206,7 +207,7 @@ func TestFreeBlockEliminationInMergeAndSize(t *testing.T) {
 	if got := v.CurrentDeltaBytes(nil); got != 10*BlockSize {
 		t.Fatalf("raw bytes = %d", got)
 	}
-	if got := v.Merge(true, free); got != 5*BlockSize {
+	if got := v.Merge(free); got != 5*BlockSize {
 		t.Fatalf("merged = %d", got)
 	}
 }
@@ -256,7 +257,7 @@ func TestPropertyCOWConsistency(t *testing.T) {
 				return false
 			}
 		}
-		merged := v.Merge(true, nil)
+		merged := v.Merge(nil)
 		return merged == int64(len(distinct))*BlockSize
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -278,7 +279,7 @@ func TestVolumeWriteAllocs(t *testing.T) {
 		v.Write(i*write, write, done)
 		s.Run()
 	}
-	v.Merge(true, nil)
+	v.Merge(nil)
 	var off int64
 	allocs := testing.AllocsPerRun(writes-1, func() {
 		v.Write(off, write, done)

@@ -638,7 +638,7 @@ func (m *Manager) afterFreeze(o Options, res *core.Result, reports []*OutReport,
 				}
 			}
 			n.HV.K.Dirty.CutEpoch()
-			merged := n.Vol.Merge(true, n.IsFree)
+			merged := n.Vol.Merge(n.IsFree)
 			n.AggBytesOnServer = merged
 			rep.MergedBytes = merged
 			if o.Mode == Full {
@@ -1001,7 +1001,7 @@ func (m *Manager) CommitEpoch(done func(moved int64)) {
 			continue
 		}
 		n.HV.K.Dirty.CutEpoch()
-		n.Vol.Merge(true, n.IsFree)
+		n.Vol.Merge(n.IsFree)
 		pc := pendingCommit{n: n, lin: lin, blocks: blocks, memPages: memPages}
 		diskB := int64(len(blocks)) * storage.BlockSize
 		memB := int64(memPages) * int64(n.HV.P.PageSize)

@@ -448,23 +448,11 @@ func (s *Session) CheckpointOpts(o CheckpointOptions) (*CheckpointResult, error)
 	if s.Exp == nil || s.job != nil && s.job.State() != sched.Running {
 		return nil, fmt.Errorf("emucheck: experiment %q is %s", s.Scenario.Spec.Name, s.State())
 	}
-	var res *CheckpointResult
-	var cerr error
-	if err := s.Exp.Coord.Checkpoint(o, func(r *CheckpointResult, e error) { res, cerr = r, e }); err != nil {
+	res, err := await(s, "checkpoint", 10*sim.Minute, sim.Millisecond, func(done func(*CheckpointResult, error)) error {
+		return s.Exp.Coord.Checkpoint(o, done)
+	})
+	if err != nil {
 		return nil, err
-	}
-	deadline := s.S.Now() + 10*sim.Minute
-	for res == nil && cerr == nil && s.S.Now() < deadline {
-		if !s.S.Step() {
-			s.S.RunFor(sim.Millisecond)
-		}
-	}
-	if cerr != nil {
-		s.LastErr = cerr
-		return nil, cerr
-	}
-	if res == nil {
-		return nil, fmt.Errorf("emucheck: checkpoint did not complete")
 	}
 	first := s.Exp.Spec.Nodes[0].Name
 	if _, err := s.Tree.Record(res, s.VirtualNow(first)); err != nil {
@@ -503,25 +491,9 @@ func (s *Session) SwapOut() ([]*swap.OutReport, error) {
 	if s.Exp.Swap == nil {
 		return nil, fmt.Errorf("emucheck: no swappable nodes in %q", s.Scenario.Spec.Name)
 	}
-	var reps []*swap.OutReport
-	var serr error
-	if err := s.Exp.Swap.SwapOut(swap.Options{}, func(r []*swap.OutReport, e error) { reps, serr = r, e }); err != nil {
-		return nil, err
-	}
-	deadline := s.S.Now() + 2*sim.Hour
-	for reps == nil && serr == nil && s.S.Now() < deadline {
-		if !s.S.Step() {
-			s.S.RunFor(sim.Second)
-		}
-	}
-	if serr != nil {
-		s.LastErr = serr
-		return nil, serr
-	}
-	if reps == nil {
-		return nil, fmt.Errorf("emucheck: swap-out did not complete")
-	}
-	return reps, nil
+	return await(s, "swap-out", 2*sim.Hour, sim.Second, func(done func([]*swap.OutReport, error)) error {
+		return s.Exp.Swap.SwapOut(swap.Options{}, done)
+	})
 }
 
 // SwapIn statefully swaps the experiment back in (synchronously).
@@ -532,26 +504,37 @@ func (s *Session) SwapIn(lazy bool) ([]*swap.InReport, error) {
 	if s.Exp.Swap == nil {
 		return nil, fmt.Errorf("emucheck: no swappable nodes")
 	}
-	o := swap.Options{Eager: !lazy}
-	var reps []*swap.InReport
-	var serr error
-	if err := s.Exp.Swap.SwapIn(o, func(r []*swap.InReport, e error) { reps, serr = r, e }); err != nil {
-		return nil, err
+	return await(s, "swap-in", 2*sim.Hour, sim.Second, func(done func([]*swap.InReport, error)) error {
+		return s.Exp.Swap.SwapIn(swap.Options{Eager: !lazy}, done)
+	})
+}
+
+// await starts an asynchronous operation and steps the session's
+// simulator until the operation reports back or timeout of simulated
+// time passes; while no event is pending, time advances idle at a time.
+// An error the operation reports is kept in LastErr; one that start
+// returns is not.
+func await[T any](s *Session, what string, timeout, idle sim.Time, start func(done func(T, error)) error) (T, error) {
+	var res T
+	var err error
+	finished := false
+	if e := start(func(r T, e error) { res, err, finished = r, e, true }); e != nil {
+		return res, e
 	}
-	deadline := s.S.Now() + 2*sim.Hour
-	for reps == nil && serr == nil && s.S.Now() < deadline {
+	deadline := s.S.Now() + timeout
+	for !finished && s.S.Now() < deadline {
 		if !s.S.Step() {
-			s.S.RunFor(sim.Second)
+			s.S.RunFor(idle)
 		}
 	}
-	if serr != nil {
-		s.LastErr = serr
-		return nil, serr
+	switch {
+	case err != nil:
+		s.LastErr = err
+		return res, err
+	case !finished:
+		return res, fmt.Errorf("emucheck: %s did not complete", what)
 	}
-	if reps == nil {
-		return nil, fmt.Errorf("emucheck: swap-in did not complete")
-	}
-	return reps, nil
+	return res, nil
 }
 
 // Rollback time-travels: it returns a *new* Session re-executed from

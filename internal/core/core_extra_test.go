@@ -19,7 +19,7 @@ func starRig(seed int64, leaves int) (*sim.Simulator, *Coordinator, []*guest.Ker
 	s := sim.New(seed)
 	p := node.DefaultParams()
 	bus := notify.NewBus(s)
-	y := ntpsim.New(s, ntpsim.DefaultModel(), seed)
+	y := ntpsim.New(s, seed)
 
 	hub := node.NewMachine(s, "hub", p)
 	hubK := guest.New(hub, p, guest.DefaultConfig())

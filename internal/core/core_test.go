@@ -41,7 +41,7 @@ func newRig(seed int64) *rig {
 	dn.AttachReverse(ma.ExpNIC)
 
 	bus := notify.NewBus(s)
-	y := ntpsim.New(s, ntpsim.DefaultModel(), seed)
+	y := ntpsim.New(s, seed)
 	y.Start("a")
 	y.Start("b")
 	y.Start("delay0")

@@ -113,16 +113,20 @@ func (p *Pipe) InFlight() int { return p.slots.Len() - p.QueueLen() }
 // Accept implements simnet.Port: a packet enters the router queue. A
 // frozen delay node is checkpoint-quiesced; with synchronized
 // checkpoints the endpoints are frozen too, so a frozen Accept only
-// happens inside the skew window. The packet is queued if there is
-// room: it is part of the captured network state.
+// happens inside the skew window. Such a packet is always queued, even
+// past Slots: the stopped bandwidth stage would otherwise turn the skew
+// into drops the endpoints see, and the checkpoint would not be
+// transparent. The bound applies again to arrivals after Thaw.
 func (p *Pipe) Accept(pkt *simnet.Packet) {
-	if !p.frozen && p.PLR > 0 && p.sim.Rand().Float64() < p.PLR {
-		p.PLRDrops++
-		return
-	}
-	if p.QueueLen() >= p.Slots {
-		p.Dropped++
-		return
+	if !p.frozen {
+		if p.PLR > 0 && p.sim.Rand().Float64() < p.PLR {
+			p.PLRDrops++
+			return
+		}
+		if p.QueueLen() >= p.Slots {
+			p.Dropped++
+			return
+		}
 	}
 	p.Enqueued++
 	if p.frozen {

@@ -148,6 +148,35 @@ func TestAcceptWhileFrozenQueues(t *testing.T) {
 	}
 }
 
+// A frozen pipe queues every arrival of the skew window, past Slots,
+// and emits them all after Thaw; the bound applies again to arrivals
+// after Thaw.
+func TestFrozenPipeKeepsSkewArrivalsPastSlots(t *testing.T) {
+	s := sim.New(1)
+	k := &sink{s: s}
+	p := NewPipe(s, "p", 100*simnet.Mbps, 0, k)
+	p.Slots = 2
+	p.Freeze()
+	for i := 0; i < 5; i++ {
+		p.Accept(&simnet.Packet{Size: 1250})
+	}
+	if p.Dropped != 0 || p.QueueLen() != 5 {
+		t.Fatalf("frozen pipe: %d dropped, %d queued; want 0 and 5", p.Dropped, p.QueueLen())
+	}
+	if st, _ := p.Serialize(); len(st.Queue) != 5 {
+		t.Fatalf("snapshot holds %d queued packets, want 5", len(st.Queue))
+	}
+	p.Thaw()
+	p.Accept(&simnet.Packet{Size: 1250})
+	if p.Dropped != 1 {
+		t.Fatalf("thawed pipe over its bound: %d dropped, want 1", p.Dropped)
+	}
+	s.Run()
+	if len(k.pkts) != 5 {
+		t.Fatalf("emitted %d packets, want 5", len(k.pkts))
+	}
+}
+
 func TestSerializeRequiresFrozen(t *testing.T) {
 	s := sim.New(1)
 	p := NewPipe(s, "p", 0, 0, nil)

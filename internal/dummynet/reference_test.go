@@ -55,10 +55,6 @@ func (p *refPipe) InFlight() int { return p.line.Len() }
 
 func (p *refPipe) Accept(pkt *simnet.Packet) {
 	if p.frozen {
-		if p.queue.Len() >= p.Slots {
-			p.Dropped++
-			return
-		}
 		p.Enqueued++
 		p.queue.Push(pkt)
 		return

@@ -118,7 +118,7 @@ func NewTestbed(s *sim.Simulator, pool int) *Testbed {
 	return &Testbed{
 		S:           s,
 		Bus:         notify.NewBus(s),
-		NTP:         ntpsim.New(s, ntpsim.DefaultModel(), 0x7ab5),
+		NTP:         ntpsim.New(s, 0x7ab5),
 		Server:      xfer.NewServer(s, 0),
 		Params:      node.DefaultParams(),
 		FreeNodes:   pool,

@@ -233,7 +233,7 @@ func newSwapRig(seed int64) *swapRig {
 	k.Backend = vol
 	hv := xen.New(m, p, k)
 	bus := notify.NewBus(s)
-	y := ntpsim.New(s, ntpsim.DefaultModel(), seed)
+	y := ntpsim.New(s, seed)
 	y.Start("sw0")
 	coord := core.NewCoordinator(s, bus, y, []*core.Member{{Name: "sw0", HV: hv}}, nil)
 	server := xfer.NewServer(s, 0)
@@ -400,7 +400,7 @@ type SyncResult struct {
 // checkpoint skew comparison.
 func SyncTable(seed int64) *SyncResult {
 	s := sim.New(seed)
-	y := ntpsim.New(s, ntpsim.DefaultModel(), seed)
+	y := ntpsim.New(s, seed)
 	y.Start("a")
 	y.Start("b")
 	res := &SyncResult{}

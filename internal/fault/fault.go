@@ -2,7 +2,7 @@
 // a declarative schedule of node crashes, control-LAN message loss and
 // delay, and slow-disk / slow-save perturbations, armed against a
 // running cluster. Everything an injection does flows through the
-// simulator and the plan's own seeded random source, so a faulty run
+// simulator and the plan's own seeded draws, so a faulty run
 // is exactly as deterministic as a clean one — two runs of the same
 // plan under the same seed are byte-identical, which is what makes
 // failure scenarios assertable and regressions bisectable (syslog
@@ -18,7 +18,6 @@ package fault
 
 import (
 	"fmt"
-	"math/rand"
 
 	"emucheck/internal/notify"
 	"emucheck/internal/sim"
@@ -79,8 +78,9 @@ type Injection struct {
 	// the streams.
 	Seed int64
 
-	remaining int        // drop budget left
-	rng       *rand.Rand // per-injection jitter source
+	remaining int   // drop budget left
+	key       int64 // keys the injection's jitter draws
+	draws     int64 // jitter draws made
 }
 
 func (inj *Injection) defaults() {
@@ -148,7 +148,7 @@ func (p *Plan) Arm(s *sim.Simulator, bus *notify.Bus, h Hooks) {
 		if seed == 0 {
 			seed = base + int64(i) + 1
 		}
-		inj.rng = rand.New(rand.NewSource(seed))
+		inj.key, inj.draws = seed, 0
 		switch inj.Kind {
 		case Crash:
 			fire := func() {
@@ -225,7 +225,8 @@ func (p *Plan) deliver(m *notify.Msg, owner string) (bool, sim.Time) {
 		}
 		e := inj.Extra
 		if e <= 0 {
-			e = sim.Time(inj.rng.Int63n(int64(20 * sim.Millisecond)))
+			e = sim.Time(sim.Mix64(inj.key, inj.draws) % uint64(20*sim.Millisecond))
+			inj.draws++
 		}
 		extra += e
 		p.Delayed++

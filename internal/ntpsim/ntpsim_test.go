@@ -1,6 +1,7 @@
 package ntpsim
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,7 +12,7 @@ import (
 
 func TestUndisciplinedClockIsBad(t *testing.T) {
 	s := sim.New(1)
-	y := New(s, DefaultModel(), 1)
+	y := New(s, 1)
 	if got := y.Error("ghost"); got != 500*sim.Millisecond {
 		t.Fatalf("error = %v", got)
 	}
@@ -22,7 +23,7 @@ func TestUndisciplinedClockIsBad(t *testing.T) {
 
 func TestErrorConverges(t *testing.T) {
 	s := sim.New(1)
-	y := New(s, DefaultModel(), 1)
+	y := New(s, 1)
 	y.Start("a")
 	abs := func(x sim.Time) sim.Time {
 		if x < 0 {
@@ -45,7 +46,7 @@ func TestErrorConverges(t *testing.T) {
 
 func TestSteadyStateNearPaperFigure(t *testing.T) {
 	s := sim.New(1)
-	y := New(s, DefaultModel(), 2)
+	y := New(s, 2)
 	y.Start("a")
 	y.Start("b")
 	// After a minute, pairwise skew should be in the ~200 µs LAN regime.
@@ -63,29 +64,40 @@ func TestSteadyStateNearPaperFigure(t *testing.T) {
 	}
 }
 
+// TestErrorIsDeterministicAndOrderIndependent builds two Syncs alike
+// and queries 1200 floor epochs on each of several nodes, on one in
+// order and on the other in a shuffled order that interleaves the
+// nodes, and requires equal errors.
 func TestErrorIsDeterministicAndOrderIndependent(t *testing.T) {
-	build := func() *Sync {
-		s := sim.New(1)
-		y := New(s, DefaultModel(), 3)
-		y.Start("a")
-		y.Start("b")
-		return y
+	const seed, epochs = 11, 1200
+	names := []string{"n0", "n1", "sender", "receiver", "q-n4"}
+	inOrder, shuffled := New(sim.New(1), seed), New(sim.New(1), seed)
+	type query struct {
+		name string
+		at   sim.Time
 	}
-	y1 := build()
-	y2 := build()
-	// Query y1 in one order, y2 in another.
-	a1 := y1.ErrorAt("a", 10*sim.Second)
-	b1 := y1.ErrorAt("b", 20*sim.Second)
-	b2 := y2.ErrorAt("b", 20*sim.Second)
-	a2 := y2.ErrorAt("a", 10*sim.Second)
-	if a1 != a2 || b1 != b2 {
-		t.Fatalf("order-dependent errors: %v/%v vs %v/%v", a1, b1, a2, b2)
+	var qs []query
+	want := make(map[query]sim.Time)
+	for _, name := range names {
+		inOrder.Start(name)
+		shuffled.Start(name)
+		for e := sim.Time(0); e < epochs; e++ {
+			q := query{name, e*floorEpoch + floorEpoch/3}
+			qs = append(qs, q)
+			want[q] = inOrder.ErrorAt(q.name, q.at)
+		}
+	}
+	rand.New(rand.NewSource(3)).Shuffle(len(qs), func(i, j int) { qs[i], qs[j] = qs[j], qs[i] })
+	for _, q := range qs {
+		if got := shuffled.ErrorAt(q.name, q.at); got != want[q] {
+			t.Fatalf("%s at %v: error %v shuffled, %v in order", q.name, q.at, got, want[q])
+		}
 	}
 }
 
 func TestLocalTrigger(t *testing.T) {
 	s := sim.New(1)
-	y := New(s, DefaultModel(), 4)
+	y := New(s, 4)
 	y.Start("a")
 	T := 10 * sim.Second
 	tr := y.LocalTrigger("a", T)
@@ -96,7 +108,7 @@ func TestLocalTrigger(t *testing.T) {
 
 func TestSkewEmpty(t *testing.T) {
 	s := sim.New(1)
-	y := New(s, DefaultModel(), 5)
+	y := New(s, 5)
 	if y.Skew(sim.Second) != 0 {
 		t.Fatal("empty skew")
 	}
@@ -107,7 +119,7 @@ func TestConvergenceShapeMatchesFig6(t *testing.T) {
 	// 5801, 816, 399, 330 µs. Check the model's skew decreases in the
 	// same pattern: first gap milliseconds, later gaps sub-millisecond.
 	s := sim.New(1)
-	y := New(s, DefaultModel(), 6)
+	y := New(s, 6)
 	y.Start("sender")
 	y.Start("receiver")
 	g1 := y.Skew(5*sim.Second, "sender", "receiver")
@@ -130,135 +142,65 @@ func TestConvergenceShapeMatchesFig6(t *testing.T) {
 func TestPropertyBounded(t *testing.T) {
 	f := func(tSec uint8) bool {
 		s := sim.New(7)
-		m := DefaultModel()
-		y := New(s, m, 8)
+		y := New(s, 8)
 		y.Start("n")
 		e := y.ErrorAt("n", sim.Time(tSec)*sim.Second)
 		if e < 0 {
 			e = -e
 		}
-		return e <= m.InitialErrHi+m.FloorHi
+		return e <= initialHi+floorHi
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// freshDraws is the reference the model's draws must match: the node's
-// start-up draws and the steady-state floor of each epoch, each from
-// its own rand.NewSource.
-type freshDraws struct {
-	amp  float64
-	salt int64
-}
-
-func freshStart(seed int64, m Model, name string) freshDraws {
-	h := int64(0)
-	for _, c := range name {
-		h = h*131 + int64(c)
-	}
-	rng := rand.New(rand.NewSource(seed ^ h))
-	sign := 1.0
-	if rng.Intn(2) == 0 {
-		sign = -1
-	}
-	amp := float64(m.InitialErrLo) + rng.Float64()*float64(m.InitialErrHi-m.InitialErrLo)
-	return freshDraws{amp: sign * amp, salt: rng.Int63()}
-}
-
-func (d freshDraws) floor(m Model, epoch int64) float64 {
-	r := rand.New(rand.NewSource(d.salt ^ epoch*2654435761))
-	sign := 1.0
-	if r.Intn(2) == 0 {
-		sign = -1
-	}
-	return sign * (float64(m.FloorLo) + r.Float64()*float64(m.FloorHi-m.FloorLo))
-}
-
-// TestErrorAtMatchesFreshSourceDraws queries 1200 floor epochs on each
-// of several nodes, in a shuffled order that interleaves the nodes, and
-// requires every error to equal the one built from fresh sources.
-func TestErrorAtMatchesFreshSourceDraws(t *testing.T) {
-	const seed, epochs = 11, 1200
-	m := DefaultModel()
-	y := New(sim.New(1), m, seed)
-	names := []string{"n0", "n1", "sender", "receiver", "q-n4"}
-	ref := make(map[string]freshDraws)
-	for _, name := range names {
-		y.Start(name)
-		ref[name] = freshStart(seed, m, name)
-	}
-	type query struct {
-		name  string
-		epoch int64
-	}
-	var qs []query
-	for _, name := range names {
-		for e := int64(0); e < epochs; e++ {
-			qs = append(qs, query{name, e})
-		}
-	}
-	rand.New(rand.NewSource(3)).Shuffle(len(qs), func(i, j int) { qs[i], qs[j] = qs[j], qs[i] })
-	for _, q := range qs {
-		at := sim.Time(q.epoch)*m.FloorEpoch + m.FloorEpoch/3
-		d := ref[q.name]
-		want := sim.Time(d.amp*math.Exp(-float64(at)/float64(m.Tau)) + d.floor(m, q.epoch))
-		if got := y.ErrorAt(q.name, at); got != want {
-			t.Fatalf("%s epoch %d: error %v, fresh-source draw %v", q.name, q.epoch, got, want)
-		}
-	}
-}
-
-// TestMemoizedErrorAtAllocatesNothing holds a query of an epoch already
-// drawn to zero allocations.
-func TestMemoizedErrorAtAllocatesNothing(t *testing.T) {
-	y := New(sim.New(1), DefaultModel(), 12)
+// TestErrorAtAllocatesNothing holds every query to zero allocations:
+// the first of each floor epoch as well as a repeated one.
+func TestErrorAtAllocatesNothing(t *testing.T) {
+	y := New(sim.New(1), 12)
 	y.Start("a")
 	at := 9 * sim.Second
-	y.ErrorAt("a", at)
-	if allocs := testing.AllocsPerRun(100, func() { y.ErrorAt("a", at) }); allocs != 0 {
-		t.Fatalf("memoized ErrorAt: %v allocs", allocs)
+	if allocs := testing.AllocsPerRun(100, func() {
+		at += floorEpoch
+		y.ErrorAt("a", at)
+		y.ErrorAt("a", at)
+	}); allocs != 0 {
+		t.Fatalf("ErrorAt: %v allocs", allocs)
 	}
 }
 
-// TestDrawsMatchMathRand holds the directly computed stream to
-// rand.New(rand.NewSource(seed)): the first three outputs on 100 000
-// random seeds plus zero, negative seeds and multiples of the seeding
-// modulus (which reduce to zero), the Intn(2)/Float64/Int63 draws the
-// model makes, and outputs past the third, which come from a real source.
-func TestDrawsMatchMathRand(t *testing.T) {
-	seeds := []int64{0, 1, -1, -2, math.MinInt64, math.MaxInt64, lcgMod, -lcgMod, 2 * lcgMod, 12345 * lcgMod, lcgMod - 1, lcgMod + 1, 89482311}
-	gen := rand.New(rand.NewSource(42))
-	for i := 0; i < 100000; i++ {
-		s := gen.Int63()
-		if i%2 == 1 {
-			s = -s
-		}
-		seeds = append(seeds, s)
+// TestDrawDistribution checks the draws over 10k epochs and 10k node
+// names: every start-up amplitude and every floor lies in its band, and
+// each sign turns up 45-55% of the time.
+func TestDrawDistribution(t *testing.T) {
+	const n = 10000
+	y := New(sim.New(1), 13)
+	var amps, nodeFloors, epochFloors []float64
+	for i := 0; i < n; i++ {
+		name := fmt.Sprintf("node-%d", i)
+		y.Start(name)
+		amps = append(amps, y.nodes[name].amp)
+		nodeFloors = append(nodeFloors, y.nodes[name].floor(floorEpoch))
 	}
-	for i, seed := range seeds {
-		got, want := newStream(seed), rand.New(rand.NewSource(seed))
-		outputs := 3
-		if i < 1000 {
-			outputs = 8 // past the three computed ones
-		}
-		for k := 0; k < outputs; k++ {
-			if g, w := got.Int63(), want.Int63(); g != w {
-				t.Fatalf("seed %d output %d: %d, math/rand %d", seed, k, g, w)
+	for e := sim.Time(0); e < n; e++ {
+		epochFloors = append(epochFloors, y.nodes["node-0"].floor(e*floorEpoch))
+	}
+	check := func(what string, vs []float64, lo, hi sim.Time) {
+		neg := 0
+		for _, v := range vs {
+			if math.Abs(v) < float64(lo) || math.Abs(v) >= float64(hi) {
+				t.Fatalf("%s %v outside ±[%v, %v)", what, sim.Time(v), lo, hi)
+			}
+			if v < 0 {
+				neg++
 			}
 		}
-		if i >= 1000 {
-			continue
-		}
-		got, want = newStream(seed), rand.New(rand.NewSource(seed))
-		if g, w := got.intn2(), want.Intn(2); g != w {
-			t.Fatalf("seed %d: Intn(2) %d, math/rand %d", seed, g, w)
-		}
-		if g, w := got.float64(), want.Float64(); g != w {
-			t.Fatalf("seed %d: Float64 %v, math/rand %v", seed, g, w)
-		}
-		if g, w := got.Int63(), want.Int63(); g != w {
-			t.Fatalf("seed %d: Int63 %d, math/rand %d", seed, g, w)
+		if neg < len(vs)*45/100 || neg > len(vs)*55/100 {
+			t.Fatalf("%s: %d of %d negative", what, neg, len(vs))
 		}
 	}
+	check("amplitude", amps, initialLo, initialHi)
+	check("floor across nodes", nodeFloors, floorLo, floorHi)
+	check("floor across epochs", epochFloors, floorLo, floorHi)
 }

@@ -19,7 +19,7 @@ func multiRig(seed int64) (*sim.Simulator, *Manager, []*guest.Kernel) {
 	s := sim.New(seed)
 	p := node.DefaultParams()
 	bus := notify.NewBus(s)
-	y := ntpsim.New(s, ntpsim.DefaultModel(), seed)
+	y := ntpsim.New(s, seed)
 	server := xfer.NewServer(s, 0)
 	var members []*core.Member
 	var nodes []*Node

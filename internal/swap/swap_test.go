@@ -33,7 +33,7 @@ func newRig(seed int64) *rig {
 	k.Backend = vol
 	hv := xen.New(mach, p, k)
 	bus := notify.NewBus(s)
-	y := ntpsim.New(s, ntpsim.DefaultModel(), seed)
+	y := ntpsim.New(s, seed)
 	y.Start("n0")
 	coord := core.NewCoordinator(s, bus, y, []*core.Member{{Name: "n0", HV: hv}}, nil)
 	server := xfer.NewServer(s, 0)

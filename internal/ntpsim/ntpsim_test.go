@@ -64,33 +64,70 @@ func TestSteadyStateNearPaperFigure(t *testing.T) {
 	}
 }
 
-// TestErrorIsDeterministicAndOrderIndependent builds two Syncs alike
-// and queries 1200 floor epochs on each of several nodes, on one in
-// order and on the other in a shuffled order that interleaves the
-// nodes, and requires equal errors.
 func TestErrorIsDeterministicAndOrderIndependent(t *testing.T) {
+	build := func() *Sync {
+		y := New(sim.New(1), 3)
+		y.Start("a")
+		y.Start("b")
+		return y
+	}
+	y1 := build()
+	y2 := build()
+	// Query y1 in one order, y2 in another.
+	a1 := y1.ErrorAt("a", 10*sim.Second)
+	b1 := y1.ErrorAt("b", 20*sim.Second)
+	b2 := y2.ErrorAt("b", 20*sim.Second)
+	a2 := y2.ErrorAt("a", 10*sim.Second)
+	if a1 != a2 || b1 != b2 {
+		t.Fatalf("order-dependent errors: %v/%v vs %v/%v", a1, b1, a2, b2)
+	}
+}
+
+// freshError computes a node's error from fresh sim.Mix64 draws, as the
+// package documents them: for a name hashing to h, the amplitude draw is
+// keyed (seed, h, 0) and the floor of epoch e (Mix64(seed, h, 1), e);
+// each draw's top 53 bits give the magnitude and bit 0 the sign.
+func freshError(seed int64, name string, at sim.Time) sim.Time {
+	h := int64(0)
+	for _, c := range name {
+		h = h*131 + int64(c)
+	}
+	draw := func(x uint64, lo, hi sim.Time) float64 {
+		mag := float64(lo) + math.Ldexp(float64(x>>11), -53)*float64(hi-lo)
+		if x%2 == 0 {
+			return -mag
+		}
+		return mag
+	}
+	amp := draw(sim.Mix64(seed, h, 0), initialLo, initialHi)
+	floor := draw(sim.Mix64(int64(sim.Mix64(seed, h, 1)), int64(at/floorEpoch)), floorLo, floorHi)
+	return sim.Time(amp*math.Exp(-float64(at)/float64(tau)) + floor)
+}
+
+// TestErrorAtMatchesFreshSourceDraws queries 1200 floor epochs on each
+// of several nodes, in a shuffled order that interleaves the nodes, and
+// requires every error to equal the one built from fresh draws.
+func TestErrorAtMatchesFreshSourceDraws(t *testing.T) {
 	const seed, epochs = 11, 1200
+	y := New(sim.New(1), seed)
 	names := []string{"n0", "n1", "sender", "receiver", "q-n4"}
-	inOrder, shuffled := New(sim.New(1), seed), New(sim.New(1), seed)
 	type query struct {
-		name string
-		at   sim.Time
+		name  string
+		epoch int64
 	}
 	var qs []query
-	want := make(map[query]sim.Time)
 	for _, name := range names {
-		inOrder.Start(name)
-		shuffled.Start(name)
-		for e := sim.Time(0); e < epochs; e++ {
-			q := query{name, e*floorEpoch + floorEpoch/3}
-			qs = append(qs, q)
-			want[q] = inOrder.ErrorAt(q.name, q.at)
+		y.Start(name)
+		for e := int64(0); e < epochs; e++ {
+			qs = append(qs, query{name, e})
 		}
 	}
 	rand.New(rand.NewSource(3)).Shuffle(len(qs), func(i, j int) { qs[i], qs[j] = qs[j], qs[i] })
 	for _, q := range qs {
-		if got := shuffled.ErrorAt(q.name, q.at); got != want[q] {
-			t.Fatalf("%s at %v: error %v shuffled, %v in order", q.name, q.at, got, want[q])
+		at := sim.Time(q.epoch)*floorEpoch + floorEpoch/3
+		want := freshError(seed, q.name, at)
+		if got := y.ErrorAt(q.name, at); got != want {
+			t.Fatalf("%s epoch %d: error %v, fresh draw %v", q.name, q.epoch, got, want)
 		}
 	}
 }

@@ -61,6 +61,10 @@ type Commit2PC struct {
 	round      int
 	collecting bool
 	votes      map[int]bool // participant index -> vote of current round
+
+	// The coordinator's per-round continuations, bound once: the next
+	// round, and the decision after vote collection.
+	onRound, onDecide func()
 }
 
 // RunCommit2PC starts the commit protocol (nodes[0] coordinates) and
@@ -72,13 +76,13 @@ func RunCommit2PC(nodes []CommitNode, cfg CommitConfig) *Commit2PC {
 	if cfg.VoteTimeout <= 0 {
 		cfg.VoteTimeout = 600 * sim.Millisecond
 	}
-	c := &Commit2PC{cfg: cfg, nodes: nodes, coordAlive: true}
+	c := &Commit2PC{cfg: cfg, nodes: nodes, coordAlive: true, votes: make(map[int]bool)}
+	c.onRound, c.onDecide = c.runRound, c.decide
 	c.installCoordinator()
 	for p := 1; p < len(nodes); p++ {
 		c.installParticipant(p)
 	}
-	ck := nodes[0].K
-	ck.Usleep(cfg.Period, func() { c.runRound() })
+	nodes[0].K.Usleep(cfg.Period, c.onRound)
 	return c
 }
 
@@ -129,7 +133,7 @@ func (c *Commit2PC) runRound() {
 	c.round++
 	r := c.round
 	k := c.nodes[0].K
-	c.votes = make(map[int]bool)
+	clear(c.votes)
 	c.collecting = true
 	for p := 1; p < len(c.nodes); p++ {
 		k.Send(c.nodes[p].Addr, 200, &guest.Message{Port: "2pc.prepare", Data: r})
@@ -140,36 +144,42 @@ func (c *Commit2PC) runRound() {
 		c.collecting = false
 		return
 	}
-	k.Usleep(c.cfg.VoteTimeout, func() {
-		if !c.coordAlive {
-			return
+	k.Usleep(c.cfg.VoteTimeout, c.onDecide)
+}
+
+// decide ends the current round's vote collection: unanimous yes
+// commits, anything else aborts, and the next round follows a period
+// after the prepares went out.
+func (c *Commit2PC) decide() {
+	if !c.coordAlive {
+		return
+	}
+	r, k := c.round, c.nodes[0].K
+	c.collecting = false
+	decision := "2pc.commit"
+	if len(c.votes) < len(c.nodes)-1 {
+		decision = "2pc.abort" // a ballot went missing: presume no
+	}
+	// Map order is harmless: any "no" aborts, whatever its position.
+	for _, yes := range c.votes {
+		if !yes {
+			decision = "2pc.abort"
 		}
-		c.collecting = false
-		decision := "2pc.commit"
-		if len(c.votes) < len(c.nodes)-1 {
-			decision = "2pc.abort" // a ballot went missing: presume no
-		}
-		// Map order is harmless: any "no" aborts, whatever its position.
-		for _, yes := range c.votes {
-			if !yes {
-				decision = "2pc.abort"
-			}
-		}
-		if decision == "2pc.commit" {
-			c.Commits++
-		} else {
-			c.Aborts++
-		}
-		// The coordinator journals the decision before announcing it
-		// (presumed-nothing log), then fans it out.
-		k.WriteDisk(int64(r)<<20, 64<<10, nil)
-		for p := 1; p < len(c.nodes); p++ {
-			k.Send(c.nodes[p].Addr, 150, &guest.Message{Port: decision, Data: r})
-		}
-		c.report(fmt.Sprintf("commits=%d aborts=%d", c.Commits, c.Aborts))
-		c.tick()
-		k.Usleep(c.cfg.Period-c.cfg.VoteTimeout, func() { c.runRound() })
-	})
+	}
+	if decision == "2pc.commit" {
+		c.Commits++
+	} else {
+		c.Aborts++
+	}
+	// The coordinator journals the decision before announcing it
+	// (presumed-nothing log), then fans it out.
+	k.WriteDisk(int64(r)<<20, 64<<10, nil)
+	for p := 1; p < len(c.nodes); p++ {
+		k.Send(c.nodes[p].Addr, 150, &guest.Message{Port: decision, Data: r})
+	}
+	c.report(fmt.Sprintf("commits=%d aborts=%d", c.Commits, c.Aborts))
+	c.tick()
+	k.Usleep(c.cfg.Period-c.cfg.VoteTimeout, c.onRound)
 }
 
 // installParticipant registers participant p's prepare and decision

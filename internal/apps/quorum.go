@@ -67,6 +67,10 @@ type quorumMember struct {
 	electing bool
 	answered bool // a higher rank responded to the current campaign
 	lastHB   sim.Time
+
+	// The monitor's and the heartbeat's per-tick continuations, bound
+	// once per member.
+	onMonitor, onHeartbeat func()
 }
 
 // RunQuorum starts the election protocol over the given members
@@ -83,6 +87,7 @@ func RunQuorum(nodes []QuorumNode, cfg QuorumConfig) *Quorum {
 	q := &Quorum{cfg: cfg}
 	for i, n := range nodes {
 		m := &quorumMember{q: q, rank: i, node: n, peers: nodes, alive: true}
+		m.onMonitor, m.onHeartbeat = m.monitorTick, m.heartbeatTick
 		q.members = append(q.members, m)
 		m.install()
 	}
@@ -167,16 +172,16 @@ func (m *quorumMember) start() {
 // monitor is the failure detector: a follower that has heard no
 // heartbeat (and no coordinator announcement) for Timeout calls a
 // re-election. Leaders and in-flight campaigns skip the check.
-func (m *quorumMember) monitor() {
-	m.node.K.Usleep(m.q.cfg.Heartbeat, func() {
-		if !m.alive {
-			return
-		}
-		if !m.isLeader && !m.electing && m.node.K.Monotonic()-m.lastHB > m.q.cfg.Timeout {
-			m.startElection()
-		}
-		m.monitor()
-	})
+func (m *quorumMember) monitor() { m.node.K.Usleep(m.q.cfg.Heartbeat, m.onMonitor) }
+
+func (m *quorumMember) monitorTick() {
+	if !m.alive {
+		return
+	}
+	if !m.isLeader && !m.electing && m.node.K.Monotonic()-m.lastHB > m.q.cfg.Timeout {
+		m.startElection()
+	}
+	m.monitor()
 }
 
 // startElection runs one bully campaign: challenge every higher rank,
@@ -229,16 +234,16 @@ func (m *quorumMember) becomeLeader() {
 
 // heartbeat is the leader's periodic announcement loop; it dies with
 // the leader (alive guard) or with a demotion.
-func (m *quorumMember) heartbeat() {
-	m.node.K.Usleep(m.q.cfg.Heartbeat, func() {
-		if !m.alive || !m.isLeader {
-			return
+func (m *quorumMember) heartbeat() { m.node.K.Usleep(m.q.cfg.Heartbeat, m.onHeartbeat) }
+
+func (m *quorumMember) heartbeatTick() {
+	if !m.alive || !m.isLeader {
+		return
+	}
+	for r, p := range m.peers {
+		if r != m.rank {
+			m.node.K.Send(p.Addr, 100, &guest.Message{Port: "q.hb"})
 		}
-		for r, p := range m.peers {
-			if r != m.rank {
-				m.node.K.Send(p.Addr, 100, &guest.Message{Port: "q.hb"})
-			}
-		}
-		m.heartbeat()
-	})
+	}
+	m.heartbeat()
 }

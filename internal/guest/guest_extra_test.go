@@ -71,17 +71,6 @@ func TestRxOrderPreservedAcrossFreeze(t *testing.T) {
 	}
 }
 
-func TestFlowLabelsAssigned(t *testing.T) {
-	s, ka, kb := kernelPair(2)
-	var flow string
-	kb.M.ExpNIC.OnReceive(func(p *simnet.Packet) { flow = p.Flow })
-	ka.Send("b", 100, &Message{Port: "x"})
-	s.Run()
-	if flow != "a>b" {
-		t.Fatalf("flow = %q", flow)
-	}
-}
-
 func TestTxQueueVisibility(t *testing.T) {
 	s, ka, _ := kernelPair(3)
 	ka.Suspend(func() {})

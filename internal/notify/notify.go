@@ -95,6 +95,7 @@ type Bus struct {
 	Attempts uint64
 
 	perTopic map[string]*topicEntry
+	free     []*delivery // recycled delivery records
 }
 
 // InFlight reports delivery attempts scheduled but not yet delivered —
@@ -269,17 +270,48 @@ func (b *Bus) deliver(m *Msg, bk *bucket, ts *topicEntry, label string) {
 			}
 			d += extra
 		}
-		b.s.DoAfter(d, label, func() {
-			b.Delivered++
-			ts.Delivered++
-			h(m)
-		})
+		b.s.DoAfter(d, label, b.newDelivery(m, h, ts).fire)
 	}
 	for i := len(live); i < len(bk.subs); i++ {
 		bk.subs[i] = nil
 	}
 	bk.subs = live
 	bk.removed = 0
+}
+
+// delivery is one scheduled subscriber delivery: fire, bound once when
+// the record is first made, counts it and hands m to h. Records return
+// to the bus's free list before the handler runs, so steady fan-out
+// allocates nothing.
+type delivery struct {
+	b    *Bus
+	m    *Msg
+	h    func(*Msg)
+	ts   *topicEntry
+	fire func()
+}
+
+// newDelivery takes a record off the free list, or makes one.
+func (b *Bus) newDelivery(m *Msg, h func(*Msg), ts *topicEntry) *delivery {
+	var d *delivery
+	if n := len(b.free); n > 0 {
+		d = b.free[n-1]
+		b.free = b.free[:n-1]
+	} else {
+		d = &delivery{b: b}
+		d.fire = d.run
+	}
+	d.m, d.h, d.ts = m, h, ts
+	return d
+}
+
+func (d *delivery) run() {
+	b, m, h, ts := d.b, d.m, d.h, d.ts
+	d.m, d.h, d.ts = nil, nil, nil
+	b.free = append(b.free, d)
+	b.Delivered++
+	ts.Delivered++
+	h(m)
 }
 
 // Barrier counts arrivals for one checkpoint epoch and fires when all

@@ -48,10 +48,8 @@ type Packet struct {
 	ID      uint64
 	Src     Addr
 	Dst     Addr
-	Flow    string // source-destination flow label for replay ordering
-	Size    int    // bytes on the wire
+	Size    int // bytes on the wire
 	Payload any
-	SentAt  sim.Time
 }
 
 // Clone returns a shallow copy of the packet.
@@ -61,7 +59,7 @@ func (p *Packet) Clone() *Packet {
 }
 
 func (p *Packet) String() string {
-	return fmt.Sprintf("pkt %d %s->%s (%dB, flow %s)", p.ID, p.Src, p.Dst, p.Size, p.Flow)
+	return fmt.Sprintf("pkt %d %s->%s (%dB)", p.ID, p.Src, p.Dst, p.Size)
 }
 
 // Port is anything that can accept a packet at the current simulation
@@ -100,12 +98,6 @@ type NIC struct {
 	replayGap sim.Time  // spacing between replayed packets
 
 	nextID uint64
-
-	// flows caches the "src>dst" flow label per destination: a NIC
-	// talks to a handful of peers and pays a Send per packet, so
-	// rebuilding the identical concatenation per call was one of the
-	// per-packet allocations the PR 8 -memprofile sweep removed.
-	flows map[Addr]string
 
 	TX, RX Counters
 	// Dropped counts packets discarded because no handler was attached.
@@ -198,12 +190,8 @@ func (n *NIC) QueuedTx() int {
 // Sending with no attached port counts as a drop.
 func (n *NIC) Send(pkt *Packet) sim.Time {
 	pkt.Src = n.addr
-	if pkt.Flow == "" {
-		pkt.Flow = n.flowLabel(pkt.Dst)
-	}
 	n.nextID++
 	pkt.ID = n.nextID
-	pkt.SentAt = n.sim.Now()
 	if n.out == nil && n.routes == nil {
 		n.Dropped++
 		return n.sim.Now()
@@ -220,20 +208,6 @@ func (n *NIC) Send(pkt *Packet) sim.Time {
 		h.enter(pkt, done)
 	}
 	return done
-}
-
-// flowLabel returns the cached "src>dst" label for a destination,
-// building it on first use.
-func (n *NIC) flowLabel(dst Addr) string {
-	if s, ok := n.flows[dst]; ok {
-		return s
-	}
-	if n.flows == nil {
-		n.flows = make(map[Addr]string)
-	}
-	s := string(n.addr) + ">" + string(dst)
-	n.flows[dst] = s
-	return s
 }
 
 // Accept implements Port for the receive side.

@@ -39,18 +39,6 @@ func TestFreezeDuringThawReplay(t *testing.T) {
 	}
 }
 
-func TestExplicitFlowPreserved(t *testing.T) {
-	s := sim.New(1)
-	a, b := pair(s, 100*Mbps, 0)
-	var flow string
-	b.OnReceive(func(p *Packet) { flow = p.Flow })
-	a.Send(&Packet{Dst: "b", Size: 100, Flow: "custom-flow"})
-	s.Run()
-	if flow != "custom-flow" {
-		t.Fatalf("flow = %q", flow)
-	}
-}
-
 func TestQueuedTxCount(t *testing.T) {
 	s := sim.New(1)
 	a, b := pair(s, 1*Mbps, 0) // slow: 1500B takes 12ms

@@ -133,12 +133,8 @@ func TestThawPreservesPerFlowOrderAcrossFlows(t *testing.T) {
 	c := NewNIC(s, "c", 1000*Mbps)
 	a.Attach(NewWire(s, 0, recv))
 	c.Attach(NewWire(s, sim.Microsecond, recv))
-	var got []string
-	seq := map[string]int{}
-	recv.OnReceive(func(p *Packet) {
-		got = append(got, p.Flow)
-		seq[p.Flow]++
-	})
+	var got []*Packet
+	recv.OnReceive(func(p *Packet) { got = append(got, p) })
 	recv.Freeze()
 	// Interleave two flows.
 	for i := 0; i < 3; i++ {
@@ -151,8 +147,16 @@ func TestThawPreservesPerFlowOrderAcrossFlows(t *testing.T) {
 	if len(got) != 6 {
 		t.Fatalf("replayed %d", len(got))
 	}
-	if seq["a>r"] != 3 || seq["c>r"] != 3 {
-		t.Fatalf("per-flow counts: %v", seq)
+	// Each source numbers its packets in send order from 1: every
+	// flow must replay 1, 2, 3.
+	next := map[Addr]uint64{}
+	for _, p := range got {
+		if next[p.Src]++; p.ID != next[p.Src] {
+			t.Fatalf("packet %d from %s replayed as number %d of its flow", p.ID, p.Src, next[p.Src])
+		}
+	}
+	if next["a"] != 3 || next["c"] != 3 {
+		t.Fatalf("per-flow counts: %v", next)
 	}
 }
 
@@ -249,7 +253,7 @@ func TestTxTimeZeroRate(t *testing.T) {
 }
 
 func TestPacketCloneAndString(t *testing.T) {
-	p := &Packet{ID: 7, Src: "a", Dst: "b", Flow: "a>b", Size: 100}
+	p := &Packet{ID: 7, Src: "a", Dst: "b", Size: 100}
 	c := p.Clone()
 	c.ID = 9
 	if p.ID != 7 {

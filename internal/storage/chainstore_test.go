@@ -1,12 +1,18 @@
 package storage
 
 import (
+	"cmp"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"emucheck/internal/sim"
 )
+
+// find reports where vba is, or would go, in the run.
+func find(run []Block, vba int64) (int, bool) {
+	return slices.BinarySearchFunc(run, vba, func(b Block, vba int64) int { return cmp.Compare(b.VBA, vba) })
+}
 
 // TestChainStoreForkSharesByReference: forking must add no bytes to the
 // store — the branch references the parent's base and chain.
@@ -162,7 +168,7 @@ func TestChainStoreBranchReplayIdentity(t *testing.T) {
 		branches := []*branch{parent}
 		for i := 0; i < 3; i++ {
 			bv := newTestVolume(s)
-			bv.Agg = parent.v.Snapshot(nil)
+			bv.Agg = aggOf(parent.v.Snapshot(nil))
 			bv.merged = parent.v.merged
 			branches = append(branches, &branch{v: bv, l: parent.l.Fork()})
 		}

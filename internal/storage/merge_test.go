@@ -280,7 +280,17 @@ type tailCoverage struct {
 	reads    int // locates checked while the tail was not empty
 }
 
-func tailLen(d *Delta) int { return len(d.run) - d.sorted }
+func tailLen(d *Delta) int { return len(d.tail) }
+
+// aggOf is the aggregated delta holding run, laid out in VBA order.
+func aggOf(run []Block) Extents {
+	var x Extents
+	for _, b := range run {
+		x.run = appendExt(x.run, extent{VBA: b.VBA, N: 1, Tag: b.Tag})
+	}
+	x.index()
+	return x
+}
 
 // driveOracle runs seeded steps on volumes and the model side by side
 // and compares every observable after each step. Without chains the
@@ -326,12 +336,12 @@ func driveOracle(t *testing.T, seed int64, steps int, chains, outOfOrder bool) t
 				first, n := int64(rng.Intn(blocks)), int64(1+rng.Intn(4))
 				n = min(n, int64(blocks)-first)
 				cur, tail := br.v.Cur, tailLen(br.v.Cur)
-				if slices.ContainsFunc(cur.run[cur.sorted:], func(b Block) bool { return b.VBA >= first && b.VBA < first+n }) {
+				if slices.ContainsFunc(cur.tail, func(e extent) bool { return e.VBA < first+n && first < e.end() }) {
 					cov.rewrites++
 				}
 				br.v.Write(first*BlockSize, n*BlockSize, nil)
 				br.rv.write(first, n)
-				if tailLen(cur) < tail {
+				if tail > 0 && tailLen(cur) == 0 {
 					cov.folds++
 				}
 				if !outOfOrder {
@@ -373,7 +383,7 @@ func driveOracle(t *testing.T, seed int64, steps int, chains, outOfOrder bool) t
 			br.v.Merge(nil)
 			br.rv.merge(nil)
 			nb := &oracleBranch{v: newTestVolume(s), l: br.l.Fork(), rv: newRefVolume(), rl: br.rl.fork()}
-			nb.v.Agg, nb.v.merged = br.v.Snapshot(nil), br.v.merged
+			nb.v.Agg, nb.v.merged = aggOf(br.v.Snapshot(nil)), br.v.merged
 			nb.rv.content, nb.rv.writeSeq = maps.Clone(br.rv.content), br.rv.writeSeq
 			nb.rv.aggIndex, nb.rv.aggOrder = maps.Clone(br.rv.aggIndex), slices.Clone(br.rv.aggOrder)
 			branches = append(branches, nb)
@@ -405,9 +415,9 @@ func driveOracle(t *testing.T, seed int64, steps int, chains, outOfOrder bool) t
 func compareBranch(t *testing.T, seed int64, step int, b *oracleBranch, isFree func(int64) bool, blocks int64, chains bool) {
 	t.Helper()
 	v, r := b.v, b.rv
-	if len(v.Agg) != len(r.aggOrder) || v.Cur.Slots() != len(r.curOrder) {
+	if v.Agg.Blocks() != int64(len(r.aggOrder)) || v.Cur.Slots() != len(r.curOrder) {
 		t.Fatalf("seed %d step %d: agg/cur slots %d/%d, reference %d/%d",
-			seed, step, len(v.Agg), v.Cur.Slots(), len(r.aggOrder), len(r.curOrder))
+			seed, step, v.Agg.Blocks(), v.Cur.Slots(), len(r.aggOrder), len(r.curOrder))
 	}
 	// Reads first: the snapshot and epoch blocks below fold the tail.
 	for vba := int64(0); vba < blocks; vba++ {
@@ -484,5 +494,54 @@ func TestDeltaTailMatchesReference(t *testing.T) {
 	t.Logf("%d bound folds, %d tail rewrites, %d reads through a tail", cov.folds, cov.rewrites, cov.reads)
 	if cov.folds == 0 || cov.rewrites == 0 || cov.reads == 0 {
 		t.Fatalf("workload missed the tail: %+v", cov)
+	}
+}
+
+// randomExtents builds a proper run over [0, width): blocks present
+// with the given density, each tag following its predecessor's with
+// probability 3/4, so the run mixes long extents, gaps and breaks.
+func randomExtents(rng *rand.Rand, width int64, density float64) []extent {
+	var run []extent
+	tag := rng.Int63n(1000)
+	for vba := range width {
+		if rng.Float64() >= density {
+			continue
+		}
+		tag++
+		if rng.Intn(4) == 0 {
+			tag += rng.Int63n(50)
+		}
+		run = appendExt(run, extent{VBA: vba, N: 1, Tag: tag})
+	}
+	return run
+}
+
+// TestMergeExtentsMatchesBlocks merges random runs of extents and
+// requires the result to hold exactly the newest-wins merge of their
+// blocks, as a proper run (sorted, disjoint, no extent continuing its
+// predecessor), at no allocation when dst has room for the splits.
+func TestMergeExtentsMatchesBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 2000; trial++ {
+		width := 1 + rng.Int63n(300)
+		dst := randomExtents(rng, width, rng.Float64())
+		add := randomExtents(rng, width, rng.Float64()*rng.Float64())
+		want := mergeRuns(appendBlocks(nil, dst, 0, nil), appendBlocks(nil, add, 0, nil))
+		buf := make([]extent, 0, len(dst)+2*len(add))
+		var got []extent
+		allocs := testing.AllocsPerRun(1, func() {
+			got = mergeExtents(append(buf[:0], dst...), add)
+		})
+		if allocs != 0 {
+			t.Fatalf("trial %d: %.0f allocations merging into a run with room", trial, allocs)
+		}
+		if blocks := appendBlocks(nil, got, 0, nil); !slices.Equal(blocks, want) {
+			t.Fatalf("trial %d: merged %v into %v: got %v, want blocks %v", trial, add, dst, got, want)
+		}
+		for i := 1; i < len(got); i++ {
+			if got[i].VBA < got[i-1].end() || got[i].continues(got[i-1]) {
+				t.Fatalf("trial %d: merged run %v is not proper at %d", trial, got, i)
+			}
+		}
 	}
 }

@@ -8,11 +8,12 @@
 // appended at the log head, so COW never performs a read-before-write
 // (§5.3, the order-of-magnitude improvement over stock LVM snapshots —
 // OriginalLVM mode models the stock behaviour for Fig. 8's comparison).
-// Reads cost a binary search of the current delta's run (after a scan of
-// its short tail of out-of-order writes), then one of the aggregated
-// delta, then fall through to golden's linear addressing. No level
-// hashes: both deltas are runs of blocks sorted by virtual address, so
-// an epoch commit or a merge reads them in one linear pass.
+// Reads cost a binary search of the current delta's short tail of
+// out-of-order writes and of its run, then one of the aggregated delta,
+// then fall through to golden's linear addressing. No level hashes:
+// both deltas are runs of extents sorted by virtual address, so an
+// epoch commit or a merge reads them in one linear pass, and a
+// sequential stream costs one extent however long it grows.
 //
 // After a swap-out, the current delta is merged into the aggregated
 // delta offline; the merge lays blocks out by virtual address to restore
@@ -20,7 +21,6 @@
 package storage
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -78,11 +78,6 @@ type Block struct {
 	VBA, Tag int64
 }
 
-// find reports where vba is, or would go, in the run.
-func find(run []Block, vba int64) (int, bool) {
-	return slices.BinarySearchFunc(run, vba, func(b Block, vba int64) int { return cmp.Compare(b.VBA, vba) })
-}
-
 // mergeRuns merges run add into run dst, add winning where both hold a
 // VBA. It works backwards inside dst's storage (grown if short), so a
 // dst with spare capacity costs no allocation; add is only read.
@@ -107,28 +102,191 @@ func mergeRuns(dst, add []Block) []Block {
 	return dst
 }
 
-// maxTail bounds a delta's out-of-order tail: the appends a lookup
-// scans linearly before normalize folds them into the sorted run.
+// extent is N blocks at consecutive VBAs from VBA whose tags count up
+// from Tag: log slots in the current delta, content tags in the
+// aggregated one. A run of extents is sorted by VBA and disjoint, and
+// an extent that continues its predecessor in both VBA and tag joins
+// it, so a sequential stream is one extent however long it grows.
+type extent struct {
+	VBA, N, Tag int64
+}
+
+func (e extent) end() int64 { return e.VBA + e.N }
+
+// continues reports whether e starts where p ends, in VBA and in tag.
+func (e extent) continues(p extent) bool {
+	return p.end() == e.VBA && p.Tag+p.N == e.Tag
+}
+
+// appendExt appends e to run, joining run's last extent when e
+// continues it.
+func appendExt(run []extent, e extent) []extent {
+	if n := len(run); n > 0 && e.continues(run[n-1]) {
+		run[n-1].N += e.N
+		return run
+	}
+	return append(run, e)
+}
+
+// findExt reports the index of the first extent of run ending above
+// vba, and whether that extent holds vba.
+func findExt(run []extent, vba int64) (int, bool) {
+	i, j := 0, len(run)
+	for i < j {
+		h := int(uint(i+j) >> 1)
+		if run[h].end() <= vba {
+			i = h + 1
+		} else {
+			j = h
+		}
+	}
+	return i, i < len(run) && run[i].VBA <= vba
+}
+
+// startsBelow reports how many of run[:i] start below vba, galloping
+// down from i: the cost grows with the log of the extents passed over,
+// not of i.
+func startsBelow(run []extent, i int, vba int64) int {
+	lo, hi := i-1, i // run[hi:i] start at or above vba
+	for step := 1; lo >= 0 && run[lo].VBA >= vba; step *= 2 {
+		hi, lo = lo, lo-step
+	}
+	lo = max(lo, -1) // run[lo] starts below vba
+	for lo+1 < hi {
+		if m := int(uint(lo+hi) >> 1); run[m].VBA >= vba {
+			hi = m
+		} else {
+			lo = m
+		}
+	}
+	return hi
+}
+
+// putExt writes e just below the merged tail dst[k:], or joins the
+// tail's first extent when that continues e, and returns the tail's
+// new start.
+func putExt(dst []extent, k int, e extent) int {
+	if k < len(dst) && dst[k].continues(e) {
+		dst[k].VBA, dst[k].N, dst[k].Tag = e.VBA, e.N+dst[k].N, e.Tag
+		return k
+	}
+	dst[k-1] = e
+	return k - 1
+}
+
+// mergeExtents merges run add into run dst, add winning wherever both
+// hold a block: a dst extent keeps only its parts outside add, which
+// may split it in two. It works backwards inside dst's storage, grown
+// by two extents per add extent (each add extent writes itself and at
+// most one split-off part), so a dst with spare capacity costs no
+// allocation; add is only read. Extents of dst wholly between two add
+// extents move as one copy.
+func mergeExtents(dst, add []extent) []extent {
+	if len(add) == 0 {
+		return dst
+	}
+	n := len(dst)
+	dst = slices.Grow(dst, 2*len(add))[:n+2*len(add)]
+	k, i := len(dst), n // the merged tail is dst[k:]; dst[:i] is unread
+	var d extent        // the unmerged part of dst[i] while d.N > 0
+	for j := len(add) - 1; j >= 0; {
+		a := add[j]
+		if d.N == 0 {
+			if i == 0 {
+				k, j = putExt(dst, k, a), j-1
+				continue
+			}
+			i--
+			d = dst[i]
+		}
+		switch {
+		case d.VBA >= a.end(): // above a, as is every unread extent from lo
+			k, d.N = putExt(dst, k, d), 0
+			lo := startsBelow(dst, i, a.end())
+			k -= copy(dst[k-(i-lo):k], dst[lo:i])
+			i = lo
+		case d.end() > a.end(): // the part above a is kept
+			off := a.end() - d.VBA
+			k = putExt(dst, k, extent{VBA: a.end(), N: d.N - off, Tag: d.Tag + off})
+			d.N = off
+		case d.VBA >= a.VBA: // superseded
+			d.N = 0
+		default: // the part below a is kept, after a
+			d.N = min(d.N, a.VBA-d.VBA)
+			k, j = putExt(dst, k, a), j-1
+		}
+	}
+	// The loop ends holding the lower part of dst[i], whose start is
+	// unchanged, or with all of dst read, so nothing joins dst[:i]: it
+	// stays in place and the merged tail closes up behind it.
+	if d.N > 0 {
+		k = putExt(dst, k, d)
+	}
+	return dst[:i+copy(dst[i:], dst[k:])]
+}
+
+// appendLive appends the blocks of run that isFree (optional) does
+// not report freed to dst as extents, their tags shifted by shift.
+func appendLive(dst, run []extent, shift int64, isFree func(vba int64) bool) []extent {
+	for _, e := range run {
+		e.Tag += shift
+		if isFree == nil {
+			dst = appendExt(dst, e)
+			continue
+		}
+		for o := range e.N {
+			if !isFree(e.VBA + o) {
+				dst = appendExt(dst, extent{VBA: e.VBA + o, N: 1, Tag: e.Tag + o})
+			}
+		}
+	}
+	return dst
+}
+
+// appendBlocks appends the blocks of run that isFree (optional) does
+// not report freed to dst, their tags shifted by shift.
+func appendBlocks(dst []Block, run []extent, shift int64, isFree func(vba int64) bool) []Block {
+	for _, e := range run {
+		for o := range e.N {
+			if isFree == nil || !isFree(e.VBA+o) {
+				dst = append(dst, Block{VBA: e.VBA + o, Tag: e.Tag + shift + o})
+			}
+		}
+	}
+	return dst
+}
+
+// blocks counts the blocks of run.
+func blocks(run []extent) int64 {
+	var n int64
+	for _, e := range run {
+		n += e.N
+	}
+	return n
+}
+
+// maxTail bounds a delta's tail: the extents it holds before
+// normalize folds them into the run.
 const maxTail = 256
 
 // Delta is the current delta: an append-only on-disk redo log, indexed
-// by a run of its blocks with Tag holding each block's log slot.
+// by runs of extents whose tags are log slots.
 //
-// The index is run[:sorted], a proper run, followed by a tail of
-// out-of-order appends in log order. An append above the run's last
-// block, or an overwrite of a block the run holds, keeps the tail
-// empty; that covers sequential and rewriting streams, so a typical
-// delta never leaves the run. Anything else joins the tail, which
-// normalize merges into the run when it reaches maxTail or a reader
-// needs the whole delta in VBA order.
+// The index is a run and a tail, a second run of writes newer than
+// any in the run. A write at or above the run's last extent, covering
+// that extent's end, goes to the run while the tail is empty: it trims
+// the blocks it overwrites off the last extent and joins it if it
+// continues the extent, so a sequential stream stays one extent and a
+// typical delta never has a tail. Any other write merges into the tail,
+// which normalize merges into the run when it reaches maxTail extents
+// or a reader needs the whole delta as one run. A lookup binary-searches
+// the tail, then the run.
 type Delta struct {
 	// BaseLBA is the byte LBA where the delta's log region starts.
 	BaseLBA int64
 
-	slots   int64 // log slots appended
-	run     []Block
-	sorted  int
-	scratch []Block // normalize's copy of the tail
+	slots     int64 // log slots appended
+	run, tail []extent
 }
 
 // NewDelta creates an empty delta whose log lives at base.
@@ -150,73 +308,86 @@ func (d *Delta) LiveBytes(isFree func(vba int64) bool) int64 {
 	}
 	d.normalize()
 	var n int64
-	for _, b := range d.run {
-		if !isFree(b.VBA) {
-			n += BlockSize
+	for _, e := range d.run {
+		for o := range e.N {
+			if !isFree(e.VBA + o) {
+				n += BlockSize
+			}
 		}
 	}
 	return n
 }
 
-// lookup reports the physical LBA for vba, or -1. The tail is scanned
-// newest first, so the latest write wins.
+// lookup reports the physical LBA for vba, or -1. The tail is searched
+// first: its writes are the newer.
 func (d *Delta) lookup(vba int64) int64 {
-	for i := len(d.run) - 1; i >= d.sorted; i-- {
-		if d.run[i].VBA == vba {
-			return d.BaseLBA + d.run[i].Tag*BlockSize
+	run := d.tail
+	i, ok := findExt(run, vba)
+	if !ok {
+		run = d.run
+		if i, ok = findExt(run, vba); !ok {
+			return -1
 		}
 	}
-	if i, ok := find(d.run[:d.sorted], vba); ok {
-		return d.BaseLBA + d.run[i].Tag*BlockSize
-	}
-	return -1
+	return d.BaseLBA + (run[i].Tag+vba-run[i].VBA)*BlockSize
 }
 
-// append adds (or overwrites) vba at the log head and reports the
-// physical LBA written.
-func (d *Delta) append(vba int64) int64 {
-	slot := d.slots
-	d.slots++
-	switch n := len(d.run); {
-	case n > d.sorted:
-		d.run = append(d.run, Block{VBA: vba, Tag: slot})
-		if n+1-d.sorted >= maxTail {
+// append logs n blocks from vba at the log head and reports the
+// physical LBA of the first.
+func (d *Delta) append(vba, n int64) int64 {
+	e := extent{VBA: vba, N: n, Tag: d.slots}
+	d.slots += n
+	switch k := len(d.run); {
+	case len(d.tail) > 0 || k > 0 && (vba < d.run[k-1].VBA || e.end() < d.run[k-1].end()):
+		d.tail = mergeExtents(d.tail, []extent{e})
+		if len(d.tail) >= maxTail {
 			d.normalize()
 		}
-	case n == 0 || d.run[n-1].VBA < vba:
-		d.run = append(d.run, Block{VBA: vba, Tag: slot})
-		d.sorted++
-	default:
-		if i, ok := find(d.run, vba); ok {
-			d.run[i].Tag = slot
+	case k > 0 && vba < d.run[k-1].end():
+		// Overwrites the last extent's end: trim it off.
+		if last := &d.run[k-1]; last.VBA == vba {
+			d.run = d.run[:k-1]
 		} else {
-			d.run = append(d.run, Block{VBA: vba, Tag: slot})
+			last.N = vba - last.VBA
 		}
+		fallthrough
+	default:
+		d.run = appendExt(d.run, e)
 	}
-	return d.BaseLBA + slot*BlockSize
+	return d.BaseLBA + e.Tag*BlockSize
 }
 
-// normalize folds the tail into the run. The tail is copied aside
-// first: mergeRuns grows the run over the tail's storage.
+// normalize merges the tail into the run.
 func (d *Delta) normalize() {
-	if len(d.run) == d.sorted {
-		return
+	d.run = mergeExtents(d.run, d.tail)
+	d.tail = d.tail[:0]
+}
+
+// Extents is the aggregated delta: a run of extents tagged with their
+// blocks' content tags, laid out on disk in VBA order, so block o of
+// run[i] sits in log slot first[i]+o, counted from AggBase.
+type Extents struct {
+	run   []extent
+	first []int64
+}
+
+// index recomputes each extent's first log slot.
+func (x *Extents) index() {
+	x.first = x.first[:0]
+	var slot int64
+	for _, e := range x.run {
+		x.first = append(x.first, slot)
+		slot += e.N
 	}
-	tail := append(d.scratch[:0], d.run[d.sorted:]...)
-	slices.SortFunc(tail, func(a, b Block) int {
-		return cmp.Or(cmp.Compare(a.VBA, b.VBA), cmp.Compare(a.Tag, b.Tag))
-	})
-	// Keep the last (newest) slot of each VBA.
-	w := 0
-	for i, b := range tail {
-		if i+1 < len(tail) && tail[i+1].VBA == b.VBA {
-			continue
-		}
-		tail[w], w = b, w+1
+}
+
+// Blocks reports the blocks the aggregated delta holds.
+func (x *Extents) Blocks() int64 {
+	n := len(x.run)
+	if n == 0 {
+		return 0
 	}
-	d.run = mergeRuns(d.run[:d.sorted], tail[:w])
-	d.sorted = len(d.run)
-	d.scratch = tail
+	return x.first[n-1] + x.run[n-1].N
 }
 
 // Volume is a guest virtual disk assembled from the three levels.
@@ -229,11 +400,10 @@ type Volume struct {
 
 	// GoldenBytes is the immutable golden image's size.
 	GoldenBytes int64
-	// Agg is the aggregated delta (all changes from previous swap-ins)
-	// as a run laid out in VBA order: Agg[i] is in log slot i, counted
-	// from AggBase. Cur is the current delta (changes since the last
-	// swap-in).
-	Agg []Block
+	// Agg is the aggregated delta (all changes from previous swap-ins),
+	// laid out in VBA order. Cur is the current delta (changes since
+	// the last swap-in).
+	Agg Extents
 	Cur *Delta
 
 	// MetadataEvery controls how often a redo-log append must also
@@ -245,10 +415,12 @@ type Volume struct {
 
 	writesSinceMeta int
 
-	// spans is Read and Write's scratch request list. Disk submission
-	// never calls back synchronously, so no call re-enters while it is
-	// in use.
+	// spans is Read's scratch request list. Disk submission never
+	// calls back synchronously, so no call re-enters while it is in use.
 	spans []span
+
+	// spare is Merge's scratch run.
+	spare []extent
 
 	// cowCopied tracks OriginalLVM copy-aside regions (LVM chunk
 	// granularity) that have already been preserved.
@@ -312,9 +484,9 @@ func (v *Volume) locate(vba int64) int64 {
 		v.ReadsCur++
 		return lba
 	}
-	if i, ok := find(v.Agg, vba); ok {
+	if i, ok := findExt(v.Agg.run, vba); ok {
 		v.ReadsAgg++
-		return AggBase + int64(i)*BlockSize
+		return AggBase + (v.Agg.first[i]+vba-v.Agg.run[i].VBA)*BlockSize
 	}
 	v.ReadsGolden++
 	return GoldenBase + vba*BlockSize
@@ -352,7 +524,10 @@ func (v *Volume) Read(off, n int64, done func()) {
 	v.submit(node.Read, spans, done)
 }
 
-// Write implements the guest block backend write path.
+// Write implements the guest block backend write path. The request's
+// blocks take consecutive log slots, so the data is one disk write;
+// the metadata and copy-aside requests its blocks incur go first, in
+// block order.
 func (v *Volume) Write(off, n int64, done func()) {
 	if n <= 0 {
 		panic("storage: empty write")
@@ -361,8 +536,8 @@ func (v *Volume) Write(off, n int64, done func()) {
 		v.submit(node.Write, []span{{lba: GoldenBase + off, n: n}}, done)
 		return
 	}
-	spans := v.spans[:0]
-	for b := off / BlockSize; b <= (off+n-1)/BlockSize; b++ {
+	first, last := off/BlockSize, (off+n-1)/BlockSize
+	for b := first; b <= last; b++ {
 		if v.Mode == OriginalLVM {
 			// Stock LVM snapshot: the first write within each LVM chunk
 			// copies the original aside — a read plus an extra write
@@ -381,7 +556,6 @@ func (v *Volume) Write(off, n int64, done func()) {
 				v.Disk.Submit(&node.DiskRequest{Op: node.Write, LBA: CopyAreaBase + v.CowCopies*lvmChunk, Bytes: lvmChunk})
 			}
 		}
-		spans = append(spans, span{lba: v.Cur.append(b), n: BlockSize})
 		if v.MetadataEvery > 0 {
 			v.writesSinceMeta++
 			if v.writesSinceMeta >= v.MetadataEvery {
@@ -391,8 +565,8 @@ func (v *Volume) Write(off, n int64, done func()) {
 			}
 		}
 	}
-	v.spans = spans
-	v.submit(node.Write, spans, done)
+	blocks := last - first + 1
+	v.Disk.Submit(&node.DiskRequest{Op: node.Write, LBA: v.Cur.append(first, blocks), Bytes: blocks * BlockSize, Done: done})
 }
 
 // CurrentDeltaBytes reports the current delta size, optionally after
@@ -401,26 +575,15 @@ func (v *Volume) CurrentDeltaBytes(isFree func(vba int64) bool) int64 {
 	return v.Cur.LiveBytes(isFree)
 }
 
-// curRun appends the current delta to dst as a run, each block tagged
-// by its write's sequence number, leaving out blocks isFree (optional)
-// reports freed, in one pass over the normalized delta. dst may be the
-// delta's own run, which it rewrites.
-func (v *Volume) curRun(dst []Block, isFree func(vba int64) bool) []Block {
-	for _, b := range v.Cur.run {
-		if isFree == nil || !isFree(b.VBA) {
-			dst = append(dst, Block{VBA: b.VBA, Tag: v.merged + b.Tag + 1})
-		}
-	}
-	return dst
-}
-
 // EpochBlocks returns the current delta — every block dirtied since the
 // last Merge — as a fresh run, optionally after free-block elimination.
-// This is the per-epoch diff an incremental swap-out uploads and commits
-// to a checkpoint Lineage, which takes the run over.
+// Each block is tagged by its write's sequence number: current-delta
+// slot s holds tag merged+s+1. This is the per-epoch diff an
+// incremental swap-out uploads and commits to a checkpoint Lineage,
+// which takes the run over.
 func (v *Volume) EpochBlocks(isFree func(vba int64) bool) []Block {
 	v.Cur.normalize()
-	return v.curRun(make([]Block, 0, len(v.Cur.run)), isFree)
+	return appendBlocks(make([]Block, 0, blocks(v.Cur.run)), v.Cur.run, v.merged+1, isFree)
 }
 
 // Snapshot returns the content-tagged view of every block ever written
@@ -429,11 +592,8 @@ func (v *Volume) EpochBlocks(isFree func(vba int64) bool) []Block {
 // must reconstruct exactly.
 func (v *Volume) Snapshot(isFree func(vba int64) bool) []Block {
 	v.Cur.normalize()
-	out := mergeRuns(slices.Clone(v.Agg), v.curRun(nil, nil))
-	if isFree != nil {
-		out = slices.DeleteFunc(out, func(b Block) bool { return isFree(b.VBA) })
-	}
-	return out
+	run := mergeExtents(slices.Clone(v.Agg.run), appendLive(nil, v.Cur.run, v.merged+1, nil))
+	return appendBlocks(make([]Block, 0, blocks(run)), run, 0, isFree)
 }
 
 // Merge folds the current delta into the aggregated delta and empties
@@ -443,27 +603,29 @@ func (v *Volume) Snapshot(isFree func(vba int64) bool) []Block {
 // good, so reads fall through to golden. It reports the merged delta's
 // size in bytes.
 //
-// The merge works in place: the current delta's run is retagged within
-// its own storage, then joins the aggregated run in one linear pass
+// The merge reuses storage: the current delta's run is retagged into a
+// scratch run, which joins the aggregated run in one newest-wins pass
 // within the aggregated run's storage. The current delta is cleared,
 // not replaced, so swap cycles reuse the same storage. A caller must
 // not hold v.Agg across a merge; the swap pipeline only reads
 // Cur.Slots() before it merges.
 func (v *Volume) Merge(isFree func(vba int64) bool) int64 {
 	cur := v.Cur
-	if isFree != nil {
-		v.Agg = slices.DeleteFunc(v.Agg, func(b Block) bool { return isFree(b.VBA) })
-	}
 	cur.normalize()
-	v.Agg = mergeRuns(v.Agg, v.curRun(cur.run[:0], isFree))
+	if isFree != nil {
+		v.spare, v.Agg.run = v.Agg.run, appendLive(v.spare[:0], v.Agg.run, 0, isFree)
+	}
+	add := appendLive(v.spare[:0], cur.run, v.merged+1, isFree)
+	v.Agg.run, v.spare = mergeExtents(v.Agg.run, add), add
+	v.Agg.index()
 	v.merged += cur.slots
-	cur.slots, cur.run, cur.sorted = 0, cur.run[:0], 0
+	cur.slots, cur.run = 0, cur.run[:0]
 	v.writesSinceMeta = 0
-	return int64(len(v.Agg)) * BlockSize
+	return v.Agg.Blocks() * BlockSize
 }
 
 // String summarizes the volume for diagnostics.
 func (v *Volume) String() string {
 	return fmt.Sprintf("volume[%s] golden=%dMB agg=%dMB cur=%dMB",
-		v.Mode, v.GoldenBytes>>20, int64(len(v.Agg))*BlockSize>>20, v.Cur.Bytes()>>20)
+		v.Mode, v.GoldenBytes>>20, v.Agg.Blocks()*BlockSize>>20, v.Cur.Bytes()>>20)
 }

@@ -63,7 +63,7 @@ func TestRepeatedSwapCycleMergesAccumulate(t *testing.T) {
 		s.Run()
 		v.Merge(nil)
 	}
-	if got := len(v.Agg); got != 12 {
+	if got := v.Agg.Blocks(); got != 12 {
 		t.Fatalf("aggregated = %d blocks", got)
 	}
 	if v.Cur.Slots() != 0 {
@@ -83,8 +83,8 @@ func TestModeStrings(t *testing.T) {
 
 func TestDeltaLiveBytesNilPredicate(t *testing.T) {
 	d := NewDelta(CurBase)
-	d.append(1)
-	d.append(2)
+	d.append(1, 1)
+	d.append(2, 1)
 	if d.LiveBytes(nil) != 2*BlockSize {
 		t.Fatal("nil predicate should count everything")
 	}

@@ -25,7 +25,7 @@ func TestWriteGoesToCurrentDelta(t *testing.T) {
 	if v.Cur.Slots() != 1 {
 		t.Fatalf("cur slots = %d", v.Cur.Slots())
 	}
-	if len(v.Agg) != 0 {
+	if v.Agg.Blocks() != 0 {
 		t.Fatal("agg polluted")
 	}
 }
@@ -291,5 +291,44 @@ func TestVolumeWriteAllocs(t *testing.T) {
 	}
 	if allocs != 0 {
 		t.Fatalf("%.1f allocations per sequential write, want 0", allocs)
+	}
+}
+
+// TestSequentialVolumeWriteAllocs writes one long sequential stream
+// through eight epochs, each longer than the last, with an epoch
+// commit and a merge after each: the current delta and the aggregated
+// delta must each stay one extent, and Volume.Write must not allocate,
+// even while the stream outgrows every earlier epoch.
+func TestSequentialVolumeWriteAllocs(t *testing.T) {
+	const write, perEpoch = 512 << 10, 64
+	s, v := newVol(1, Optimized)
+	l := NewChainStore().NewLineage(2)
+	var off int64
+	for epoch := 1; epoch <= 8; epoch++ {
+		// AllocsPerRun writes the epoch's stream twice: once to warm up,
+		// once measured.
+		allocs := testing.AllocsPerRun(1, func() {
+			for range epoch * perEpoch {
+				v.Write(off, write, nil)
+				s.Run()
+				off += write
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("epoch %d: %.0f allocations in Volume.Write, want 0", epoch, allocs)
+		}
+		if len(v.Cur.run) != 1 || len(v.Cur.tail) != 0 {
+			t.Fatalf("epoch %d: current delta holds %d extents and a tail of %d, want one", epoch, len(v.Cur.run), len(v.Cur.tail))
+		}
+		blocks := v.EpochBlocks(nil)
+		if want := 2 * epoch * perEpoch * write / BlockSize; len(blocks) != want {
+			t.Fatalf("epoch %d: %d epoch blocks, want %d", epoch, len(blocks), want)
+		}
+		l.Commit(blocks, 0)
+		v.Merge(nil)
+		if len(v.Agg.run) != 1 || v.Agg.Blocks() != off/BlockSize {
+			t.Fatalf("epoch %d: aggregated delta holds %d blocks in %d extents, want %d in one",
+				epoch, v.Agg.Blocks(), len(v.Agg.run), off/BlockSize)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package suite
 
 import (
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -184,5 +185,46 @@ func TestControlPathAllocsPerEvent(t *testing.T) {
 	t.Logf("%.0f allocs over %d events: %.3f per event", allocs, events, perEvent)
 	if perEvent > maxAllocsPerControlEvent {
 		t.Fatalf("%.3f allocs per event, budget %v", perEvent, maxAllocsPerControlEvent)
+	}
+}
+
+// maxCorpusBytesPerEvent bounds the heap bytes allocated per fired
+// event over the golden matrix's timeshare, incremental and remediate
+// scenarios: multi-tenant swap cycles, incremental epoch commits and
+// crash recovery over guest block and message traffic. The corpus is
+// GC-bound (docs/scale.md), so every byte allocated is wall time. The
+// budget is 15% above the 26.5 bytes per event measured once the
+// volume index held extents, the guest message fit 96 bytes and the
+// notification bus recycled its deliveries (52.3 before).
+const maxCorpusBytesPerEvent = 30.4
+
+// TestCorpusBytesPerEventAllocs holds the corpus's allocation volume to
+// its budget: each scenario runs once through scenario.RunWithCluster,
+// and the bytes it allocated, set-up included, are divided by the
+// events its simulator fired.
+func TestCorpusBytesPerEventAllocs(t *testing.T) {
+	var bytes, events uint64
+	var ms runtime.MemStats
+	for i := range 48 {
+		f := scengen.Generate(1, i)
+		switch scengen.Shapes[i%len(scengen.Shapes)] {
+		case "timeshare", "incremental", "remediate":
+		default:
+			continue
+		}
+		runtime.ReadMemStats(&ms)
+		b0 := ms.TotalAlloc
+		_, c, err := scenario.RunWithCluster(f)
+		runtime.ReadMemStats(&ms)
+		if err != nil {
+			t.Fatalf("%s: %v", f.Name, err)
+		}
+		bytes += ms.TotalAlloc - b0
+		events += c.S.Fired()
+	}
+	perEvent := float64(bytes) / float64(events)
+	t.Logf("%d bytes over %d events: %.1f per event", bytes, events, perEvent)
+	if perEvent > maxCorpusBytesPerEvent {
+		t.Fatalf("%.1f bytes per event, budget %v", perEvent, maxCorpusBytesPerEvent)
 	}
 }

@@ -179,7 +179,7 @@ func (c *Cluster) Branch(parent string, ckpt TreeNodeID, specs ...BranchSpec) ([
 	for _, n := range mgr.Nodes {
 		lin := mgr.Lineage(n.Name)
 		blocks := n.Vol.EpochBlocks(n.IsFree)
-		if len(blocks) > 0 || lin.Epochs() == 0 {
+		if blocks.Blocks() > 0 || lin.Epochs() == 0 {
 			e := lin.Commit(blocks, int(n.HV.K.MemoryImageBytes()/int64(n.HV.P.PageSize)))
 			lin.Drop(n.IsFree)
 			if e.DiskBytes() > 0 {

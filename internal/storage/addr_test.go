@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"slices"
 	"testing"
 
 	"emucheck/internal/sim"
@@ -13,8 +12,7 @@ func epochOf(memPages int, pairs ...int64) *Epoch {
 	for i := 0; i < len(pairs); i += 2 {
 		blocks = append(blocks, Block{VBA: pairs[i], Tag: pairs[i+1]})
 	}
-	slices.SortFunc(blocks, byVBA)
-	return &Epoch{Blocks: blocks, MemPages: memPages}
+	return &Epoch{Run: runFrom(blocks), MemPages: memPages}
 }
 
 // TestEpochAddrGolden pins the content address of a few fixed epochs.
@@ -34,9 +32,9 @@ func TestEpochAddrGolden(t *testing.T) {
 
 	// A base folded by pruning: three commits past a depth bound of 1.
 	folded := NewLineage(1)
-	folded.Commit(epochOf(0, 3, 30, 1, 10).Blocks, 1)
-	folded.Commit(epochOf(0, 1, 11, 8, 80).Blocks, 2)
-	folded.Commit(epochOf(0, 2, 20).Blocks, 0)
+	folded.Commit(epochOf(0, 3, 30, 1, 10).Run, 1)
+	folded.Commit(epochOf(0, 1, 11, 8, 80).Run, 2)
+	folded.Commit(epochOf(0, 2, 20).Run, 0)
 
 	for _, c := range []struct {
 		name string

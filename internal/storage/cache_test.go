@@ -143,7 +143,7 @@ func TestCacheEvictionNeverDropsChainData(t *testing.T) {
 
 	l := cs.NewLineage(3)
 	for i := int64(0); i < 8; i++ {
-		e := l.Commit([]Block{{i, i + 1}, {50 + i, i + 9}}, 1)
+		e := l.Commit(runFrom([]Block{{i, i + 1}, {50 + i, i + 9}}), 1)
 		segs := l.Segments()
 		c.Put(segs[len(segs)-1].Addr, e.DiskBytes())
 	}

@@ -12,9 +12,10 @@ import (
 // and lineages share it by reference.
 type Addr uint64
 
-// addr computes the epoch's content address (FNV-1a over the block run
-// in VBA order). The epoch ID is deliberately excluded: identity is the
-// delta's content, not its position in any particular chain.
+// addr computes the epoch's content address (FNV-1a over each block's
+// VBA and tag in VBA order). The epoch ID is deliberately excluded:
+// identity is the delta's content, not its position in any particular
+// chain.
 func (e *Epoch) addr() Addr {
 	const offset64, prime64 = 14695981039346656037, 1099511628211
 	h := uint64(offset64)
@@ -25,9 +26,11 @@ func (e *Epoch) addr() Addr {
 			v >>= 8
 		}
 	}
-	for _, b := range e.Blocks {
-		mix(uint64(b.VBA))
-		mix(uint64(b.Tag))
+	for _, x := range e.Run {
+		for o := range x.N {
+			mix(uint64(x.VBA + o))
+			mix(uint64(x.Tag + o))
+		}
 	}
 	mix(uint64(e.MemPages))
 	return Addr(h)
@@ -155,7 +158,7 @@ func (cs *ChainStore) exclusive(a Addr) *Epoch {
 	if cs.release(a, false); cs.Refs(a) == 0 {
 		return e
 	}
-	return &Epoch{ID: e.ID, MemPages: e.MemPages, Blocks: slices.Clone(e.Blocks)}
+	return &Epoch{ID: e.ID, MemPages: e.MemPages, Run: slices.Clone(e.Run)}
 }
 
 // Refs reports how many lineages reference the address (0 if absent).

@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"cmp"
 	"math/rand"
 	"slices"
 	"testing"
@@ -9,9 +8,13 @@ import (
 	"emucheck/internal/sim"
 )
 
-// find reports where vba is, or would go, in the run.
-func find(run []Block, vba int64) (int, bool) {
-	return slices.BinarySearchFunc(run, vba, func(b Block, vba int64) int { return cmp.Compare(b.VBA, vba) })
+// tagAt reports the tag run holds for vba, if it holds vba.
+func tagAt(run Run, vba int64) (int64, bool) {
+	i, ok := findExt(run, vba)
+	if !ok {
+		return 0, false
+	}
+	return run[i].Tag + vba - run[i].VBA, true
 }
 
 // TestChainStoreForkSharesByReference: forking must add no bytes to the
@@ -21,7 +24,7 @@ func TestChainStoreForkSharesByReference(t *testing.T) {
 	l := cs.NewLineage(3)
 	for epoch := 0; epoch < 5; epoch++ {
 		blocks := []Block{{int64(epoch), int64(100 + epoch)}, {int64(epoch + 50), int64(epoch)}}
-		l.Commit(blocks, 1)
+		l.Commit(runFrom(blocks), 1)
 	}
 	before := cs.StoredBytes()
 	entries := cs.Entries()
@@ -35,12 +38,12 @@ func TestChainStoreForkSharesByReference(t *testing.T) {
 	}
 
 	// Divergence is branch-private.
-	b.Commit([]Block{{999, 1}}, 0)
+	b.Commit(runFrom([]Block{{999, 1}}), 0)
 	got, parent := b.Materialize(), l.Materialize()
-	if _, ok := find(parent, 999); ok {
+	if _, ok := tagAt(parent, 999); ok {
 		t.Fatal("branch commit leaked into the parent's replay view")
 	}
-	if i, ok := find(got, 999); !ok || got[i].Tag != 1 {
+	if tag, ok := tagAt(got, 999); !ok || tag != 1 {
 		t.Fatal("branch lost its private commit")
 	}
 }
@@ -51,14 +54,14 @@ func TestChainStoreCopyOnWritePrune(t *testing.T) {
 	cs := NewChainStore()
 	l := cs.NewLineage(2)
 	for epoch := 0; epoch < 2; epoch++ {
-		l.Commit([]Block{{int64(epoch), int64(epoch + 10)}}, 0)
+		l.Commit(runFrom([]Block{{int64(epoch), int64(epoch + 10)}}), 0)
 	}
 	b := l.Fork()
 	want := b.Materialize()
 
 	// Drive the parent through several prune folds.
 	for epoch := 2; epoch < 8; epoch++ {
-		l.Commit([]Block{{int64(epoch), int64(epoch + 10)}}, 0)
+		l.Commit(runFrom([]Block{{int64(epoch), int64(epoch + 10)}}), 0)
 	}
 	if l.MergedBytes == 0 {
 		t.Fatal("parent never pruned; copy-on-write untested")
@@ -73,10 +76,10 @@ func TestChainStoreCopyOnWritePrune(t *testing.T) {
 func TestChainStoreReleaseGCs(t *testing.T) {
 	cs := NewChainStore()
 	l := cs.NewLineage(4)
-	l.Commit([]Block{{1, 1}, {2, 2}}, 0)
+	l.Commit(runFrom([]Block{{1, 1}, {2, 2}}), 0)
 	b := l.Fork()
-	b.Commit([]Block{{3, 3}}, 0) // branch-private
-	l.Commit([]Block{{4, 4}}, 0) // parent-private
+	b.Commit(runFrom([]Block{{3, 3}}), 0) // branch-private
+	l.Commit(runFrom([]Block{{4, 4}}), 0) // parent-private
 
 	want := l.Materialize()
 	stored := cs.StoredBytes()
@@ -108,9 +111,9 @@ func TestChainStoreDedup(t *testing.T) {
 	cs := NewChainStore()
 	a := cs.NewLineage(4)
 	b := cs.NewLineage(4)
-	a.Commit([]Block{{7, 70}, {8, 80}}, 2)
+	a.Commit(runFrom([]Block{{7, 70}, {8, 80}}), 2)
 	before := cs.StoredBytes()
-	b.Commit([]Block{{7, 70}, {8, 80}}, 2)
+	b.Commit(runFrom([]Block{{7, 70}, {8, 80}}), 2)
 	if cs.StoredBytes() != before {
 		t.Fatalf("identical commit stored again: %d -> %d bytes", before, cs.StoredBytes())
 	}

@@ -50,7 +50,7 @@ func BenchmarkDeltaWrites(b *testing.B) {
 						}
 					}
 					s.Run()
-					sink += int64(len(v.EpochBlocks(nil)))
+					sink += v.EpochBlocks(nil).Blocks()
 					sink += v.Merge(nil)
 				}
 			})

@@ -12,16 +12,16 @@ type Epoch struct {
 	// ID orders epochs within a lineage; the parent is the previous
 	// epoch in the chain (or the merged base).
 	ID int
-	// Blocks is the run of dirtied blocks with their content tags,
-	// sorted by virtual block address. A run held in a ChainStore is
-	// never mutated: folds and drops work on an exclusive copy.
-	Blocks []Block
+	// Run holds the dirtied blocks with their content tags. A run held
+	// in a ChainStore is never mutated: a fold works on an exclusive
+	// copy, a drop on a fresh run.
+	Run Run
 	// MemPages is the count of dirty memory pages captured in this epoch.
 	MemPages int
 }
 
 // DiskBytes reports the epoch's disk-delta size.
-func (e *Epoch) DiskBytes() int64 { return int64(len(e.Blocks)) * BlockSize }
+func (e *Epoch) DiskBytes() int64 { return e.Run.Blocks() * BlockSize }
 
 // Lineage is the server-side checkpoint chain of one swappable node: a
 // merged base plus an ordered chain of incremental epochs, all held by
@@ -73,11 +73,11 @@ func (l *Lineage) Store() *ChainStore { return l.store }
 // Commit appends one incremental checkpoint — the run of blocks dirtied
 // since the previous commit (as Volume.EpochBlocks returns it) and the
 // dirty memory pages saved alongside — and prunes the chain back under
-// MaxDepth. Commit takes ownership of blocks: the caller must neither
-// use nor change the run afterwards. It returns the committed epoch
-// (the store's canonical copy if the content already existed).
-func (l *Lineage) Commit(blocks []Block, memPages int) *Epoch {
-	e := &Epoch{ID: l.nextID, Blocks: blocks, MemPages: memPages}
+// MaxDepth. Commit takes ownership of run: the caller must neither
+// use nor change it afterwards. It returns the committed epoch (the
+// store's canonical copy if the content already existed).
+func (l *Lineage) Commit(run Run, memPages int) *Epoch {
+	e := &Epoch{ID: l.nextID, Run: run, MemPages: memPages}
 	l.nextID++
 	e, a := l.store.retain(e)
 	l.chain = append(l.chain, e)
@@ -94,9 +94,9 @@ func (l *Lineage) Commit(blocks []Block, memPages int) *Epoch {
 func (l *Lineage) prune() {
 	for len(l.chain) > l.MaxDepth {
 		oldest, oldestAddr := l.chain[0], l.addrs[0]
-		l.chain, l.addrs = l.chain[1:], l.addrs[1:]
+		l.chain, l.addrs = slices.Delete(l.chain, 0, 1), slices.Delete(l.addrs, 0, 1)
 		base := l.store.exclusive(l.baseAddr)
-		base.Blocks = mergeRuns(base.Blocks, oldest.Blocks)
+		base.Run = mergeExtents(base.Run, oldest.Run)
 		base.MemPages += oldest.MemPages
 		base.ID = oldest.ID
 		l.MergedBytes += oldest.DiskBytes()
@@ -212,10 +212,10 @@ func (l *Lineage) SharedBytes() int64 {
 // reconstructed content view as a fresh run. Against Volume.Snapshot
 // this is the byte-identity check: a block is correct iff its content
 // tag matches.
-func (l *Lineage) Materialize() []Block {
-	out := slices.Clone(l.base.Blocks)
+func (l *Lineage) Materialize() Run {
+	out := slices.Clone(l.base.Run)
 	for _, e := range l.chain {
-		out = mergeRuns(out, e.Blocks)
+		out = mergeExtents(out, e.Run)
 	}
 	return out
 }
@@ -223,20 +223,19 @@ func (l *Lineage) Materialize() []Block {
 // Drop removes blocks from every epoch (base and chain) — free-block
 // elimination applied retroactively to the server-side history, so a
 // replay does not resurrect blocks the filesystem has freed. An epoch
-// holding a freed block is filtered as an exclusive copy (unshared
-// copy-on-write first), so a sibling branch's replay view never changes.
+// holding a freed block is replaced by a new epoch holding a fresh
+// filtered run, so a sibling branch's replay view never changes; an
+// epoch holding none stays as it is.
 func (l *Lineage) Drop(isFree func(vba int64) bool) {
 	if isFree == nil {
 		return
 	}
-	freed := func(b Block) bool { return isFree(b.VBA) }
 	drop := func(e *Epoch, a Addr) (*Epoch, Addr) {
-		if !slices.ContainsFunc(e.Blocks, freed) {
+		if freed(e.Run, isFree) == 0 {
 			return e, a
 		}
-		e = l.store.exclusive(a)
-		e.Blocks = slices.DeleteFunc(e.Blocks, freed)
-		return l.store.retain(e)
+		l.store.release(a, false)
+		return l.store.retain(&Epoch{ID: e.ID, MemPages: e.MemPages, Run: appendLive(nil, e.Run, 0, isFree)})
 	}
 	l.base, l.baseAddr = drop(l.base, l.baseAddr)
 	for i := range l.chain {

@@ -2,6 +2,7 @@ package storage
 
 import (
 	"math/rand"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -86,7 +87,7 @@ func TestLineageFreeBlockDrop(t *testing.T) {
 	l.Drop(isFree)
 
 	got, want := l.Materialize(), v.Snapshot(isFree)
-	for _, b := range want {
+	for _, b := range expand(want) {
 		if isFree(b.VBA) {
 			t.Fatalf("snapshot retains freed block %d", b.VBA)
 		}
@@ -109,7 +110,7 @@ func TestLineageReplayBounded(t *testing.T) {
 		}
 		blocks = append(blocks, Block{fresh, int64(epoch)}, Block{fresh + 1, int64(epoch)})
 		fresh += 2
-		l.Commit(blocks, 0)
+		l.Commit(runFrom(blocks), 0)
 	}
 	if l.Depth() != 3 {
 		t.Fatalf("depth %d, want 3", l.Depth())
@@ -120,5 +121,53 @@ func TestLineageReplayBounded(t *testing.T) {
 	maxBlocks := int64(10 + 2*50 + 3*12)
 	if got := l.ReplayBytes() / BlockSize; got > maxBlocks {
 		t.Fatalf("replay %d blocks, want <= %d (pruning not deduplicating)", got, maxBlocks)
+	}
+}
+
+// commitCost commits run to l and reports the objects and bytes the
+// commit allocated.
+func commitCost(l *Lineage, run Run) (objects, bytes uint64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	l.Commit(run, 0)
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs, after.TotalAlloc - before.TotalAlloc
+}
+
+// TestLineagePruneAllocs commits one long sequential stream, each
+// epoch longer than the last, into a lineage with MaxDepth 2, so every
+// commit from the third on folds the oldest epoch into the base: each
+// epoch and the folded base must stay one extent, and once the base's
+// storage has warmed up a pruning commit must allocate the same objects
+// and bytes however long the stream has grown.
+func TestLineagePruneAllocs(t *testing.T) {
+	const write, perEpoch, epochs, warm = 512 << 10, 16, 12, 5
+	s, v := newVol(1, Optimized)
+	l := NewChainStore().NewLineage(2)
+	var off int64
+	var objects, bytes uint64
+	for epoch := 1; epoch <= epochs; epoch++ {
+		for range epoch * perEpoch {
+			v.Write(off, write, nil)
+			off += write
+		}
+		s.Run()
+		run := v.EpochBlocks(nil)
+		v.Merge(nil)
+		if len(run) != 1 {
+			t.Fatalf("epoch %d: %d extents, want one", epoch, len(run))
+		}
+		o, b := commitCost(l, run)
+		if epoch > l.MaxDepth && len(l.base.Run) != 1 {
+			t.Fatalf("epoch %d: base holds %d extents, want one", epoch, len(l.base.Run))
+		}
+		switch {
+		case epoch == warm:
+			objects, bytes = o, b
+		case epoch > warm && (o != objects || b != bytes):
+			t.Fatalf("epoch %d: pruning commit allocated %d objects, %d bytes; epoch %d allocated %d, %d",
+				epoch, o, b, warm, objects, bytes)
+		}
 	}
 }

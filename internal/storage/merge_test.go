@@ -2,6 +2,8 @@ package storage
 
 import (
 	"cmp"
+	"encoding/binary"
+	"fmt"
 	"maps"
 	"math/rand"
 	"slices"
@@ -11,7 +13,7 @@ import (
 )
 
 // The map-based model below is the volume and checkpoint-chain
-// bookkeeping that the sorted block runs replaced, kept as the oracle:
+// bookkeeping that the sorted extent runs replaced, kept as the oracle:
 // hash indexes for both deltas, a content map tagging every written
 // block, and epochs holding map[VBA]tag, addressed by collecting and
 // sorting their keys.
@@ -84,16 +86,42 @@ func (r *refVolume) lba(vba int64) int64 {
 	return GoldenBase + vba*BlockSize
 }
 
-func byVBA(a, b Block) int { return cmp.Compare(a.VBA, b.VBA) }
+// Block is the model's unit: a virtual block address and the content
+// tag of the write that last filled it.
+type Block struct {
+	VBA, Tag int64
+}
+
+// runFrom is the run holding blocks, given in any order, each VBA at
+// most once.
+func runFrom(blocks []Block) Run {
+	blocks = slices.Clone(blocks)
+	slices.SortFunc(blocks, func(a, b Block) int { return cmp.Compare(a.VBA, b.VBA) })
+	var run Run
+	for _, b := range blocks {
+		run = appendExt(run, extent{VBA: b.VBA, N: 1, Tag: b.Tag})
+	}
+	return run
+}
+
+// expand lists the blocks of run in VBA order.
+func expand(run []extent) []Block {
+	var out []Block
+	for _, e := range run {
+		for o := range e.N {
+			out = append(out, Block{e.VBA + o, e.Tag + o})
+		}
+	}
+	return out
+}
 
 // runOf is the run a map view must equal.
-func runOf(m map[int64]int64) []Block {
+func runOf(m map[int64]int64) Run {
 	out := make([]Block, 0, len(m))
 	for vba, tag := range m {
 		out = append(out, Block{vba, tag})
 	}
-	slices.SortFunc(out, byVBA)
-	return out
+	return runFrom(out)
 }
 
 type refEpoch struct {
@@ -283,11 +311,8 @@ type tailCoverage struct {
 func tailLen(d *Delta) int { return len(d.tail) }
 
 // aggOf is the aggregated delta holding run, laid out in VBA order.
-func aggOf(run []Block) Extents {
-	var x Extents
-	for _, b := range run {
-		x.run = appendExt(x.run, extent{VBA: b.VBA, N: 1, Tag: b.Tag})
-	}
+func aggOf(run Run) Extents {
+	x := Extents{run: run}
 	x.index()
 	return x
 }
@@ -516,32 +541,104 @@ func randomExtents(rng *rand.Rand, width int64, density float64) []extent {
 	return run
 }
 
-// TestMergeExtentsMatchesBlocks merges random runs of extents and
-// requires the result to hold exactly the newest-wins merge of their
-// blocks, as a proper run (sorted, disjoint, no extent continuing its
+// checkMerge merges add into dst and reports an error unless the
+// result holds exactly the newest-wins merge of their blocks by the map
+// model, as a proper run (sorted, disjoint, no extent continuing its
 // predecessor), at no allocation when dst has room for the splits.
+func checkMerge(dst, add []extent) error {
+	model := make(map[int64]int64)
+	for _, run := range [][]extent{dst, add} {
+		for _, b := range expand(run) {
+			model[b.VBA] = b.Tag
+		}
+	}
+	buf := make([]extent, 0, len(dst)+2*len(add))
+	var got []extent
+	allocs := testing.AllocsPerRun(1, func() {
+		got = mergeExtents(append(buf[:0], dst...), add)
+	})
+	if allocs != 0 {
+		return fmt.Errorf("%.0f allocations merging into a run with room", allocs)
+	}
+	if want := runOf(model); !slices.Equal(expand(got), expand(want)) {
+		return fmt.Errorf("merged %v into %v: got %v, want %v", add, dst, got, want)
+	}
+	for i := 1; i < len(got); i++ {
+		if got[i].VBA < got[i-1].end() || got[i].continues(got[i-1]) {
+			return fmt.Errorf("merged %v into %v: run %v is not proper at %d", add, dst, got, i)
+		}
+	}
+	return nil
+}
+
+// TestMergeExtentsMatchesBlocks merges random runs of extents and
+// checks each merge against the map model.
 func TestMergeExtentsMatchesBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 2000; trial++ {
 		width := 1 + rng.Int63n(300)
 		dst := randomExtents(rng, width, rng.Float64())
 		add := randomExtents(rng, width, rng.Float64()*rng.Float64())
-		want := mergeRuns(appendBlocks(nil, dst, 0, nil), appendBlocks(nil, add, 0, nil))
-		buf := make([]extent, 0, len(dst)+2*len(add))
-		var got []extent
-		allocs := testing.AllocsPerRun(1, func() {
-			got = mergeExtents(append(buf[:0], dst...), add)
-		})
-		if allocs != 0 {
-			t.Fatalf("trial %d: %.0f allocations merging into a run with room", trial, allocs)
-		}
-		if blocks := appendBlocks(nil, got, 0, nil); !slices.Equal(blocks, want) {
-			t.Fatalf("trial %d: merged %v into %v: got %v, want blocks %v", trial, add, dst, got, want)
-		}
-		for i := 1; i < len(got); i++ {
-			if got[i].VBA < got[i-1].end() || got[i].continues(got[i-1]) {
-				t.Fatalf("trial %d: merged run %v is not proper at %d", trial, got, i)
-			}
+		if err := checkMerge(dst, add); err != nil {
+			t.Fatalf("trial %d: %v", trial, err)
 		}
 	}
+}
+
+// fuzzRuns decodes fuzz input into two proper runs. Each four bytes
+// append one extent: the first byte's low bit picks the run and its
+// upper bits give the gap after the run's end, the second byte is N-1,
+// and the last two are a signed step from where the run's tags end.
+func fuzzRuns(data []byte) (runs [2][]extent) {
+	var tags [2]int64
+	for ; len(data) >= 4; data = data[4:] {
+		r := data[0] & 1
+		e := extent{VBA: int64(data[0] >> 1), N: int64(data[1]) + 1}
+		if n := len(runs[r]); n > 0 {
+			e.VBA += runs[r][n-1].end()
+		}
+		e.Tag = tags[r] + int64(int16(binary.LittleEndian.Uint16(data[2:])))
+		tags[r] = e.Tag + e.N
+		runs[r] = appendExt(runs[r], e)
+	}
+	return runs
+}
+
+// fuzzBytes encodes runs as fuzzRuns decodes them, for runs whose gaps
+// are below 128, whose extents hold at most 256 blocks and whose tag
+// steps fit an int16.
+func fuzzBytes(runs ...[]extent) []byte {
+	var out []byte
+	for r, run := range runs {
+		var end, tag int64
+		for _, e := range run {
+			out = append(out, byte(e.VBA-end)<<1|byte(r), byte(e.N-1))
+			out = binary.LittleEndian.AppendUint16(out, uint16(e.Tag-tag))
+			end, tag = e.end(), e.Tag+e.N
+		}
+	}
+	return out
+}
+
+// FuzzMergeExtents decodes two proper runs and checks their merge
+// against the map model, as TestMergeExtentsMatchesBlocks does for
+// random runs; its seeds are such runs.
+func FuzzMergeExtents(f *testing.F) {
+	rng := rand.New(rand.NewSource(1))
+	for range 8 {
+		width := 1 + rng.Int63n(128)
+		dst := randomExtents(rng, width, rng.Float64())
+		add := randomExtents(rng, width, rng.Float64()*rng.Float64())
+		seed := fuzzBytes(dst, add)
+		if runs := fuzzRuns(seed); !slices.Equal(runs[0], dst) || !slices.Equal(runs[1], add) {
+			f.Fatalf("seed decodes to %v, %v; encoded %v, %v", runs[0], runs[1], dst, add)
+		}
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		runs := fuzzRuns(data)
+		if err := checkMerge(runs[0], runs[1]); err != nil {
+			t.Fatal(err)
+		}
+	})
 }

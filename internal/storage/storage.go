@@ -70,43 +70,12 @@ const (
 	CopyAreaBase = 120 << 30            // stock-LVM copy-aside region
 )
 
-// Block is a virtual block address (VBA) tagged with the sequence number
-// of the write that last filled it: equal tags mean the same bytes, so
-// views of a volume compare for byte-identity without storing data.
-// Blocks travel as runs: sorted by VBA, each VBA at most once.
-type Block struct {
-	VBA, Tag int64
-}
-
-// mergeRuns merges run add into run dst, add winning where both hold a
-// VBA. It works backwards inside dst's storage (grown if short), so a
-// dst with spare capacity costs no allocation; add is only read.
-func mergeRuns(dst, add []Block) []Block {
-	i, k := len(dst)-1, len(dst)+len(add)-1
-	dst = slices.Grow(dst, len(add))[:k+1]
-	for j := len(add) - 1; j >= 0; k-- {
-		if i >= 0 && dst[i].VBA > add[j].VBA {
-			dst[k], i = dst[i], i-1
-			continue
-		}
-		if i >= 0 && dst[i].VBA == add[j].VBA {
-			i-- // superseded
-		}
-		dst[k], j = add[j], j-1
-	}
-	// Each superseded block left one unwritten slot between dst[:i+1]
-	// and the merged tail dst[k+1:].
-	if k > i {
-		dst = dst[:i+1+copy(dst[i+1:], dst[k+1:])]
-	}
-	return dst
-}
-
 // extent is N blocks at consecutive VBAs from VBA whose tags count up
 // from Tag: log slots in the current delta, content tags in the
-// aggregated one. A run of extents is sorted by VBA and disjoint, and
-// an extent that continues its predecessor in both VBA and tag joins
-// it, so a sequential stream is one extent however long it grows.
+// aggregated one and in a Run. A run of extents is sorted by VBA and
+// disjoint, and an extent that continues its predecessor in both VBA
+// and tag joins it, so a sequential stream is one extent however long
+// it grows.
 type extent struct {
 	VBA, N, Tag int64
 }
@@ -243,24 +212,31 @@ func appendLive(dst, run []extent, shift int64, isFree func(vba int64) bool) []e
 	return dst
 }
 
-// appendBlocks appends the blocks of run that isFree (optional) does
-// not report freed to dst, their tags shifted by shift.
-func appendBlocks(dst []Block, run []extent, shift int64, isFree func(vba int64) bool) []Block {
-	for _, e := range run {
-		for o := range e.N {
-			if isFree == nil || !isFree(e.VBA+o) {
-				dst = append(dst, Block{VBA: e.VBA + o, Tag: e.Tag + shift + o})
-			}
-		}
+// Run is a checkpoint's block content, as an epoch, a snapshot or a
+// replayed lineage holds it: a run of extents whose tags are content
+// tags, as in the aggregated delta. Equal tags mean the same bytes, so
+// views of a volume compare for byte-identity without storing data,
+// and a run is canonical, so two views are equal iff their runs are.
+type Run []extent
+
+// Blocks counts the blocks of the run.
+func (r Run) Blocks() int64 {
+	var n int64
+	for _, e := range r {
+		n += e.N
 	}
-	return dst
+	return n
 }
 
-// blocks counts the blocks of run.
-func blocks(run []extent) int64 {
+// freed counts the blocks of run that isFree reports freed.
+func freed(run []extent, isFree func(vba int64) bool) int64 {
 	var n int64
 	for _, e := range run {
-		n += e.N
+		for o := range e.N {
+			if isFree(e.VBA + o) {
+				n++
+			}
+		}
 	}
 	return n
 }
@@ -289,34 +265,11 @@ type Delta struct {
 	run, tail []extent
 }
 
-// NewDelta creates an empty delta whose log lives at base.
-func NewDelta(base int64) *Delta {
-	return &Delta{BaseLBA: base}
-}
-
 // Slots reports occupied log slots.
 func (d *Delta) Slots() int { return int(d.slots) }
 
 // Bytes reports the delta's on-disk size.
 func (d *Delta) Bytes() int64 { return d.slots * BlockSize }
-
-// LiveBytes reports the delta size after free-block elimination: blocks
-// the filesystem has freed are dropped (§5.1).
-func (d *Delta) LiveBytes(isFree func(vba int64) bool) int64 {
-	if isFree == nil {
-		return d.Bytes()
-	}
-	d.normalize()
-	var n int64
-	for _, e := range d.run {
-		for o := range e.N {
-			if !isFree(e.VBA + o) {
-				n += BlockSize
-			}
-		}
-	}
-	return n
-}
 
 // lookup reports the physical LBA for vba, or -1. The tail is searched
 // first: its writes are the newer.
@@ -444,7 +397,7 @@ func NewVolume(disk *node.Disk, goldenBytes int64, mode Mode) *Volume {
 		Disk:          disk,
 		Mode:          mode,
 		GoldenBytes:   goldenBytes,
-		Cur:           NewDelta(CurBase),
+		Cur:           &Delta{BaseLBA: CurBase},
 		MetadataEvery: 96,
 	}
 }
@@ -570,9 +523,14 @@ func (v *Volume) Write(off, n int64, done func()) {
 }
 
 // CurrentDeltaBytes reports the current delta size, optionally after
-// free-block elimination.
+// free-block elimination: blocks the filesystem has freed are dropped
+// (§5.1).
 func (v *Volume) CurrentDeltaBytes(isFree func(vba int64) bool) int64 {
-	return v.Cur.LiveBytes(isFree)
+	if isFree == nil {
+		return v.Cur.Bytes()
+	}
+	v.Cur.normalize()
+	return (Run(v.Cur.run).Blocks() - freed(v.Cur.run, isFree)) * BlockSize
 }
 
 // EpochBlocks returns the current delta — every block dirtied since the
@@ -581,19 +539,18 @@ func (v *Volume) CurrentDeltaBytes(isFree func(vba int64) bool) int64 {
 // slot s holds tag merged+s+1. This is the per-epoch diff an
 // incremental swap-out uploads and commits to a checkpoint Lineage,
 // which takes the run over.
-func (v *Volume) EpochBlocks(isFree func(vba int64) bool) []Block {
+func (v *Volume) EpochBlocks(isFree func(vba int64) bool) Run {
 	v.Cur.normalize()
-	return appendBlocks(make([]Block, 0, blocks(v.Cur.run)), v.Cur.run, v.merged+1, isFree)
+	return appendLive(make(Run, 0, len(v.Cur.run)), v.Cur.run, v.merged+1, isFree)
 }
 
 // Snapshot returns the content-tagged view of every block ever written
 // (current plus aggregated history) as a fresh run, optionally after
 // free-block elimination — the "full checkpoint" a replayed delta chain
 // must reconstruct exactly.
-func (v *Volume) Snapshot(isFree func(vba int64) bool) []Block {
+func (v *Volume) Snapshot(isFree func(vba int64) bool) Run {
 	v.Cur.normalize()
-	run := mergeExtents(slices.Clone(v.Agg.run), appendLive(nil, v.Cur.run, v.merged+1, nil))
-	return appendBlocks(make([]Block, 0, blocks(run)), run, 0, isFree)
+	return mergeExtents(appendLive(nil, v.Agg.run, 0, isFree), appendLive(nil, v.Cur.run, v.merged+1, isFree))
 }
 
 // Merge folds the current delta into the aggregated delta and empties

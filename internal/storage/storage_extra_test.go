@@ -82,10 +82,10 @@ func TestModeStrings(t *testing.T) {
 }
 
 func TestDeltaLiveBytesNilPredicate(t *testing.T) {
-	d := NewDelta(CurBase)
-	d.append(1, 1)
-	d.append(2, 1)
-	if d.LiveBytes(nil) != 2*BlockSize {
+	_, v := newVol(1, Optimized)
+	v.Cur.append(1, 1)
+	v.Cur.append(2, 1)
+	if v.CurrentDeltaBytes(nil) != 2*BlockSize {
 		t.Fatal("nil predicate should count everything")
 	}
 }

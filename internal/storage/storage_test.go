@@ -321,8 +321,8 @@ func TestSequentialVolumeWriteAllocs(t *testing.T) {
 			t.Fatalf("epoch %d: current delta holds %d extents and a tail of %d, want one", epoch, len(v.Cur.run), len(v.Cur.tail))
 		}
 		blocks := v.EpochBlocks(nil)
-		if want := 2 * epoch * perEpoch * write / BlockSize; len(blocks) != want {
-			t.Fatalf("epoch %d: %d epoch blocks, want %d", epoch, len(blocks), want)
+		if want := int64(2 * epoch * perEpoch * write / BlockSize); blocks.Blocks() != want {
+			t.Fatalf("epoch %d: %d epoch blocks, want %d", epoch, blocks.Blocks(), want)
 		}
 		l.Commit(blocks, 0)
 		v.Merge(nil)

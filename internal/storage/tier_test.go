@@ -108,7 +108,7 @@ func TestChainStoreMirrorsBackend(t *testing.T) {
 	l := cs.NewLineage(2)
 	check("empty lineage")
 	for i := int64(0); i < 6; i++ {
-		e := l.Commit([]Block{{i, i + 1}, {i + 100, i + 2}}, 1)
+		e := l.Commit(runFrom([]Block{{i, i + 1}, {i + 100, i + 2}}), 1)
 		segs := l.Segments()
 		cache.Put(segs[len(segs)-1].Addr, e.DiskBytes())
 		check("commit (with prune folds past depth 2)")
@@ -118,7 +118,7 @@ func TestChainStoreMirrorsBackend(t *testing.T) {
 	}
 	fork := l.Fork()
 	check("fork (shared by reference)")
-	fork.Commit([]Block{{999, 1}}, 1)
+	fork.Commit(runFrom([]Block{{999, 1}}), 1)
 	check("divergent commit")
 	l.Release()
 	check("parent released")

@@ -128,8 +128,9 @@ func TestPacketPathAllocsPerSegment(t *testing.T) {
 // delta merge. Sleep handles and block-request completions are pooled,
 // the disk queues requests by value behind one reused timer, the
 // current delta appends into its run in place, merges reuse the
-// volume's runs, a committed epoch is the one run EpochBlocks returned,
-// and NTP draws allocate nothing. What is left, about 0.05 per event,
+// volume's runs, a committed epoch is the one extent run EpochBlocks
+// returned and a prune folds it into the base's storage, and NTP draws
+// allocate nothing. What is left, about 0.05 per event,
 // is the orchestration of each checkpoint and swap: coordinator and
 // hypervisor callbacks, notification barriers, and the swap pipeline's
 // staging. The budget is 15% above the 455 allocations over 8645

@@ -11,8 +11,10 @@ import (
 	"testing"
 
 	"emucheck"
+	"emucheck/internal/node"
 	"emucheck/internal/scenario"
 	"emucheck/internal/scengen"
+	"emucheck/internal/sim"
 	"emucheck/internal/storage"
 )
 
@@ -188,8 +190,17 @@ func TestInvariantsAreNotVacuous(t *testing.T) {
 			t.Fatalf("healthy cluster flagged: %s", inv.Detail)
 		}
 		// A lineage no tenant owns commits an epoch: its entry is
-		// unreachable from any live lineage the suite can see.
-		c.Chains.NewLineage(0).Commit([]storage.Block{{VBA: 0, Tag: 1 << 20}}, 4)
+		// unreachable from any live lineage the suite can see. The epoch
+		// is one block at a VBA past every golden image the cluster
+		// writes, so its content is new to the store.
+		v := storage.NewVolume(node.NewDisk(sim.New(1), node.DefaultParams()), 4<<30, storage.Optimized)
+		v.Write(1<<20*storage.BlockSize, storage.BlockSize, nil)
+		l := c.Chains.NewLineage(0)
+		entries := c.Chains.Entries()
+		l.Commit(v.EpochBlocks(nil), 4)
+		if c.Chains.Entries() != entries+1 {
+			t.Fatalf("orphaned epoch deduplicated against a cluster epoch: %d entries, want %d", c.Chains.Entries(), entries+1)
+		}
 		if inv := checkChains(c); inv.Ok {
 			t.Fatal("orphaned chain entry not flagged")
 		}

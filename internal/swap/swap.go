@@ -947,7 +947,7 @@ func (m *Manager) CommitEpoch(done func(moved int64)) {
 	type pendingCommit struct {
 		n        *Node
 		lin      *storage.Lineage
-		blocks   []storage.Block
+		blocks   storage.Run
 		memPages int
 		// pooled marks an epoch whose bytes already crossed to the pool
 		// in the transfer stage (remote tier, or a snapshot disk known
@@ -994,7 +994,7 @@ func (m *Manager) CommitEpoch(done func(moved int64)) {
 		lin := m.Lineage(n.Name)
 		blocks := n.Vol.EpochBlocks(n.IsFree)
 		memPages := n.HV.K.Dirty.EpochDirty()
-		if len(blocks) == 0 && memPages == 0 && lin.Epochs() > 0 {
+		if blocks.Blocks() == 0 && memPages == 0 && lin.Epochs() > 0 {
 			// Nothing dirtied since the last commit; the chain already
 			// replays to the current state.
 			m.S.DoAfter(0, "swap.commit0", fin)
@@ -1003,7 +1003,7 @@ func (m *Manager) CommitEpoch(done func(moved int64)) {
 		n.HV.K.Dirty.CutEpoch()
 		n.Vol.Merge(n.IsFree)
 		pc := pendingCommit{n: n, lin: lin, blocks: blocks, memPages: memPages}
-		diskB := int64(len(blocks)) * storage.BlockSize
+		diskB := blocks.Blocks() * storage.BlockSize
 		memB := int64(memPages) * int64(n.HV.P.PageSize)
 		total += diskB + memB
 		m.stat("out.epoch_bytes", diskB+memB)

@@ -181,7 +181,7 @@ func TestStandaloneManagerMirrorsPrivateStore(t *testing.T) {
 // chain state through every backend, and that state must match the
 // volume's own snapshot (the lineage correctness invariant).
 func TestTieredReplayByteIdentical(t *testing.T) {
-	materialize := func(be *storage.Tier, cacheMB int64) ([]storage.Block, []storage.Block) {
+	materialize := func(be *storage.Tier, cacheMB int64) (storage.Run, storage.Run) {
 		r := newTierRig(21, be, cacheMB)
 		runCycles(t, r, 4)
 		lin := r.m.Lineage("n0")
@@ -191,7 +191,7 @@ func TestTieredReplayByteIdentical(t *testing.T) {
 	diskChain, diskVol := materialize(storage.NewDiskTier(0), 0)
 	remoteChain, remoteVol := materialize(storage.NewRemoteTier(), 256)
 
-	equal := func(name string, got, want []storage.Block) {
+	equal := func(name string, got, want storage.Run) {
 		t.Helper()
 		if !slices.Equal(got, want) {
 			t.Fatalf("%s: %v vs %v", name, got, want)

@@ -82,6 +82,7 @@ func TestIperfStreamsAndTraces(t *testing.T) {
 	if !ip.CleanTrace() {
 		t.Fatalf("loss-free run has artifacts: rtx=%d", ip.Sender.Retransmits)
 	}
+	ip.Flush()
 	if ip.Trace.Len() < 1000 {
 		t.Fatalf("trace too small: %d", ip.Trace.Len())
 	}

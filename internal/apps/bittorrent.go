@@ -100,22 +100,19 @@ func connKey(src, dst string) string { return src + ">" + dst }
 func (bt *BitTorrent) wire(a, b *guest.Kernel) {
 	key := connKey(a.Name, b.Name)
 	port := "bt-data:" + key
-	sndEnv := &tcpEnv{k: a, peer: simnet.Addr(b.Name), port: port}
-	rcvEnv := &tcpEnv{k: b, peer: simnet.Addr(a.Name), port: port}
+	fs := &frames{}
+	sndEnv := &tcpEnv{k: a, peer: simnet.Addr(b.Name), port: port, frames: fs}
+	rcvEnv := &tcpEnv{k: b, peer: simnet.Addr(a.Name), port: port, frames: fs}
 	c := &btConn{snd: tcpsim.NewSender(sndEnv, key), rcv: tcpsim.NewReceiver(rcvEnv, key)}
 	bt.conns[key] = c
 
-	a.Handle(port, func(from simnet.Addr, m *guest.Message) {
-		seg := m.Data.(*tcpsim.Segment)
-		c.snd.HandleSegment(seg)
-	})
-	b.Handle(port, func(from simnet.Addr, m *guest.Message) {
-		seg := m.Data.(*tcpsim.Segment)
+	a.Handle(port, fs.handler(c.snd.HandleSegment))
+	b.Handle(port, fs.handler(func(seg *tcpsim.Segment) {
 		if seg.Len > 0 && a == bt.Seeder {
 			bt.SeederTrace[b.Name].Add(bt.Seeder.Monotonic(), float64(seg.WireSize()))
 		}
 		c.rcv.HandleSegment(seg)
-	})
+	}))
 	c.rcv.OnData = func(n int, total int64) {
 		c.deliverTotal = total
 		bt.onBytes(b, c)

@@ -17,8 +17,11 @@ type Iperf struct {
 	Receiver *tcpsim.Receiver
 
 	// Trace records (receiver virtual time, wire bytes) per data
-	// segment arrival.
+	// segment arrival, up to the last Stop or Flush.
 	Trace *metrics.Series
+	// log holds the arrivals since then, compact: a stream's trace is
+	// expanded once, so it never holds two copies of itself growing.
+	log metrics.Log
 }
 
 // NewIperf wires an iperf session from the sender kernel to the
@@ -27,29 +30,35 @@ func NewIperf(snd, rcv *guest.Kernel) *Iperf {
 	const port = "iperf"
 	ip := &Iperf{Trace: metrics.NewSeries("iperf.trace")}
 
-	sndEnv := &tcpEnv{k: snd, peer: simnet.Addr(rcv.Name), port: port}
-	rcvEnv := &tcpEnv{k: rcv, peer: simnet.Addr(snd.Name), port: port}
+	fs := &frames{}
+	sndEnv := &tcpEnv{k: snd, peer: simnet.Addr(rcv.Name), port: port, frames: fs}
+	rcvEnv := &tcpEnv{k: rcv, peer: simnet.Addr(snd.Name), port: port, frames: fs}
 	ip.Sender = tcpsim.NewSender(sndEnv, port)
 	ip.Receiver = tcpsim.NewReceiver(rcvEnv, port)
 
-	snd.Handle(port, func(from simnet.Addr, m *guest.Message) {
-		ip.Sender.HandleSegment(m.Data.(*tcpsim.Segment))
-	})
-	rcv.Handle(port, func(from simnet.Addr, m *guest.Message) {
-		seg := m.Data.(*tcpsim.Segment)
+	snd.Handle(port, fs.handler(ip.Sender.HandleSegment))
+	rcv.Handle(port, fs.handler(func(seg *tcpsim.Segment) {
 		if seg.Len > 0 {
-			ip.Trace.Add(rcv.Monotonic(), float64(seg.WireSize()))
+			ip.log.Add(rcv.Monotonic(), int64(seg.WireSize()))
 		}
 		ip.Receiver.HandleSegment(seg)
-	})
+	}))
 	return ip
 }
 
 // Start begins streaming total bytes (-1 = until stopped).
 func (ip *Iperf) Start(total int64) { ip.Sender.Stream(total) }
 
-// Stop halts the sender.
-func (ip *Iperf) Stop() { ip.Sender.Close() }
+// Stop halts the sender and flushes the trace. Segments still in flight
+// arrive after it, into the log.
+func (ip *Iperf) Stop() {
+	ip.Sender.Close()
+	ip.Flush()
+}
+
+// Flush moves the arrivals logged since the last Stop or Flush into
+// Trace.
+func (ip *Iperf) Flush() { ip.log.Flush(ip.Trace) }
 
 // CleanTrace reports whether the session shows none of the artifacts
 // the paper checked for in the packet trace: no retransmissions, no

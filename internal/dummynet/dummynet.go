@@ -220,6 +220,13 @@ func (p *Pipe) Thaw() {
 	}
 }
 
+// Pinner is implemented by a packet payload whose sender recycles it
+// once it is delivered. Pin tells the sender that a checkpoint image
+// holds the payload, so it must never be reused.
+type Pinner interface {
+	Pin()
+}
+
 // PacketState is one serialized packet with its shaping progress.
 type PacketState struct {
 	Packet         *simnet.Packet
@@ -260,6 +267,10 @@ func (st *PipeState) Bytes() int {
 
 // Serialize captures the pipe state. The pipe must be frozen: Dummynet is
 // suspended before its state is walked, keeping the capture consistent.
+// The image holds shallow copies of the packets, whose payloads the live
+// pipe still delivers, so Serialize pins every payload that implements
+// Pinner: its sender then never recycles it, and the image keeps what it
+// captured.
 func (p *Pipe) Serialize() (*PipeState, error) {
 	if !p.frozen {
 		return nil, fmt.Errorf("dummynet: serialize of running pipe %s", p.name)
@@ -270,6 +281,9 @@ func (p *Pipe) Serialize() (*PipeState, error) {
 	}
 	for i := 0; i < p.slots.Len(); i++ {
 		sl := p.slots.At(i)
+		if pn, ok := sl.pkt.Payload.(Pinner); ok {
+			pn.Pin()
+		}
 		if sl.txEnd <= p.frozeAt && i < p.slots.Len()-p.held {
 			st.DelayLine = append(st.DelayLine, PacketState{
 				Packet:         sl.pkt.Clone(),

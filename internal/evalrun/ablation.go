@@ -63,6 +63,7 @@ func ablationRun(seed int64, skip bool) (endpointLog, inCore, rtx int, burst flo
 	stop = true
 	ip.Stop()
 	s.RunFor(sim.Second)
+	ip.Flush()
 	if res == nil {
 		panic("ablation: checkpoint incomplete")
 	}

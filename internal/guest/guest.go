@@ -27,13 +27,22 @@ import (
 // services on a node (an iperf sink, a BitTorrent peer, an event agent).
 //
 // A message embeds the packet it travels in, so a message and its
-// packet are one heap object. Kernel.Send takes the message over:
-// build a fresh Message for every send.
+// packet are one heap object. Kernel.Send takes the message over until
+// the port handler returns: a sender may then zero the message and send
+// it again, unless a checkpoint image pinned it on the way (Pin).
 type Message struct {
 	Port string
 	Data any
 
 	pkt simnet.Packet
+}
+
+// Pin implements dummynet.Pinner by forwarding to Data, the part of
+// the message its sender may recycle.
+func (m *Message) Pin() {
+	if p, ok := m.Data.(interface{ Pin() }); ok {
+		p.Pin()
+	}
 }
 
 // BlockBackend is where guest block I/O lands: the raw disk for a plain
@@ -340,8 +349,10 @@ func (k *Kernel) Handle(port string, h func(from simnet.Addr, m *Message)) {
 // under dom0 interference.
 //
 // Send allocates nothing: m travels in its embedded packet. Send takes
-// ownership of m, since the network, or a delay-node snapshot, may hold
-// that packet after delivery; a second Send of the same message panics.
+// m over until m's port handler returns; a second Send before the
+// sender zeroes m panics. A delay-node image may hold the packet past
+// delivery, and it pins m when it does (Message.Pin), so a sender that
+// recycles messages must skip pinned ones.
 func (k *Kernel) Send(dst simnet.Addr, size int, m *Message) {
 	if m.pkt.Payload != nil {
 		panic(fmt.Sprintf("guest: %s: message on port %q sent twice", k.Name, m.Port))

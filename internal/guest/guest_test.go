@@ -115,6 +115,39 @@ func TestSendMessageTwicePanics(t *testing.T) {
 	ka.Send("b", 100, m)
 }
 
+// TestZeroedMessageSendsAgain holds the recycling contract: once its
+// port handler has returned, a sender may zero a delivered message and
+// send it again.
+func TestZeroedMessageSendsAgain(t *testing.T) {
+	s, ka, kb := kernelPair(1)
+	kb.Handle("echo", func(simnet.Addr, *Message) {})
+	m := &Message{Port: "echo"}
+	for range 2 {
+		ka.Send("b", 100, m)
+		s.Run()
+		*m = Message{Port: "echo"}
+	}
+	if kb.RcvdPackets != 2 {
+		t.Fatalf("%d packets received, want 2", kb.RcvdPackets)
+	}
+}
+
+type pinFlag bool
+
+func (p *pinFlag) Pin() { *p = true }
+
+// TestMessagePinForwardsToData checks that pinning a message pins its
+// Data, the part a sender may recycle, and ignores Data that cannot be
+// pinned.
+func TestMessagePinForwardsToData(t *testing.T) {
+	var p pinFlag
+	(&Message{Data: &p}).Pin()
+	if !p {
+		t.Fatal("Pin did not reach the message's Data")
+	}
+	(&Message{Data: "not a pinner"}).Pin()
+}
+
 // TestSendMessageAllocs holds a send of a fresh message, delivered end
 // to end, to the one allocation of the message itself: its packet is
 // embedded in it.

@@ -28,9 +28,12 @@ type Series struct {
 // NewSeries creates an empty named series.
 func NewSeries(name string) *Series { return &Series{Name: name} }
 
-// Add appends an observation. A full series doubles its capacity, so
-// n samples cost O(log n) allocations and at most 2n samples of copying;
-// append alone grows a large slice by only 1.25x.
+// Add appends an observation. A full series asks for room for twice its
+// length, which append's size rounding turns into about 2.4 times, so n
+// samples cost O(log n) allocations and fewer than n samples of copying,
+// but a series may hold up to 2.5 times the room it uses; append alone
+// grows a large slice by only 1.25x. A long trace that must not regrow
+// goes into a Log first.
 func (s *Series) Add(t sim.Time, v float64) {
 	if len(s.Samples) == cap(s.Samples) {
 		s.Samples = slices.Grow(s.Samples, max(len(s.Samples), 64))

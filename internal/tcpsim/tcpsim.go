@@ -56,7 +56,9 @@ type Env interface {
 	NewTimer(name string, fn func()) Timer
 	// Output hands a segment to the network path. The segment comes by
 	// value, so the sender and receiver allocate nothing per segment;
-	// the environment decides where the copy lives on the wire.
+	// the environment decides where the copy lives on the wire, and may
+	// reuse that storage once the peer's HandleSegment returns: neither
+	// Sender nor Receiver keeps a *Segment past the call.
 	Output(seg Segment)
 }
 

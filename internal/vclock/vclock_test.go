@@ -1,6 +1,7 @@
 package vclock
 
 import (
+	"math/rand"
 	"testing"
 	"testing/quick"
 
@@ -289,4 +290,37 @@ func TestNonPositiveDilationPanics(t *testing.T) {
 		}
 	}()
 	c.SetDilation(0)
+}
+
+// TestSystemTimeIntegerPathMatchesFloat holds SystemTime and Freeze at
+// dilation 1, which skip the float divide, to the divide they replaced,
+// on random anchors and times below 2^53 ns, frozen and thawed.
+func TestSystemTimeIntegerPathMatchesFloat(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	s := sim.New(1)
+	c := New(s, 0)
+	viaFloat := func() sim.Time {
+		return c.anchorVirtual + sim.Time(float64(s.Now()-c.anchorReal)/c.dilation)
+	}
+	for i := 0; i < 2000; i++ {
+		// Time reaches about 2^51 ns; anchors keep the sum below 2^53.
+		s.RunFor(sim.Time(rng.Int63n(1 << 41)))
+		c.anchorReal = sim.Time(rng.Int63n(int64(s.Now()) + 1))
+		c.anchorVirtual = sim.Time(rng.Int63n(1 << 52))
+		if got, want := c.SystemTime(), viaFloat(); got != want {
+			t.Fatalf("running: SystemTime %d, float path %d", got, want)
+		}
+		leak := sim.Time(rng.Int63n(int64(sim.Millisecond)))
+		want := viaFloat() + leak
+		c.Freeze(leak)
+		if got := c.SystemTime(); got != want {
+			t.Fatalf("frozen: SystemTime %d, float path %d", got, want)
+		}
+		s.RunFor(sim.Time(rng.Int63n(int64(sim.Second))))
+		c.Thaw(leak)
+		s.RunFor(sim.Time(rng.Int63n(int64(sim.Second))))
+		if got, want := c.SystemTime(), viaFloat(); got != want {
+			t.Fatalf("thawed: SystemTime %d, float path %d", got, want)
+		}
+	}
 }

@@ -101,12 +101,15 @@ func (a *CPULoop) step() {
 }
 
 // tcpEnv adapts a guest kernel to tcpsim.Env for one direction of a
-// connection.
+// connection. Both directions share one pool, data segments flowing one
+// way and ACKs the other, so it never holds more than the peak in
+// flight: about one receive window and its ACKs. Neither tcpsim nor the
+// apps keep a segment past its handler's return.
 type tcpEnv struct {
-	k      *guest.Kernel
-	peer   simnet.Addr
-	port   string
-	frames *frames
+	k    *guest.Kernel
+	peer simnet.Addr
+	port string
+	pool *guest.Pool[tcpsim.Segment]
 }
 
 func (e *tcpEnv) Now() sim.Time { return e.k.Monotonic() }
@@ -115,66 +118,11 @@ func (e *tcpEnv) NewTimer(name string, fn func()) tcpsim.Timer {
 	return e.k.FW.NewTimer(firewall.TimerJob, name, fn)
 }
 
-// Output sends seg in a frame from the connection's free list, and
-// allocates a frame only when the list is empty.
+// Output sends seg in a carrier from the connection's pool.
 func (e *tcpEnv) Output(seg tcpsim.Segment) {
-	f := e.frames.get()
-	f.seg = seg
-	f.m.Port, f.m.Data = e.port, f
-	e.k.Send(e.peer, seg.WireSize(), &f.m)
+	e.pool.Send(e.k, e.peer, seg.WireSize(), e.port, seg)
 }
-
-// frame is one TCP segment on the wire: the segment, the message that
-// carries it and that message's packet share one heap object. The
-// message's Data is the frame itself (SegmentOf reads the segment).
-type frame struct {
-	m      guest.Message
-	seg    tcpsim.Segment
-	pinned bool
-}
-
-// Pin marks the frame as held by a checkpoint image: it is never
-// recycled, and goes to the garbage collector with the image.
-func (f *frame) Pin() { f.pinned = true }
 
 // SegmentOf returns the TCP segment m carries, or nil when m is not a
-// frame of an iperf or BitTorrent connection.
-func SegmentOf(m *guest.Message) *tcpsim.Segment {
-	if f, ok := m.Data.(*frame); ok {
-		return &f.seg
-	}
-	return nil
-}
-
-// frames is one connection's free list of delivered frames. Both
-// directions share it, data frames flowing one way and ACK frames the
-// other, so it never holds more than the peak in flight: about one
-// receive window and its ACKs. A frame lost on the way (to PLR, wire
-// loss, a crash or a torn-down guest) is never returned; the garbage
-// collector takes it.
-type frames struct{ free []*frame }
-
-func (l *frames) get() *frame {
-	if n := len(l.free); n > 0 {
-		f := l.free[n-1]
-		l.free = l.free[:n-1]
-		return f
-	}
-	return new(frame)
-}
-
-// handler adapts a segment handler to a port handler: it runs h on the
-// segment the message carries, then zeroes the frame and returns it to
-// the list unless an image pinned it. Neither tcpsim nor h keeps the
-// segment past return. Zeroing clears the embedded packet too, so a
-// reused frame passes Kernel.Send's sent-twice check.
-func (l *frames) handler(h func(seg *tcpsim.Segment)) func(simnet.Addr, *guest.Message) {
-	return func(_ simnet.Addr, m *guest.Message) {
-		f := m.Data.(*frame)
-		h(&f.seg)
-		if !f.pinned {
-			*f = frame{}
-			l.free = append(l.free, f)
-		}
-	}
-}
+// segment of an iperf or BitTorrent connection.
+func SegmentOf(m *guest.Message) *tcpsim.Segment { return guest.PayloadOf[tcpsim.Segment](m) }

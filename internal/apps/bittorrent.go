@@ -55,6 +55,9 @@ type BitTorrent struct {
 
 	// req tracks outstanding piece requests per client.
 	req map[string][]bool
+
+	// ctl carries the control plane's {kind, piece} messages.
+	ctl guest.Pool[[2]int]
 }
 
 // NewBitTorrent wires the swarm for a file of the given size.
@@ -89,7 +92,7 @@ func NewBitTorrent(seeder *guest.Kernel, clients []*guest.Kernel, fileBytes int6
 	// Control plane: piece announcements and requests.
 	for _, k := range all {
 		k := k
-		k.Handle("bt-ctl", func(from simnet.Addr, m *guest.Message) { bt.onControl(k, from, m) })
+		k.Handle("bt-ctl", bt.ctl.Handler(func(from simnet.Addr, msg *[2]int) { bt.onControl(k, from, *msg) }))
 	}
 	return bt
 }
@@ -100,14 +103,14 @@ func connKey(src, dst string) string { return src + ">" + dst }
 func (bt *BitTorrent) wire(a, b *guest.Kernel) {
 	key := connKey(a.Name, b.Name)
 	port := "bt-data:" + key
-	fs := &frames{}
-	sndEnv := &tcpEnv{k: a, peer: simnet.Addr(b.Name), port: port, frames: fs}
-	rcvEnv := &tcpEnv{k: b, peer: simnet.Addr(a.Name), port: port, frames: fs}
+	pool := &guest.Pool[tcpsim.Segment]{}
+	sndEnv := &tcpEnv{k: a, peer: simnet.Addr(b.Name), port: port, pool: pool}
+	rcvEnv := &tcpEnv{k: b, peer: simnet.Addr(a.Name), port: port, pool: pool}
 	c := &btConn{snd: tcpsim.NewSender(sndEnv, key), rcv: tcpsim.NewReceiver(rcvEnv, key)}
 	bt.conns[key] = c
 
-	a.Handle(port, fs.handler(c.snd.HandleSegment))
-	b.Handle(port, fs.handler(func(seg *tcpsim.Segment) {
+	a.Handle(port, pool.Handler(func(_ simnet.Addr, seg *tcpsim.Segment) { c.snd.HandleSegment(seg) }))
+	b.Handle(port, pool.Handler(func(_ simnet.Addr, seg *tcpsim.Segment) {
 		if seg.Len > 0 && a == bt.Seeder {
 			bt.SeederTrace[b.Name].Add(bt.Seeder.Monotonic(), float64(seg.WireSize()))
 		}
@@ -165,7 +168,7 @@ func (bt *BitTorrent) completePiece(b *guest.Kernel, piece int) {
 	bt.have[b.Name][piece] = true
 	// Announce to the swarm.
 	for _, peer := range bt.peers(b) {
-		b.Send(simnet.Addr(peer.Name), 80, &guest.Message{Port: "bt-ctl", Data: [2]int{announce, piece}})
+		bt.ctl.Send(b, simnet.Addr(peer.Name), 80, "bt-ctl", [2]int{announce, piece})
 	}
 	if bt.countHave(b.Name) == bt.Pieces {
 		bt.Completed[b.Name] = true
@@ -205,8 +208,7 @@ func (bt *BitTorrent) countHave(name string) int {
 }
 
 // onControl handles announcements and piece requests.
-func (bt *BitTorrent) onControl(k *guest.Kernel, from simnet.Addr, m *guest.Message) {
-	msg := m.Data.([2]int)
+func (bt *BitTorrent) onControl(k *guest.Kernel, from simnet.Addr, msg [2]int) {
 	kind, piece := msg[0], msg[1]
 	switch kind {
 	case announce:
@@ -275,7 +277,7 @@ func (bt *BitTorrent) requestNext(k *guest.Kernel) {
 		for _, peer := range ordered {
 			if bt.have[peer.Name][piece] {
 				bt.markRequested(k, piece)
-				k.Send(simnet.Addr(peer.Name), 80, &guest.Message{Port: "bt-ctl", Data: [2]int{request, piece}})
+				bt.ctl.Send(k, simnet.Addr(peer.Name), 80, "bt-ctl", [2]int{request, piece})
 				outstanding++
 				break
 			}

@@ -65,6 +65,9 @@ type Commit2PC struct {
 	// The coordinator's per-round continuations, bound once: the next
 	// round, and the decision after vote collection.
 	onRound, onDecide func()
+
+	// pool carries every message of the group.
+	pool guest.Pool[commitMsg]
 }
 
 // RunCommit2PC starts the commit protocol (nodes[0] coordinates) and
@@ -97,14 +100,9 @@ func (c *Commit2PC) tick() {
 	}
 }
 
-func (c *Commit2PC) report(s string) {
-	if c.cfg.OnOutcome != nil {
-		c.cfg.OnOutcome(s)
-	}
-}
-
-// voteMsg rides "2pc.vote": which round, whose ballot, yes or no.
-type voteMsg struct {
+// commitMsg rides every 2PC port. A prepare or a decision carries its
+// round; a vote adds whose ballot it is, yes or no.
+type commitMsg struct {
 	Round int
 	From  int
 	Yes   bool
@@ -112,16 +110,12 @@ type voteMsg struct {
 
 // installCoordinator registers the vote collector.
 func (c *Commit2PC) installCoordinator() {
-	c.nodes[0].K.Handle("2pc.vote", func(_ simnet.Addr, m *guest.Message) {
-		if !c.coordAlive || !c.collecting {
-			return
-		}
-		v, ok := m.Data.(voteMsg)
-		if !ok || v.Round != c.round {
+	c.nodes[0].K.Handle("2pc.vote", c.pool.Handler(func(_ simnet.Addr, v *commitMsg) {
+		if !c.coordAlive || !c.collecting || v.Round != c.round {
 			return
 		}
 		c.votes[v.From] = v.Yes
-	})
+	}))
 }
 
 // runRound drives one transaction: prepare fan-out, vote collection
@@ -136,7 +130,7 @@ func (c *Commit2PC) runRound() {
 	clear(c.votes)
 	c.collecting = true
 	for p := 1; p < len(c.nodes); p++ {
-		k.Send(c.nodes[p].Addr, 200, &guest.Message{Port: "2pc.prepare", Data: r})
+		c.pool.Send(k, c.nodes[p].Addr, 200, "2pc.prepare", commitMsg{Round: r})
 	}
 	if r == c.cfg.CrashCoordAtRound {
 		// Fail-silent between prepare and decision: the blocking window.
@@ -175,53 +169,96 @@ func (c *Commit2PC) decide() {
 	// (presumed-nothing log), then fans it out.
 	k.WriteDisk(int64(r)<<20, 64<<10, nil)
 	for p := 1; p < len(c.nodes); p++ {
-		k.Send(c.nodes[p].Addr, 150, &guest.Message{Port: decision, Data: r})
+		c.pool.Send(k, c.nodes[p].Addr, 150, decision, commitMsg{Round: r})
 	}
-	c.report(fmt.Sprintf("commits=%d aborts=%d", c.Commits, c.Aborts))
+	if c.cfg.OnOutcome != nil {
+		c.cfg.OnOutcome(fmt.Sprintf("commits=%d aborts=%d", c.Commits, c.Aborts))
+	}
 	c.tick()
 	k.Usleep(c.cfg.Period-c.cfg.VoteTimeout, c.onRound)
 }
 
+// participant is one member's side of the protocol. A yes vote puts
+// the round in doubt until a decision arrives; if the coordinator
+// crash-stopped, the doubt never resolves and the participant reports
+// itself blocked.
+type participant struct {
+	c       *Commit2PC
+	idx     int
+	k       *guest.Kernel
+	inDoubt map[int]bool
+	free    []*ballot // recycled ballots
+}
+
+// ballot is one round's vote from journal write to verdict: journaled
+// and expire, bound once when the ballot is first made, are its two
+// continuations. A ballot returns to its participant's free list when
+// its last continuation has run, so steady rounds allocate nothing.
+type ballot struct {
+	pt    *participant
+	round int
+	coord simnet.Addr
+	yes   bool
+
+	journaled, expire func()
+}
+
 // installParticipant registers participant p's prepare and decision
-// handlers. A yes vote puts the round in doubt until a decision
-// arrives; if the coordinator crash-stopped, the doubt never resolves
-// and the participant reports itself blocked.
+// handlers.
 func (c *Commit2PC) installParticipant(p int) {
-	k := c.nodes[p].K
-	inDoubt := make(map[int]bool)
-	k.Handle("2pc.prepare", func(from simnet.Addr, m *guest.Message) {
-		r, ok := m.Data.(int)
-		if !ok {
-			return
-		}
-		yes := c.vote(r, p)
-		// Journal the ballot before voting — the write the checkpoint
-		// lineage must carry for recovery to be honest.
-		k.WriteDisk(int64(p)<<30|int64(r)<<16, 32<<10, func() {
-			k.Send(from, 150, &guest.Message{Port: "2pc.vote", Data: voteMsg{Round: r, From: p, Yes: yes}})
-			if !yes {
-				return
-			}
-			inDoubt[r] = true
-			// The block detector: a yes-voter that hears no decision for
-			// well past the round budget is wedged on the coordinator.
-			k.Usleep(3*c.cfg.Period, func() {
-				if inDoubt[r] {
-					c.Blocked++
-					c.report(fmt.Sprintf("blocked r=%d commits=%d aborts=%d", r, c.Commits, c.Aborts))
-				}
-			})
-		})
-	})
-	decided := func(_ simnet.Addr, m *guest.Message) {
-		r, ok := m.Data.(int)
-		if !ok {
-			return
-		}
-		delete(inDoubt, r)
-		k.WriteDisk(int64(p)<<30|int64(r)<<16|1<<8, 32<<10, nil)
-		c.tick()
+	pt := &participant{c: c, idx: p, k: c.nodes[p].K, inDoubt: make(map[int]bool)}
+	pt.k.Handle("2pc.prepare", c.pool.Handler(pt.prepare))
+	pt.k.Handle("2pc.commit", c.pool.Handler(pt.decided))
+	pt.k.Handle("2pc.abort", c.pool.Handler(pt.decided))
+}
+
+// prepare journals the participant's ballot before voting: the write
+// the checkpoint lineage must carry for recovery to be honest.
+func (pt *participant) prepare(from simnet.Addr, msg *commitMsg) {
+	var b *ballot
+	if n := len(pt.free); n > 0 {
+		b = pt.free[n-1]
+		pt.free = pt.free[:n-1]
+	} else {
+		b = &ballot{pt: pt}
+		b.journaled, b.expire = b.vote, b.detectBlock
 	}
-	k.Handle("2pc.commit", decided)
-	k.Handle("2pc.abort", decided)
+	b.round, b.coord, b.yes = msg.Round, from, pt.c.vote(msg.Round, pt.idx)
+	pt.k.WriteDisk(int64(pt.idx)<<30|int64(b.round)<<16, 32<<10, b.journaled)
+}
+
+// vote sends the journaled ballot. A yes vote leaves the round in
+// doubt and arms the block detector.
+func (b *ballot) vote() {
+	pt := b.pt
+	pt.c.pool.Send(pt.k, b.coord, 150, "2pc.vote", commitMsg{Round: b.round, From: pt.idx, Yes: b.yes})
+	if !b.yes {
+		pt.release(b)
+		return
+	}
+	pt.inDoubt[b.round] = true
+	pt.k.Usleep(3*pt.c.cfg.Period, b.expire)
+}
+
+// detectBlock is the block detector: a yes-voter that hears no decision
+// for well past the round budget is wedged on the coordinator.
+func (b *ballot) detectBlock() {
+	pt, c := b.pt, b.pt.c
+	if pt.inDoubt[b.round] {
+		c.Blocked++
+		if c.cfg.OnOutcome != nil {
+			c.cfg.OnOutcome(fmt.Sprintf("blocked r=%d commits=%d aborts=%d", b.round, c.Commits, c.Aborts))
+		}
+	}
+	pt.release(b)
+}
+
+func (pt *participant) release(b *ballot) { pt.free = append(pt.free, b) }
+
+// decided applies a commit or abort: the round leaves doubt and the
+// outcome is journaled.
+func (pt *participant) decided(_ simnet.Addr, msg *commitMsg) {
+	delete(pt.inDoubt, msg.Round)
+	pt.k.WriteDisk(int64(pt.idx)<<30|int64(msg.Round)<<16|1<<8, 32<<10, nil)
+	pt.c.tick()
 }

@@ -30,14 +30,14 @@ func NewIperf(snd, rcv *guest.Kernel) *Iperf {
 	const port = "iperf"
 	ip := &Iperf{Trace: metrics.NewSeries("iperf.trace")}
 
-	fs := &frames{}
-	sndEnv := &tcpEnv{k: snd, peer: simnet.Addr(rcv.Name), port: port, frames: fs}
-	rcvEnv := &tcpEnv{k: rcv, peer: simnet.Addr(snd.Name), port: port, frames: fs}
+	pool := &guest.Pool[tcpsim.Segment]{}
+	sndEnv := &tcpEnv{k: snd, peer: simnet.Addr(rcv.Name), port: port, pool: pool}
+	rcvEnv := &tcpEnv{k: rcv, peer: simnet.Addr(snd.Name), port: port, pool: pool}
 	ip.Sender = tcpsim.NewSender(sndEnv, port)
 	ip.Receiver = tcpsim.NewReceiver(rcvEnv, port)
 
-	snd.Handle(port, fs.handler(ip.Sender.HandleSegment))
-	rcv.Handle(port, fs.handler(func(seg *tcpsim.Segment) {
+	snd.Handle(port, pool.Handler(func(_ simnet.Addr, seg *tcpsim.Segment) { ip.Sender.HandleSegment(seg) }))
+	rcv.Handle(port, pool.Handler(func(_ simnet.Addr, seg *tcpsim.Segment) {
 		if seg.Len > 0 {
 			ip.log.Add(rcv.Monotonic(), int64(seg.WireSize()))
 		}

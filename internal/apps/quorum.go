@@ -53,6 +53,10 @@ type Quorum struct {
 	Crashes   int
 
 	members []*quorumMember
+
+	// pool carries every member's messages; "q.coord" carries the new
+	// leader's name, the rest nothing.
+	pool guest.Pool[string]
 }
 
 // quorumMember is one node's protocol state.
@@ -117,22 +121,22 @@ func (q *Quorum) tick() {
 // install registers the member's protocol ports. Every handler guards
 // on alive: a crash-stopped node is deaf and mute (crash-stop model).
 func (m *quorumMember) install() {
-	k := m.node.K
-	k.Handle("q.elect", func(from simnet.Addr, msg *guest.Message) {
+	k, pool := m.node.K, &m.q.pool
+	k.Handle("q.elect", pool.Handler(func(from simnet.Addr, _ *string) {
 		if !m.alive {
 			return
 		}
 		// A lower rank is campaigning: veto it and campaign ourselves.
-		k.Send(from, 120, &guest.Message{Port: "q.alive"})
+		pool.Send(k, from, 120, "q.alive", "")
 		m.startElection()
-	})
-	k.Handle("q.alive", func(simnet.Addr, *guest.Message) {
+	}))
+	k.Handle("q.alive", pool.Handler(func(simnet.Addr, *string) {
 		if !m.alive {
 			return
 		}
 		m.answered = true
-	})
-	k.Handle("q.coord", func(_ simnet.Addr, msg *guest.Message) {
+	}))
+	k.Handle("q.coord", pool.Handler(func(simnet.Addr, *string) {
 		if !m.alive {
 			return
 		}
@@ -140,14 +144,14 @@ func (m *quorumMember) install() {
 		m.isLeader = false
 		m.lastHB = k.Monotonic()
 		m.q.tick()
-	})
-	k.Handle("q.hb", func(simnet.Addr, *guest.Message) {
+	}))
+	k.Handle("q.hb", pool.Handler(func(simnet.Addr, *string) {
 		if !m.alive {
 			return
 		}
 		m.lastHB = k.Monotonic()
 		m.q.tick()
-	})
+	}))
 }
 
 // start staggers the initial campaigns by rank (so the first election
@@ -194,7 +198,7 @@ func (m *quorumMember) startElection() {
 	m.answered = false
 	k := m.node.K
 	for r := m.rank + 1; r < len(m.peers); r++ {
-		k.Send(m.peers[r].Addr, 120, &guest.Message{Port: "q.elect"})
+		m.q.pool.Send(k, m.peers[r].Addr, 120, "q.elect", "")
 	}
 	k.Usleep(m.q.cfg.Timeout, func() {
 		if !m.alive || !m.electing {
@@ -222,7 +226,7 @@ func (m *quorumMember) becomeLeader() {
 	k := m.node.K
 	for r, p := range m.peers {
 		if r != m.rank {
-			k.Send(p.Addr, 150, &guest.Message{Port: "q.coord", Data: m.node.Name})
+			m.q.pool.Send(k, p.Addr, 150, "q.coord", m.node.Name)
 		}
 	}
 	if m.q.cfg.OnOutcome != nil {
@@ -242,7 +246,7 @@ func (m *quorumMember) heartbeatTick() {
 	}
 	for r, p := range m.peers {
 		if r != m.rank {
-			m.node.K.Send(p.Addr, 100, &guest.Message{Port: "q.hb"})
+			m.q.pool.Send(m.node.K, p.Addr, 100, "q.hb", "")
 		}
 	}
 	m.heartbeat()

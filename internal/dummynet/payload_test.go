@@ -13,19 +13,27 @@ import (
 	"emucheck/internal/tcpsim"
 )
 
-// iperfOverDelayNode swaps in two nodes joined by a 1 Gbps link with a
-// 2 ms delay node and wires an iperf session from a to b.
-func iperfOverDelayNode(t *testing.T) (*sim.Simulator, *emulab.Experiment, *apps.Iperf) {
+// overDelayNode swaps in two nodes, a and b, joined by a 1 Gbps link
+// through a delay node of the given one-way delay.
+func overDelayNode(t *testing.T, delay sim.Time) (*sim.Simulator, *emulab.Experiment) {
 	t.Helper()
 	s := sim.New(1)
 	e, err := emulab.NewTestbed(s, 10).SwapIn(emulab.Spec{
 		Name:  "snap",
 		Nodes: []emulab.NodeSpec{{Name: "a"}, {Name: "b"}},
-		Links: []emulab.LinkSpec{{A: "a", B: "b", Bandwidth: simnet.Gbps, Delay: 2 * sim.Millisecond}},
+		Links: []emulab.LinkSpec{{A: "a", B: "b", Bandwidth: simnet.Gbps, Delay: delay}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return s, e
+}
+
+// iperfOverDelayNode wires an iperf session from a to b across a 2 ms
+// delay node.
+func iperfOverDelayNode(t *testing.T) (*sim.Simulator, *emulab.Experiment, *apps.Iperf) {
+	t.Helper()
+	s, e := overDelayNode(t, 2*sim.Millisecond)
 	return s, e, apps.NewIperf(e.Node("a").K, e.Node("b").K)
 }
 
@@ -81,10 +89,10 @@ func TestRestoredPipeDeliversIperfSegments(t *testing.T) {
 // TestImageKeepsCapturedSegments serializes a delay node under a live
 // iperf stream and keeps the image while the pipes deliver every packet
 // it captured, with the connection's own port handlers: delivered
-// frames go back to the free list and carry later segments, so the
-// image stays as captured only if Serialize pinned what it holds. The
-// pipes either thaw as they were or first restore the image, so pinned
-// restored frames and reused unpinned ones share the path; either way
+// carriers go back to the pool and carry later segments, so the image
+// stays as captured only if Serialize pinned what it holds. The pipes
+// either thaw as they were or first restore the image, so pinned
+// restored carriers and reused unpinned ones share the path; either way
 // the receiver must end where an uninterrupted stream ends.
 func TestImageKeepsCapturedSegments(t *testing.T) {
 	run := func(snapshot, restore bool) *apps.Iperf {
@@ -130,6 +138,75 @@ func TestImageKeepsCapturedSegments(t *testing.T) {
 				ip.Receiver.SegmentsRcvd, ip.Receiver.Delivered(), plain.Receiver.SegmentsRcvd, plain.Receiver.Delivered())
 		}
 	}
+}
+
+// TestRestoredPipeDeliversRPCPayloads freezes a delay node while a
+// ping-pong exchange has a ping in flight, serializes it, restores the
+// image and thaws, and requires the same sequence of echoed rounds as
+// an uninterrupted run. The restored packet points into the ping's
+// carrier and the ping's handler runs on it: the image pinned the
+// carrier, so the pool must not recycle it, and the image must still
+// hold the round it captured after later pings have come and gone.
+func TestRestoredPipeDeliversRPCPayloads(t *testing.T) {
+	run := func(snapshot bool) []int {
+		s, e := overDelayNode(t, 20*sim.Millisecond)
+		d := e.DelayNodes[0]
+		ka, kb := e.Node("a").K, e.Node("b").K
+		var rounds []int
+		apps.RunPingPong(ka, kb, simnet.Addr(ka.Name), simnet.Addr(kb.Name), 50*sim.Millisecond, func(r int) {
+			rounds = append(rounds, r)
+		})
+		s.RunFor(500 * sim.Millisecond)
+		for d.Forward.QueueLen()+d.Forward.InFlight() == 0 {
+			s.RunFor(sim.Millisecond)
+		}
+		if !snapshot {
+			s.RunFor(2 * sim.Second)
+			return rounds
+		}
+		d.Freeze()
+		st, err := d.Serialize()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := len(st.Forward.Queue) + len(st.Forward.DelayLine) + len(st.Reverse.Queue) + len(st.Reverse.DelayLine); n != 1 {
+			t.Fatalf("image holds %d packets, want the one ping in flight", n)
+		}
+		ps := slices.Concat(st.Forward.Queue, st.Forward.DelayLine)[0]
+		round := pingRound(t, ps.Packet)
+		if round != len(rounds)+1 {
+			t.Fatalf("image holds the ping of round %d, want %d", round, len(rounds)+1)
+		}
+		d.Restore(st)
+		d.Thaw()
+		s.RunFor(2 * sim.Second)
+		if got := pingRound(t, ps.Packet); got != round {
+			t.Fatalf("image's ping reads round %d after the run, captured %d", got, round)
+		}
+		return rounds
+	}
+	plain, restored := run(false), run(true)
+	if len(plain) < 20 {
+		t.Fatalf("%d rounds in the uninterrupted run, want at least 20", len(plain))
+	}
+	if !slices.Equal(plain, restored) {
+		t.Fatalf("restored run echoed rounds %v, uninterrupted %v", restored, plain)
+	}
+}
+
+// pingRound returns the round a captured ping carries, failing on any
+// other payload.
+func pingRound(t *testing.T, pkt *simnet.Packet) int {
+	t.Helper()
+	m, ok := pkt.Payload.(*guest.Message)
+	if !ok || m.Port != "ping" {
+		t.Fatalf("captured payload %v, want a ping message", pkt.Payload)
+	}
+	r := guest.PayloadOf[int](m)
+	if r == nil {
+		t.Fatalf("captured ping's data %T carries no round", m.Data)
+	}
+	return *r
 }
 
 // captured lists (Seq, Len, Ack) of every segment a delay-node image

@@ -34,6 +34,8 @@ type Facility struct {
 	// this facility within one timestamp.
 	outbox []Message
 	seq    int64
+	// wanFree recycles the records of WAN deliveries into this world.
+	wanFree []*wanDelivery
 
 	// pendingCommit lists tenants whose chains grew this window; the
 	// barrier flushes the new segments to the shared pool.
@@ -131,6 +133,7 @@ type tenant struct {
 	cancels    []func()
 	pending    bool // chain has uncommitted segments
 	sleepEl    *list.Element
+	activity   notify.Msg // the activity notification, built once
 
 	// chain is the tenant's checkpoint chain; the prefix chain[:committed]
 	// is authoritative in the shared pool (commits land at barriers).
@@ -179,6 +182,7 @@ func (fed *Federation) newTenant(id int, fac *Facility) *tenant {
 		interval: 100*sim.Millisecond + sim.Time(draw(2, 7))*3*sim.Millisecond,
 		chain:    chainFor(id),
 	}
+	t.activity = notify.Msg{Topic: "activity", From: t.name, Scope: t.name}
 	if t.hog {
 		t.owed = 120 + int(draw(3, 50))*3
 	} else {
@@ -321,7 +325,7 @@ func (t *tenant) fire() {
 	fac.ticks++
 	fac.Sched.Touch(t.name)
 	if t.ticks%8 == 0 {
-		fac.Bus.Publish(&notify.Msg{Topic: "activity", From: t.name, Scope: t.name})
+		fac.Bus.Publish(&t.activity)
 	}
 	if t.ticks%16 == 8 && t.fed.nFacilities() > 1 {
 		// Cross-facility sync chatter: the WAN coupling that the

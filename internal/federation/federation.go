@@ -30,11 +30,12 @@
 package federation
 
 import (
+	"cmp"
 	"container/list"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
-	"sort"
+	"slices"
 
 	"emucheck/internal/notify"
 	"emucheck/internal/sched"
@@ -174,6 +175,9 @@ type Federation struct {
 
 	// Migrations counts tenant handoffs decided by the balancer.
 	Migrations int
+
+	// msgs is the barrier's merge buffer, reused across windows.
+	msgs []Message
 }
 
 // New builds the federation: facilities, WAN mesh, and the fleet
@@ -281,23 +285,29 @@ func (fed *Federation) exchange(end sim.Time) {
 	if fed.cfg.Migration {
 		fed.rebalance()
 	}
-	var msgs []Message
+	msgs := fed.msgs[:0]
 	for _, fac := range fed.Facilities {
 		msgs = append(msgs, fac.outbox...)
 		fac.outbox = fac.outbox[:0]
 	}
-	sort.Slice(msgs, func(a, b int) bool {
-		if msgs[a].When != msgs[b].When {
-			return msgs[a].When < msgs[b].When
-		}
-		if msgs[a].Src != msgs[b].Src {
-			return msgs[a].Src < msgs[b].Src
-		}
-		return msgs[a].Seq < msgs[b].Seq
-	})
+	slices.SortFunc(msgs, canonicalOrder)
 	for i := range msgs {
 		fed.route(msgs[i], end)
 	}
+	clear(msgs)
+	fed.msgs = msgs[:0]
+}
+
+// canonicalOrder orders messages by (when, facility, seq), a key no
+// two messages share.
+func canonicalOrder(a, b Message) int {
+	if c := cmp.Compare(a.When, b.When); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Src, b.Src); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Seq, b.Seq)
 }
 
 // commitChains flushes delta segments dirtied during the window to
@@ -373,7 +383,34 @@ func (fed *Federation) route(m Message, end sim.Time) {
 		panic(fmt.Sprintf("federation: WAN arrival %v inside the window ending %v", arrival, end))
 	}
 	dst := fed.Facilities[m.Dst]
-	dst.S.DoAt(arrival, "fed.wan", func() { dst.deliver(m, arrival) })
+	var d *wanDelivery
+	if n := len(dst.wanFree); n > 0 {
+		d = dst.wanFree[n-1]
+		dst.wanFree = dst.wanFree[:n-1]
+	} else {
+		d = &wanDelivery{fac: dst}
+		d.fire = d.run
+	}
+	d.m, d.arrival = m, arrival
+	dst.S.DoAt(arrival, "fed.wan", d.fire)
+}
+
+// wanDelivery is one WAN message on its way into the destination
+// world: fire, bound once when the record is first made, delivers it.
+// Records return to the destination facility's free list before the
+// delivery runs, so steady WAN traffic allocates nothing.
+type wanDelivery struct {
+	fac     *Facility
+	m       Message
+	arrival sim.Time
+	fire    func()
+}
+
+func (d *wanDelivery) run() {
+	fac, m, arrival := d.fac, d.m, d.arrival
+	d.m = Message{}
+	fac.wanFree = append(fac.wanFree, d)
+	fac.deliver(m, arrival)
 }
 
 // deliver runs in the destination world at the message's arrival.

@@ -29,7 +29,8 @@ import (
 // A message embeds the packet it travels in, so a message and its
 // packet are one heap object. Kernel.Send takes the message over until
 // the port handler returns: a sender may then zero the message and send
-// it again, unless a checkpoint image pinned it on the way (Pin).
+// it again, unless a checkpoint image pinned it on the way (Pin). Pool
+// does that for an app's messages.
 type Message struct {
 	Port string
 	Data any
@@ -352,7 +353,7 @@ func (k *Kernel) Handle(port string, h func(from simnet.Addr, m *Message)) {
 // m over until m's port handler returns; a second Send before the
 // sender zeroes m panics. A delay-node image may hold the packet past
 // delivery, and it pins m when it does (Message.Pin), so a sender that
-// recycles messages must skip pinned ones.
+// recycles messages must skip pinned ones, as Pool does.
 func (k *Kernel) Send(dst simnet.Addr, size int, m *Message) {
 	if m.pkt.Payload != nil {
 		panic(fmt.Sprintf("guest: %s: message on port %q sent twice", k.Name, m.Port))

@@ -611,20 +611,12 @@ func workloadSetup(c *emucheck.Cluster, e *Experiment, st *ExpStats) func(*emuch
 		a, b := e.Nodes[0].Name, e.Nodes[1].Name
 		return func(s *emucheck.Session) {
 			self := s.Scenario.Spec.Name
-			ka, kb := s.Kernel(a), s.Kernel(b)
-			kb.Handle("ping", func(simnet.Addr, *guest.Message) {
-				kb.Send(s.Addr(a), 200, &guest.Message{Port: "pong"})
-			})
-			var send func()
-			ka.Handle("pong", func(simnet.Addr, *guest.Message) {
+			// Pace the exchange: an RPC every 50 ms, not a raw-fabric
+			// packet storm.
+			apps.RunPingPong(s.Kernel(a), s.Kernel(b), s.Addr(a), s.Addr(b), 50*sim.Millisecond, func(int) {
 				st.Ticks++
 				c.Touch(self)
-				// Pace the exchange: an RPC every 50 ms, not a raw-fabric
-				// packet storm.
-				ka.Usleep(50*sim.Millisecond, send)
 			})
-			send = func() { ka.Send(s.Addr(b), 200, &guest.Message{Port: "ping"}) }
-			send()
 		}
 	case "diskchurn":
 		first := e.Nodes[0].Name
@@ -700,12 +692,13 @@ func racyElectSetup(c *emucheck.Cluster, e *Experiment, st *ExpStats) func(*emuc
 		seed := s.Perturb().Seed
 		ka, kb := s.Kernel(aN), s.Kernel(bN)
 		claimed := make(map[string]bool)
+		var pool guest.Pool[struct{}]
 		decided := func() {
 			st.Ticks++
 			c.Touch(self)
 		}
 		decide := func(k *guest.Kernel, peerLogical string) func(simnet.Addr, *guest.Message) {
-			return func(simnet.Addr, *guest.Message) {
+			return pool.Handler(func(simnet.Addr, *struct{}) {
 				if claimed[k.Name] {
 					st.Outcome = "split-brain"
 					decided()
@@ -715,7 +708,7 @@ func racyElectSetup(c *emucheck.Cluster, e *Experiment, st *ExpStats) func(*emuc
 					st.Outcome = "leader=" + peerLogical
 					decided()
 				}
-			}
+			})
 		}
 		ka.Handle("claim", decide(ka, bN))
 		kb.Handle("claim", decide(kb, aN))
@@ -737,7 +730,7 @@ func racyElectSetup(c *emucheck.Cluster, e *Experiment, st *ExpStats) func(*emuc
 						return // the peer's claim already won
 					}
 					claimed[k.Name] = true
-					k.Send(peer, 120, &guest.Message{Port: "claim"})
+					pool.Send(k, peer, 120, "claim", struct{}{})
 				})
 			})
 		}

@@ -90,16 +90,19 @@ func (h victimHeap) Less(i, j int) bool {
 }
 func (h victimHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *victimHeap) Push(x any)   { *h = append(*h, x.(victimKey)) }
+
+// Pop returns the job alone: a pointer goes into an interface without
+// an allocation, a victimKey would not.
 func (h *victimHeap) Pop() any {
 	old := *h
 	n := len(old)
 	k := old[n-1]
 	*h = old[:n-1]
-	return k
+	return k.job
 }
 
 // pop removes and returns the minimum-cost victim.
-func (h *victimHeap) pop() *Job { return heap.Pop(h).(victimKey).job }
+func (h *victimHeap) pop() *Job { return heap.Pop(h).(*Job) }
 
 // key evaluates j's policy cost for the victim heap. ParkCost is
 // consulted once per candidate per decision (IdleFirst only), not
@@ -145,12 +148,13 @@ func (d *Scheduler) untrackRun(j *Job) {
 }
 
 // victims builds the decision-time heap of preemptible running jobs
-// eligible to be parked for candidate. nextEligible reports when the
-// next residency-protected job matures, sim.Never if none.
-func (d *Scheduler) victims(candidate *Job) (h victimHeap, nextEligible sim.Time) {
+// eligible to be parked for candidate, in the scheduler's reused
+// victimHeap. nextEligible reports when the next residency-protected
+// job matures, sim.Never if none.
+func (d *Scheduler) victims(candidate *Job) (nextEligible sim.Time) {
 	now := d.S.Now()
 	nextEligible = sim.Never
-	h = make(victimHeap, 0, len(d.candidates))
+	h := d.victimHeap[:0]
 	for _, j := range d.candidates {
 		if d.Policy == Priority && j.Priority >= candidate.Priority {
 			continue
@@ -166,6 +170,36 @@ func (d *Scheduler) victims(candidate *Job) (h victimHeap, nextEligible sim.Time
 		}
 		h = append(h, d.key(j))
 	}
-	heap.Init(&h)
-	return h, nextEligible
+	d.victimHeap = h
+	heap.Init(&d.victimHeap)
+	return nextEligible
+}
+
+// selectVictims pops victims for candidate in policy order until they
+// free shortfall nodes: O(k log n) against the legacy sorted-scan's
+// O(n²). It reports false, waking the scheduler when the next victim
+// matures if residency protection is the only obstacle, when the
+// eligible jobs cannot cover the shortfall.
+//
+// The chosen slice is the scheduler's scratch, which the caller hands
+// back to d.chosen once it has parked the victims. Selection finishes
+// before any park, so the victim heap is free again by then; a park
+// can re-enter kick and select again, and that nested selection finds
+// d.chosen taken and makes its own.
+func (d *Scheduler) selectVictims(candidate *Job, shortfall int) (chosen []*Job, ok bool) {
+	nextEligible := d.victims(candidate)
+	chosen, d.chosen = d.chosen[:0], nil
+	freed := 0
+	for freed < shortfall && d.victimHeap.Len() > 0 {
+		v := d.victimHeap.pop()
+		chosen = append(chosen, v)
+		freed += v.Need
+	}
+	if freed < shortfall {
+		if nextEligible < sim.Never {
+			d.wakeAt(nextEligible)
+		}
+		return chosen, false
+	}
+	return chosen, true
 }

@@ -182,7 +182,8 @@ type Job struct {
 	// when not running (or not preemptible).
 	runIdx int
 
-	sched *Scheduler // set at Submit
+	sched    *Scheduler  // set at Submit
+	onParked func(error) // parked, bound at the first park
 }
 
 // State reports the job's lifecycle position.
@@ -242,6 +243,8 @@ type Scheduler struct {
 	byName        map[string]*Job // latest submission per name; lookup only, never iterated
 	queue         jobQueue        // admission order (intrusive FIFO)
 	candidates    []*Job          // running preemptible jobs (runIdx-indexed)
+	victimHeap    victimHeap      // victim selection's scratch heap
+	chosen        []*Job          // victim selection's scratch result
 	doneJobs      int
 	parksInFlight int
 	nextGang      int
@@ -609,18 +612,9 @@ func (d *Scheduler) DrainFor(name string) (int, error) {
 	if shortfall <= 0 || d.parksInFlight > 0 {
 		return 0, nil
 	}
-	pool, nextEligible := d.victims(j)
-	var chosen []*Job
-	freed := 0
-	for freed < shortfall && pool.Len() > 0 {
-		v := pool.pop()
-		chosen = append(chosen, v)
-		freed += v.Need
-	}
-	if freed < shortfall {
-		if nextEligible < sim.Never {
-			d.wakeAt(nextEligible)
-		}
+	chosen, ok := d.selectVictims(j, shortfall)
+	if !ok {
+		d.chosen = chosen[:0]
 		return 0, nil
 	}
 	for _, v := range chosen {
@@ -630,6 +624,7 @@ func (d *Scheduler) DrainFor(name string) (int, error) {
 		d.PreemptedBytes += cost
 		d.park(v)
 	}
+	d.chosen = chosen[:0]
 	return len(chosen), nil
 }
 
@@ -774,33 +769,18 @@ func (d *Scheduler) admit(j *Job) {
 }
 
 func (d *Scheduler) tryPreempt(head *Job, need int) {
-	shortfall := need - d.avail()
-	pool, nextEligible := d.victims(head)
-	// Pop victims in policy order until the shortfall is covered:
-	// O(k log n) against the legacy sorted-scan's O(n²).
-	var chosen []*Job
-	freed := 0
-	for freed < shortfall && pool.Len() > 0 {
-		v := pool.pop()
-		chosen = append(chosen, v)
-		freed += v.Need
-	}
-	if freed < shortfall {
-		// Not enough victims yet. If residency protection is the only
-		// obstacle, wake up when the next victim matures.
-		if nextEligible < sim.Never {
-			d.wakeAt(nextEligible)
+	chosen, ok := d.selectVictims(head, need-d.avail())
+	if ok {
+		for _, v := range chosen {
+			v.preemptions++
+			d.Preemptions++
+			cost := v.parkCost()
+			v.lastParkCost = cost
+			d.PreemptedBytes += cost
+			d.park(v)
 		}
-		return
 	}
-	for _, v := range chosen {
-		v.preemptions++
-		d.Preemptions++
-		cost := v.parkCost()
-		v.lastParkCost = cost
-		d.PreemptedBytes += cost
-		d.park(v)
-	}
+	d.chosen = chosen[:0]
 }
 
 func (d *Scheduler) park(v *Job) {
@@ -808,30 +788,38 @@ func (d *Scheduler) park(v *Job) {
 	v.state = Parking
 	v.gang = 0 // co-scheduling covers the first admission only
 	d.parksInFlight++
-	v.Hooks.Park(func(err error) {
-		if v.state != Parking {
-			// A crash (Fail) superseded this park and settled its ledger.
-			return
-		}
-		d.parksInFlight--
-		if err != nil {
-			// The swap-out aborted (an epoch failure): the experiment
-			// was thawed and keeps running on its hardware. Restart the
-			// residency clock so the next preemption attempt does not
-			// re-freeze it immediately.
-			v.state = Running
-			v.runningSince = d.S.Now()
-			d.trackRun(v)
-			d.kick()
-			return
-		}
-		v.state = Parked
-		d.setFree(d.free + v.Need)
-		if v.autoResume {
-			d.enqueue(v)
-		}
+	if v.onParked == nil {
+		v.onParked = v.parked
+	}
+	v.Hooks.Park(v.onParked)
+}
+
+// parked settles a park's outcome. It is bound once per job, as
+// onParked, so a park allocates no callback.
+func (v *Job) parked(err error) {
+	d := v.sched
+	if v.state != Parking {
+		// A crash (Fail) superseded this park and settled its ledger.
+		return
+	}
+	d.parksInFlight--
+	if err != nil {
+		// The swap-out aborted (an epoch failure): the experiment
+		// was thawed and keeps running on its hardware. Restart the
+		// residency clock so the next preemption attempt does not
+		// re-freeze it immediately.
+		v.state = Running
+		v.runningSince = d.S.Now()
+		d.trackRun(v)
 		d.kick()
-	})
+		return
+	}
+	v.state = Parked
+	d.setFree(d.free + v.Need)
+	if v.autoResume {
+		d.enqueue(v)
+	}
+	d.kick()
 }
 
 // wakeAt arms the residency-maturity alarm, reusing one timer

@@ -184,18 +184,21 @@ func (c *DeltaCache) WarmUp(a Addr, n int64) bool {
 // (shared) entries. It reports whether the bytes now fit. Feasibility
 // is checked first: if evicting every unpinned entry still could not
 // make room, the admission is hopeless and nothing is evicted — a
-// rejected Put must not destroy the resident working set.
+// rejected Put must not destroy the resident working set. The check
+// walks from the oldest entry and stops once it has found enough
+// unpinned bytes, which are the ones the eviction below takes.
 func (c *DeltaCache) evictFor(n int64) bool {
 	if c.used+n <= c.Capacity {
 		return true
 	}
+	need := c.used + n - c.Capacity
 	var evictable int64
-	for el := c.lru.Back(); el != nil; el = el.Prev() {
+	for el := c.lru.Back(); el != nil && evictable < need; el = el.Prev() {
 		if e := el.Value.(*cacheEntry); c.refcount(e.addr) <= 1 {
 			evictable += e.bytes
 		}
 	}
-	if c.used-evictable+n > c.Capacity {
+	if evictable < need {
 		return false
 	}
 	for el := c.lru.Back(); el != nil && c.used+n > c.Capacity; {

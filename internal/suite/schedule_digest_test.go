@@ -81,9 +81,9 @@ func TestScheduleDigestReplaysInProcess(t *testing.T) {
 
 // maxAllocsPerSegment bounds the heap allocations one TCP data segment
 // costs on the steady packet path, with its ACK: none. Each guest
-// message travels in a frame holding the segment, the message and its
-// packet; the port handler returns a delivered frame to its
-// connection's free list and the next send takes it, so the warm-up
+// message travels in a guest.Pool carrier holding the segment, the
+// message and its packet; the port handler returns a delivered carrier
+// to its connection's pool and the next send takes it, so the warm-up
 // second grows the list to the peak in flight and the measured windows
 // only reuse it. Events, firewall handles, delay-line slots and
 // closures are all reused too.

@@ -74,7 +74,7 @@ var (
 // under 5 s-periodic transparent checkpoints.
 func BenchmarkFig4SleepLoop(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig4Once.Do(func() { fig4Res = evalrun.Fig4(benchSeed, 3000) })
+		fig4Once.Do(func() { fig4Res = evalrun.Fig4(benchSeed) })
 	}
 	b.ReportMetric(fig4Res.MeanMs, "ms/iter")
 	b.ReportMetric(fig4Res.FracWithin*100, "%within28us")
@@ -88,7 +88,7 @@ func BenchmarkFig4SleepLoop(b *testing.B) {
 // periodic checkpoints, bounded by residual dom0 interference.
 func BenchmarkFig5CPULoop(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig5Once.Do(func() { fig5Res = evalrun.Fig5(benchSeed, 300) })
+		fig5Once.Do(func() { fig5Res = evalrun.Fig5(benchSeed) })
 	}
 	b.ReportMetric(fig5Res.MeanMs, "ms/iter")
 	b.ReportMetric(fig5Res.MaxOverMs, "ms-worst-over")
@@ -118,7 +118,7 @@ func BenchmarkFig6Iperf(b *testing.B) {
 // 100 s checkpoint storm; the throughput center line must not move.
 func BenchmarkFig7BitTorrent(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig7Once.Do(func() { fig7Res = evalrun.Fig7(benchSeed, 512) })
+		fig7Once.Do(func() { fig7Res = evalrun.Fig7(benchSeed) })
 	}
 	b.ReportMetric(fig7Res.CenterBefore, "MB/s-before")
 	b.ReportMetric(fig7Res.CenterDuring, "MB/s-during")
@@ -133,7 +133,7 @@ func BenchmarkFig7BitTorrent(b *testing.B) {
 // Branch-Orig and Branch storage.
 func BenchmarkFig8Bonnie(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig8Once.Do(func() { fig8Res = evalrun.Fig8(benchSeed, 256) })
+		fig8Once.Do(func() { fig8Res = evalrun.Fig8(benchSeed) })
 	}
 	b.ReportMetric(fig8Res.FreshWriteOverheadPct, "%fresh-overhead")
 	b.ReportMetric(fig8Res.AgedWriteOverheadPct, "%aged-overhead")
@@ -147,7 +147,7 @@ func BenchmarkFig8Bonnie(b *testing.B) {
 // interference on a disk-bound workload.
 func BenchmarkFig9Background(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		fig9Once.Do(func() { fig9Res = evalrun.Fig9(benchSeed, 512) })
+		fig9Once.Do(func() { fig9Res = evalrun.Fig9(benchSeed) })
 	}
 	b.ReportMetric(fig9Res.EagerOverheadPct, "%eager-exec-overhead")
 	b.ReportMetric(fig9Res.LazyOverheadPct, "%lazy-exec-overhead")
@@ -246,7 +246,7 @@ func BenchmarkTimeshare(b *testing.B) {
 		// tenant; shorter targets park each tenant only once, and a
 		// first swap-out is always a full save (no base on the server),
 		// which would make the two stateful modes indistinguishable.
-		tsOnce.Do(func() { tsRes = evalrun.Timeshare(benchSeed, 0) })
+		tsOnce.Do(func() { tsRes = evalrun.Timeshare(benchSeed) })
 	}
 	b.ReportMetric(tsRes.StatefulIncr.MovedMB, "MB-incremental")
 	b.ReportMetric(tsRes.Stateful.MovedMB, "MB-fullcopy")
@@ -275,7 +275,7 @@ var (
 // bytes and have the whole frontier in service strictly sooner.
 func BenchmarkBranch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		brOnce.Do(func() { brRes = evalrun.BranchTable(benchSeed, 4) })
+		brOnce.Do(func() { brRes = evalrun.BranchTable(benchSeed) })
 	}
 	b.ReportMetric(brRes.Shared.MovedMB, "MB-shared")
 	b.ReportMetric(brRes.Naive.MovedMB, "MB-naive")
@@ -311,7 +311,7 @@ var (
 // checkpoints durable and recovering from them without an operator.
 func BenchmarkRemediate(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		remOnce.Do(func() { remRes = evalrun.Remediate(benchSeed, false) })
+		remOnce.Do(func() { remRes = evalrun.Remediate(benchSeed) })
 	}
 	scripted, rst := remRes.Row("scripted"), remRes.Row("restart")
 	if scripted == nil || rst == nil {
@@ -352,7 +352,7 @@ var (
 // re-streaming every chain on every resume).
 func BenchmarkStorageCache(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		stOnce.Do(func() { stRes = evalrun.StorageTable(benchSeed, 4) })
+		stOnce.Do(func() { stRes = evalrun.StorageTable(benchSeed) })
 	}
 	b.ReportMetric(stRes.Cached.RemoteMB, "MB-remote-cached")
 	b.ReportMetric(stRes.Uncached.RemoteMB, "MB-remote-uncached")

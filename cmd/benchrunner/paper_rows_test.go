@@ -8,7 +8,7 @@ import (
 )
 
 // TestPaperRowsMatchGolden pins every figure and table exactly as
-// `benchrunner -all -quick` prints them at seed 1 to
+// `benchrunner -all` prints them at seed 1 to
 // testdata/paper_rows.golden. The figures carry the packet path (iperf
 // through a delay node, many TCP streams through checkpoints) and copies
 // across a stateful swap; the tables carry the swap pipeline, the
@@ -18,7 +18,7 @@ import (
 // with `go test ./cmd/benchrunner -update` when a row is meant to move.
 func TestPaperRowsMatchGolden(t *testing.T) {
 	var b strings.Builder
-	for _, e := range experiments(1, true, 4) {
+	for _, e := range experiments(1) {
 		b.WriteString(e.section(e.run()))
 	}
 	path := filepath.Join("testdata", "paper_rows.golden")

@@ -150,12 +150,9 @@ func runBranchMode(seed int64, fanout int, dirtyMB int64, horizon sim.Time, naiv
 	}
 }
 
-// BranchTable runs the fan-out comparison (fanout 0 = 4).
-func BranchTable(seed int64, fanout int) *BranchResult {
-	if fanout <= 0 {
-		fanout = 4
-	}
-	const dirtyMB = 48
+// BranchTable runs the 4-way fan-out comparison.
+func BranchTable(seed int64) *BranchResult {
+	const fanout, dirtyMB = 4, 48
 	horizon := 30 * sim.Minute
 	return &BranchResult{
 		FanOut: fanout, Seed: seed, PoolN: 2*fanout + 2,

@@ -8,7 +8,7 @@ import "testing"
 // has the whole frontier in service strictly sooner than naive
 // per-branch full copies.
 func TestBranchTableSharedStrictlyBetter(t *testing.T) {
-	r := BranchTable(1, 4)
+	r := BranchTable(1)
 	if r.Shared.AllRunningS <= 0 {
 		t.Fatal("shared fan-out frontier never fully entered service")
 	}
@@ -35,7 +35,7 @@ func TestBranchTableSharedStrictlyBetter(t *testing.T) {
 
 // TestBranchTableDeterministic: the benchmark is replayable bit-for-bit.
 func TestBranchTableDeterministic(t *testing.T) {
-	a, b := BranchTable(3, 4), BranchTable(3, 4)
+	a, b := BranchTable(3), BranchTable(3)
 	if *a != *b {
 		t.Fatalf("same seed diverged:\n%+v\n%+v", a, b)
 	}

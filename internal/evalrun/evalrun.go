@@ -48,8 +48,10 @@ type Fig4Result struct {
 	Checkpoints int
 }
 
-// Fig4 runs the usleep(10 ms) loop under periodic checkpointing.
-func Fig4(seed int64, iters int) *Fig4Result {
+// Fig4 runs 6000 iterations of the usleep(10 ms) loop under periodic
+// checkpointing.
+func Fig4(seed int64) *Fig4Result {
+	const iters = 6000
 	s, _, e := twoNode(seed, 0, 0)
 	k := e.Node("n0").K
 	loop := apps.NewSleepLoop(k, iters)
@@ -103,8 +105,10 @@ type Fig5Result struct {
 	Checkpoints int
 }
 
-// Fig5 runs the 236.6 ms CPU job loop under periodic checkpointing.
-func Fig5(seed int64, iters int) *Fig5Result {
+// Fig5 runs 600 iterations of the 236.6 ms CPU job loop under
+// periodic checkpointing.
+func Fig5(seed int64) *Fig5Result {
+	const iters = 600
 	s, _, e := twoNode(seed, 0, 0)
 	k := e.Node("n0").K
 	loop := apps.NewCPULoop(k, iters)
@@ -233,9 +237,10 @@ type Fig7Result struct {
 	Retransmits                             int
 }
 
-// Fig7 runs the 4-node swarm on a 100 Mbps LAN for 300 s with
-// checkpoints every 5 s during [70 s, 170 s].
-func Fig7(seed int64, fileMB int64) *Fig7Result {
+// Fig7 runs the 4-node swarm sharing the paper's 3 GB file on a
+// 100 Mbps LAN for 300 s with checkpoints every 5 s during [70 s, 170 s].
+func Fig7(seed int64) *Fig7Result {
+	const fileMB = 3 << 10
 	s := sim.New(seed)
 	tb := emulab.NewTestbed(s, 16)
 	tb.Params.ExperimentLink = 100 * simnet.Mbps

@@ -37,7 +37,7 @@ type Fig8Result struct {
 
 // fig8Run measures each Bonnie operation class on its own fresh volume
 // of the given mode (each bar in the figure is an independent run).
-func fig8Run(seed int64, mode storage.Mode, aged bool, fileMB int64) map[string]float64 {
+func fig8Run(seed int64, mode storage.Mode, aged bool) map[string]float64 {
 	out := make(map[string]float64)
 	for _, op := range apps.BonnieOps {
 		s := sim.New(seed)
@@ -50,7 +50,7 @@ func fig8Run(seed int64, mode storage.Mode, aged bool, fileMB int64) map[string]
 		}
 		k.Backend = v
 		b := apps.NewBonnie(k)
-		b.FileBytes = fileMB << 20
+		b.FileBytes = 512 << 20
 		if op == apps.BlockRewrites || op == apps.BlockReads || op == apps.CharReads {
 			// Reads and rewrites operate on previously written data:
 			// pre-populate the file through the COW store, then age the
@@ -73,13 +73,14 @@ func fig8Run(seed int64, mode storage.Mode, aged bool, fileMB int64) map[string]
 }
 
 // Fig8 runs the three configurations (Base, fresh Branch-Orig, fresh
-// Branch) plus an aged Branch pass for the overhead comparison.
-func Fig8(seed int64, fileMB int64) *Fig8Result {
+// Branch) plus an aged Branch pass for the overhead comparison, each on
+// a 512 MB Bonnie++ file.
+func Fig8(seed int64) *Fig8Result {
 	res := &Fig8Result{MBps: make(map[string]map[string]float64)}
-	res.MBps["Base"] = fig8Run(seed, storage.Raw, false, fileMB)
-	res.MBps["Branch-Orig"] = fig8Run(seed, storage.OriginalLVM, false, fileMB)
-	res.MBps["Branch"] = fig8Run(seed, storage.Optimized, false, fileMB)
-	aged := fig8Run(seed, storage.Optimized, true, fileMB)
+	res.MBps["Base"] = fig8Run(seed, storage.Raw, false)
+	res.MBps["Branch-Orig"] = fig8Run(seed, storage.OriginalLVM, false)
+	res.MBps["Branch"] = fig8Run(seed, storage.Optimized, false)
+	aged := fig8Run(seed, storage.Optimized, true)
 
 	bw := "Block-Writes"
 	base, branch, orig := res.MBps["Base"][bw], res.MBps["Branch"][bw], res.MBps["Branch-Orig"][bw]
@@ -133,11 +134,11 @@ func fig9Run(seed int64, copyBytes int64, setup func(s *sim.Simulator, m *node.M
 	return fc.Throughput, fc.ExecutionDur
 }
 
-// Fig9 measures the copy workload alone, under eager swap-out pre-copy,
+// Fig9 measures a 512 MB copy alone, under eager swap-out pre-copy,
 // and under lazy swap-in background fill with demand faults.
-func Fig9(seed int64, copyMB int64) *Fig9Result {
+func Fig9(seed int64) *Fig9Result {
 	r := &Fig9Result{}
-	bytes := copyMB << 20
+	const bytes int64 = 512 << 20
 
 	r.NoSwap, r.DurNone = fig9Run(seed, bytes, nil)
 

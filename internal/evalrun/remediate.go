@@ -191,19 +191,11 @@ func runRemediateMode(seed int64, policy string, period, crashAt, horizon sim.Ti
 
 // Remediate runs the benchmark: the autonomous loop under each
 // detection preset against the scripted-recovery oracle (at 5/15/60 s
-// epoch periods) and the restart-from-scratch baseline. quick shrinks
-// the run for CI to one preset and the default period.
-func Remediate(seed int64, quick bool) *RemediateResult {
-	crashAt := 180 * sim.Second
-	horizon := 15 * sim.Minute
+// epoch periods) and the restart-from-scratch baseline.
+func Remediate(seed int64) *RemediateResult {
+	const crashAt, horizon = 180 * sim.Second, 15 * sim.Minute
 	presets := []string{"fast", "balanced", "conservative"}
 	periods := []sim.Time{5 * sim.Second, DefaultEpochPeriod, 60 * sim.Second}
-	if quick {
-		crashAt = 90 * sim.Second
-		horizon = 8 * sim.Minute
-		presets = []string{"balanced"}
-		periods = []sim.Time{DefaultEpochPeriod}
-	}
 	r := &RemediateResult{
 		Pool: 4, Nodes: 2,
 		CrashAtS: crashAt.Seconds(), HorizonS: horizon.Seconds(),

@@ -11,7 +11,7 @@ import (
 // hysteresis bound, and land within a handful of seconds of the
 // scripted-recovery oracle.
 func TestRemediateAutoBeatsRestartQuick(t *testing.T) {
-	r := Remediate(1, true)
+	r := Remediate(1)
 	auto, scripted, restart := r.Row("auto@balanced"), r.Row("scripted"), r.Row("restart")
 	if auto == nil || scripted == nil || restart == nil {
 		t.Fatalf("missing modes in %+v", r.Rows)
@@ -41,7 +41,7 @@ func TestRemediateAutoBeatsRestartQuick(t *testing.T) {
 // backoff, restore transfers — is a pure function of the seed.
 func TestRemediateDeterministicQuick(t *testing.T) {
 	enc := func() string {
-		b, err := json.Marshal(Remediate(3, true))
+		b, err := json.Marshal(Remediate(3))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +57,7 @@ func TestRemediateDeterministicQuick(t *testing.T) {
 // beats restart on lost work, and a longer period banks less often,
 // so it strictly loses more work.
 func TestRemediateEpochPeriodSweep(t *testing.T) {
-	r := Remediate(1, false)
+	r := Remediate(1)
 	restart := r.Row("restart")
 	if restart == nil {
 		t.Fatalf("missing restart row in %+v", r.Rows)

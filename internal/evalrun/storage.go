@@ -147,12 +147,9 @@ func runStorageMode(seed int64, fanout, cycles int, horizon sim.Time, cached boo
 	return row
 }
 
-// StorageTable runs the cached-vs-uncached comparison (fanout 0 = 4).
-func StorageTable(seed int64, fanout int) *StorageResult {
-	if fanout <= 0 {
-		fanout = 4
-	}
-	const cycles = 3
+// StorageTable runs the cached-vs-uncached comparison over 4 tenants.
+func StorageTable(seed int64) *StorageResult {
+	const fanout, cycles = 4, 3
 	horizon := 30 * sim.Minute
 	return &StorageResult{
 		FanOut: fanout, Seed: seed, Pool: 2 * fanout,

@@ -147,13 +147,13 @@ func runTimeshareMode(seed int64, mode timeshareMode, target int64, horizon sim.
 	return row
 }
 
-// Timeshare runs the benchmark; target is each tenant's owed work in
-// 100 ms ticks (the default 900 means 90 s of computation — twice the
-// service window, so stateless restarts can never bank it).
-func Timeshare(seed int64, target int64) *TimeshareResult {
-	if target <= 0 {
-		target = 900
-	}
+// Timeshare runs the benchmark. Each tenant owes 900 ticks of 100 ms:
+// 90 s of computation, twice the service window, so stateless restarts
+// can never bank it and every tenant is parked more than once (a first
+// swap-out is always a full save, so one park per tenant would make the
+// two stateful modes indistinguishable).
+func Timeshare(seed int64) *TimeshareResult {
+	const target = 900
 	horizon := 30 * sim.Minute
 	return &TimeshareResult{
 		Pool: 4, Tenants: 3, NodesEach: 2,

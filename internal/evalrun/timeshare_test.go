@@ -3,7 +3,7 @@ package evalrun
 import "testing"
 
 func TestTimeshareStatefulBeatsStateless(t *testing.T) {
-	r := Timeshare(1, 0)
+	r := Timeshare(1)
 	if r.Stateful.Completed != r.Tenants {
 		t.Fatalf("stateful completed %d/%d", r.Stateful.Completed, r.Tenants)
 	}
@@ -21,7 +21,7 @@ func TestTimeshareStatefulBeatsStateless(t *testing.T) {
 		t.Fatal("stateless restarts lost nothing")
 	}
 	// Deterministic across runs.
-	r2 := Timeshare(1, 0)
+	r2 := Timeshare(1)
 	if *r != *r2 {
 		t.Fatalf("nondeterministic benchmark:\n%+v\n%+v", r, r2)
 	}
@@ -31,7 +31,7 @@ func TestTimeshareStatefulBeatsStateless(t *testing.T) {
 // acceptance bar: same work, same pool, strictly fewer bytes through
 // the file server and an earlier finish than full-copy swapping.
 func TestTimeshareIncrementalBeatsFullCopy(t *testing.T) {
-	r := Timeshare(1, 0)
+	r := Timeshare(1)
 	if r.StatefulIncr.Completed != r.Tenants {
 		t.Fatalf("incremental completed %d/%d", r.StatefulIncr.Completed, r.Tenants)
 	}

@@ -26,12 +26,12 @@ type Fig8Result struct {
 	// MBps[config][op]
 	MBps map[string]map[string]float64
 	// FreshWriteOverheadPct is Branch-vs-Base block-write overhead on a
-	// fresh disk (paper: 17%).
+	// fresh disk.
 	FreshWriteOverheadPct float64
-	// AgedWriteOverheadPct is the same after aging (paper: ~2%).
+	// AgedWriteOverheadPct is the same after aging.
 	AgedWriteOverheadPct float64
-	// OrigWriteSlowdownPct is Branch-Orig block writes vs Branch
-	// (paper: 74% slower).
+	// OrigWriteSlowdownPct is how much slower Branch-Orig block writes
+	// are than Branch's.
 	OrigWriteSlowdownPct float64
 }
 
@@ -98,9 +98,9 @@ func (r *Fig8Result) Render() string {
 		t.AddRow(name, r.MBps["Base"][name], r.MBps["Branch-Orig"][name], r.MBps["Branch"][name])
 	}
 	s := t.String()
-	s += fmt.Sprintf("\nfresh-disk block-write overhead: paper 17%%, measured %.0f%%\n", r.FreshWriteOverheadPct)
-	s += fmt.Sprintf("aged-disk block-write overhead:  paper ~2%%, measured %.0f%%\n", r.AgedWriteOverheadPct)
-	s += fmt.Sprintf("Branch-Orig write slowdown vs Branch: paper 74%%, measured %.0f%%\n", r.OrigWriteSlowdownPct)
+	s += fmt.Sprintf("\nfresh-disk block-write overhead: paper %s, measured %.0f%%\n", paper("Fig 8", "fresh-disk block-write overhead"), r.FreshWriteOverheadPct)
+	s += fmt.Sprintf("aged-disk block-write overhead:  paper %s, measured %.0f%%\n", paper("Fig 8", "aged-disk block-write overhead"), r.AgedWriteOverheadPct)
+	s += fmt.Sprintf("Branch-Orig write slowdown vs Branch: paper %s, measured %.0f%%\n", paper("Fig 8", "Branch-Orig write slowdown vs Branch"), r.OrigWriteSlowdownPct)
 	return s
 }
 
@@ -112,7 +112,8 @@ type Fig9Result struct {
 	NoSwap, EagerOut, LazyIn *metrics.Series `json:"-"`
 	// Execution time per scenario.
 	DurNone, DurEager, DurLazy sim.Time
-	// Paper: eager +9% exec, lazy +19% exec and -45% throughput.
+	// Execution-time overheads against no swap, and the lazy run's
+	// throughput drop while it faults.
 	EagerOverheadPct, LazyOverheadPct, LazyThroughputDropPct float64
 }
 
@@ -190,9 +191,9 @@ func (r *Fig9Result) Render() string {
 	t.AddRow("swap-out, eager pre-copy", r.DurEager.Seconds(), metrics.Mean(r.EagerOut.Values()))
 	t.AddRow("swap-in, lazy copy-in", r.DurLazy.Seconds(), metrics.Mean(r.LazyIn.Values()))
 	s := t.String()
-	s += fmt.Sprintf("\neager overhead: paper +9%%, measured %+.0f%%\n", r.EagerOverheadPct)
-	s += fmt.Sprintf("lazy overhead:  paper +19%%, measured %+.0f%%\n", r.LazyOverheadPct)
-	s += fmt.Sprintf("lazy throughput drop: paper 45%%, measured %.0f%%\n", r.LazyThroughputDropPct)
+	s += fmt.Sprintf("\neager overhead: paper %s, measured %+.0f%%\n", paper("Fig 9", "eager overhead"), r.EagerOverheadPct)
+	s += fmt.Sprintf("lazy overhead:  paper %s, measured %+.0f%%\n", paper("Fig 9", "lazy overhead"), r.LazyOverheadPct)
+	s += fmt.Sprintf("lazy throughput drop: paper %s, measured %.0f%%\n", paper("Fig 9", "lazy throughput drop"), r.LazyThroughputDropPct)
 	return s
 }
 
@@ -212,7 +213,7 @@ type SwapTableResult struct {
 	InitialSwapIn sim.Time
 	Rows          []SwapCycleRow
 	// DiskLoadedOutPct is the swap-out slowdown under a disk-intensive
-	// workload (paper: 20%).
+	// workload.
 	DiskLoadedOutPct float64
 }
 
@@ -255,7 +256,7 @@ func (r *swapRig) session(busy bool) {
 		// Disk-intensive workload running into the swap-out: ~2.5 MB/s
 		// of fresh writes. Blocks written during pre-copy are re-sent
 		// while frozen, and the rate limiter slows the pre-copy — the
-		// two factors behind the paper's 20% slowdown.
+		// two factors behind the paper's disk-loaded slowdown.
 		var churn func(off int64)
 		churn = func(off int64) {
 			r.k.WriteDisk((5<<30)+off%(1<<30), 1<<20, func() {
@@ -333,9 +334,10 @@ func (r *SwapTableResult) Render() string {
 		t.AddRow(row.Cycle, row.SwapOut.Seconds(), row.SwapInLazy.Seconds(), row.SwapInEager.Seconds(), row.AggregatedDelta>>20)
 	}
 	s := t.String()
-	s += fmt.Sprintf("\ninitial swap-in (cached golden): paper 8s, modeled %.0fs\n", r.InitialSwapIn.Seconds())
-	s += "paper: swap-out constant ~60s; lazy swap-in constant ~35s; eager >150s by cycle 4\n"
-	s += fmt.Sprintf("disk-loaded swap-out slowdown: paper 20%%, measured %+.0f%%\n", r.DiskLoadedOutPct)
+	s += fmt.Sprintf("\ninitial swap-in (cached golden): paper %s, modeled %.0fs\n", paper("§7.2", "initial swap-in (cached golden)"), r.InitialSwapIn.Seconds())
+	s += fmt.Sprintf("paper: swap-out %s; lazy swap-in %s; eager %s\n",
+		paper("§7.2", "swap-out"), paper("§7.2", "lazy swap-in"), paper("§7.2", "eager swap-in"))
+	s += fmt.Sprintf("disk-loaded swap-out slowdown: paper %s, measured %+.0f%%\n", paper("§7.2", "disk-loaded swap-out slowdown"), r.DiskLoadedOutPct)
 	return s
 }
 
@@ -381,8 +383,8 @@ func FreeBlockTable(seed int64) *FreeBlockResult {
 // Render prints the comparison.
 func (r *FreeBlockResult) Render() string {
 	t := &metrics.Table{Header: []string{"delta", "paper (MB)", "measured (MB)"}}
-	t.AddRow("without free-block elimination", 490, r.RawMB)
-	t.AddRow("with free-block elimination", 36, r.LiveMB)
+	addClaim(t, "§5.1", "without free-block elimination", r.RawMB)
+	addClaim(t, "§5.1", "with free-block elimination", r.LiveMB)
 	return t.String()
 }
 
@@ -441,10 +443,10 @@ func SyncTable(seed int64) *SyncResult {
 func (r *SyncResult) Render() string {
 	t := &metrics.Table{Header: []string{"metric", "paper", "measured"}}
 	for i, sk := range r.SkewAt {
-		t.AddRow(fmt.Sprintf("2-node skew @%ds", (i+1)*5), "converging to ~2x200us", fmt.Sprintf("%.0fus", sk.Micros()))
+		addClaim(t, "§4.3", fmt.Sprintf("2-node skew @%ds", (i+1)*5), fmt.Sprintf("%.0fus", sk.Micros()))
 	}
-	t.AddRow("scheduled ckpt suspend skew", "~clock-sync bound", fmt.Sprintf("%.0fus", r.ScheduledSkew.Micros()))
-	t.AddRow("event-driven suspend skew", "notification jitter", fmt.Sprintf("%.0fus", r.EventSkew.Micros()))
+	addClaim(t, "§4.3", "scheduled ckpt suspend skew", fmt.Sprintf("%.0fus", r.ScheduledSkew.Micros()))
+	addClaim(t, "§4.3", "event-driven suspend skew", fmt.Sprintf("%.0fus", r.EventSkew.Micros()))
 	return t.String()
 }
 
@@ -508,8 +510,8 @@ func Dom0Jobs(seed int64) *Dom0JobsResult {
 // Render prints the comparison.
 func (r *Dom0JobsResult) Render() string {
 	t := &metrics.Table{Header: []string{"dom0 command", "paper (ms)", "measured (ms)"}}
-	t.AddRow("ls /", "5-7", fmt.Sprintf("%.1f", r.ExtraMs["ls /"]))
-	t.AddRow("sum vmlinux", "13-17", fmt.Sprintf("%.1f", r.ExtraMs["sum vmlinux"]))
-	t.AddRow("xm list", "130", fmt.Sprintf("%.1f", r.ExtraMs["xm list"]))
+	for _, job := range []string{"ls /", "sum vmlinux", "xm list"} {
+		addClaim(t, "§7.1", job, fmt.Sprintf("%.1f", r.ExtraMs[job]))
+	}
 	return t.String()
 }

@@ -4,8 +4,31 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 )
+
+// ran is one experiment with its seed-1 result.
+type ran struct {
+	experiment
+	result renderer
+}
+
+var (
+	runOnce sync.Once
+	runs    []ran
+)
+
+// seed1 runs every experiment once per test binary, at seed 1. The
+// golden, schema and fidelity tests all read this one run.
+func seed1() []ran {
+	runOnce.Do(func() {
+		for _, e := range experiments(1) {
+			runs = append(runs, ran{e, e.run()})
+		}
+	})
+	return runs
+}
 
 // TestPaperRowsMatchGolden pins every figure and table exactly as
 // `benchrunner -all` prints them at seed 1 to
@@ -18,8 +41,8 @@ import (
 // with `go test ./cmd/benchrunner -update` when a row is meant to move.
 func TestPaperRowsMatchGolden(t *testing.T) {
 	var b strings.Builder
-	for _, e := range experiments(1) {
-		b.WriteString(e.section(e.run()))
+	for _, r := range seed1() {
+		b.WriteString(r.section(r.result))
 	}
 	path := filepath.Join("testdata", "paper_rows.golden")
 	if *update {

@@ -9,33 +9,9 @@ import (
 	"sort"
 	"strings"
 	"testing"
-
-	"emucheck/internal/evalrun"
 )
 
 var update = flag.Bool("update", false, "rewrite the golden files under testdata")
-
-// benchSchema maps every figure/table key benchrunner can emit to the
-// result type marshaled under it. Adding an output to main() without
-// registering it here (and refreshing the golden with -update) fails
-// the shape test.
-var benchSchema = map[string]any{
-	"fig4":      &evalrun.Fig4Result{},
-	"fig5":      &evalrun.Fig5Result{},
-	"fig6":      &evalrun.Fig6Result{},
-	"fig7":      &evalrun.Fig7Result{},
-	"fig8":      &evalrun.Fig8Result{},
-	"fig9":      &evalrun.Fig9Result{},
-	"swap":      &evalrun.SwapTableResult{},
-	"freeblock": &evalrun.FreeBlockResult{},
-	"sync":      &evalrun.SyncResult{},
-	"dom0":      &evalrun.Dom0JobsResult{},
-	"ablation":  &evalrun.AblationResult{},
-	"timeshare": &evalrun.TimeshareResult{},
-	"branch":    &evalrun.BranchResult{},
-	"remediate": &evalrun.RemediateResult{},
-	"storage":   &evalrun.StorageResult{},
-}
 
 // fieldPaths flattens a type into "path: kind" lines, honoring json
 // tags, so any rename, removal, or retyping of a marshaled field shows
@@ -74,19 +50,16 @@ func fieldPaths(prefix string, t reflect.Type, out *[]string) {
 }
 
 // TestBenchJSONGoldenShape pins the BENCH_*.json schema: the flattened
-// field paths of every emitted result type must match the committed
-// golden. Regenerate deliberately with `go test ./cmd/benchrunner
+// field paths of the result every experiment emits under its key must
+// match the committed golden. Regenerate deliberately with `go test ./cmd/benchrunner
 // -update` when the schema is meant to change.
 func TestBenchJSONGoldenShape(t *testing.T) {
-	keys := make([]string, 0, len(benchSchema))
-	for k := range benchSchema {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
+	runs := append([]ran(nil), seed1()...)
+	sort.Slice(runs, func(i, j int) bool { return runs[i].key < runs[j].key })
 	var lines []string
-	for _, k := range keys {
+	for _, r := range runs {
 		var paths []string
-		fieldPaths(k, reflect.TypeOf(benchSchema[k]), &paths)
+		fieldPaths(r.key, reflect.TypeOf(r.result), &paths)
 		sort.Strings(paths)
 		lines = append(lines, paths...)
 	}

@@ -1,9 +1,10 @@
 // Package evalrun regenerates every figure and table of the paper's
 // evaluation (§7). Each function builds the experiment the paper
-// describes, runs it on the simulated testbed, and returns the measured
-// rows/series. The benchmark harness (bench_test.go) and the
-// benchrunner CLI both call into this package, so `go test -bench` and
-// `benchrunner -fig N` print the same numbers.
+// describes at the paper's size, runs it on the simulated testbed, and
+// returns the measured rows/series. Ledger holds the paper's side of
+// every printed row: its text, its number and the band the measurement
+// must stay in. The benchrunner CLI prints the tables, and its tests
+// hold one run of every experiment to the ledger.
 package evalrun
 
 import (

@@ -85,7 +85,7 @@ func BenchmarkSuiteParallel(b *testing.B) {
 		serial = nil
 		for _, w := range []int{1, 2, 4, 8} {
 			start := time.Now()
-			rep := suite.RunMatrixParallel(benchSeed, count, w)
+			rep := suite.RunMatrix(benchSeed, count, w)
 			dur := time.Since(start)
 			out, err := json.MarshalIndent(rep, "", "  ")
 			if err != nil {

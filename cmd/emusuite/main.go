@@ -120,9 +120,9 @@ func cli(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		rep = suite.RunFilesParallel(files, paths, *parallel)
+		rep = suite.RunFiles(files, paths, *parallel)
 	} else {
-		rep = suite.RunMatrixParallel(*seed, *count, *parallel)
+		rep = suite.RunMatrix(*seed, *count, *parallel)
 	}
 
 	if *junitPath != "" {

@@ -19,12 +19,12 @@ func TestDigestsMatchGolden(t *testing.T) {
 	got := make(map[string]string)
 	var order []string
 	files, paths := loadExamples(t)
-	for i, rr := range RunFilesParallel(files, paths, 0).Runs {
+	for i, rr := range RunFiles(files, paths, 0).Runs {
 		key := "examples/scenarios/" + filepath.Base(paths[i])
 		got[key] = rr.Digest
 		order = append(order, key)
 	}
-	for _, rr := range RunMatrixParallel(1, 48, 0).Runs {
+	for _, rr := range RunMatrix(1, 48, 0).Runs {
 		got[rr.Name] = rr.Digest
 		order = append(order, rr.Name)
 	}

@@ -23,7 +23,7 @@ func marshalReport(t *testing.T, rep *Report) []byte {
 // 1, 4, and 8. Workers only move the wall clock; the report has no
 // field that can tell the difference.
 func TestParallelMatrixByteIdenticalToSerial(t *testing.T) {
-	serial := RunMatrixParallel(1, 24, 1)
+	serial := RunMatrix(1, 24, 1)
 	if serial.Failed != 0 {
 		t.Fatalf("serial matrix: %d failed\n%s", serial.Failed, serial.Render())
 	}
@@ -33,7 +33,7 @@ func TestParallelMatrixByteIdenticalToSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{4, 8} {
-		par := RunMatrixParallel(1, 24, workers)
+		par := RunMatrix(1, 24, workers)
 		if got := marshalReport(t, par); !bytes.Equal(got, wantJSON) {
 			t.Fatalf("workers=%d: JSON report differs from serial run", workers)
 		}
@@ -53,10 +53,10 @@ func TestParallelMatrixByteIdenticalToSerial(t *testing.T) {
 // byte-identical reports.
 func TestParallelExamplesByteIdenticalToSerial(t *testing.T) {
 	files, paths := loadExamples(t)
-	serial := RunFilesParallel(files, paths, 1)
+	serial := RunFiles(files, paths, 1)
 	want := marshalReport(t, serial)
 	for _, workers := range []int{4, 8} {
-		par := RunFilesParallel(files, paths, workers)
+		par := RunFiles(files, paths, workers)
 		if got := marshalReport(t, par); !bytes.Equal(got, want) {
 			t.Fatalf("workers=%d: examples corpus report differs from serial run", workers)
 		}
@@ -85,8 +85,8 @@ func TestRunOneParallelMatchesRunOne(t *testing.T) {
 // TestParallelDefaultWorkers checks the 0 = GOMAXPROCS default doesn't
 // change the report either.
 func TestParallelDefaultWorkers(t *testing.T) {
-	want := marshalReport(t, RunMatrixParallel(3, 6, 1))
-	got := marshalReport(t, RunMatrixParallel(3, 6, 0))
+	want := marshalReport(t, RunMatrix(3, 6, 1))
+	got := marshalReport(t, RunMatrix(3, 6, 0))
 	if !bytes.Equal(got, want) {
 		t.Fatal("default-worker report differs from serial run")
 	}

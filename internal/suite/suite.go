@@ -456,14 +456,10 @@ func coverageKeys(f *scenario.File) []string {
 	return keys
 }
 
-// RunFiles executes the given scenarios serially (sources names each
-// one's origin, parallel to files) and assembles the corpus report.
-func RunFiles(files []*scenario.File, sources []string) *Report {
-	return RunFilesParallel(files, sources, 1)
-}
-
-// RunFilesParallel executes the corpus on a bounded worker pool of up
-// to `workers` concurrent scenario executions (0 means GOMAXPROCS).
+// RunFiles executes the given scenarios (sources names each one's
+// origin, parallel to files) and assembles the corpus report. It runs
+// on a bounded worker pool of up to `workers` concurrent scenario
+// executions (0 means GOMAXPROCS, 1 runs serially).
 // Each scenario is an independent single-goroutine simulation, and so
 // is its replay-digest re-execution, so both fan out as separate work
 // items — a corpus of n scenarios is 2n pool tasks. Results are
@@ -472,7 +468,7 @@ func RunFiles(files []*scenario.File, sources []string) *Report {
 // JUnit renderings — is byte-identical to a serial run's. Speedup is
 // observable only on the wall clock (BenchmarkSuiteParallel);
 // the report deliberately has nowhere to record it.
-func RunFilesParallel(files []*scenario.File, sources []string, workers int) *Report {
+func RunFiles(files []*scenario.File, sources []string, workers int) *Report {
 	pool := newSem(workers)
 	runs := make([]RunReport, len(files))
 	var wg sync.WaitGroup
@@ -512,17 +508,12 @@ func RunFilesParallel(files []*scenario.File, sources []string, workers int) *Re
 	return rep
 }
 
-// RunMatrix generates and executes an n-scenario corpus keyed by seed,
-// serially.
-func RunMatrix(seed int64, n int) *Report {
-	return RunMatrixParallel(seed, n, 1)
-}
-
-// RunMatrixParallel is RunMatrix on a bounded worker pool (0 workers
-// means GOMAXPROCS); the report is byte-identical to RunMatrix's.
-func RunMatrixParallel(seed int64, n, workers int) *Report {
+// RunMatrix generates and executes an n-scenario corpus keyed by seed
+// on up to workers concurrent executions (0 means GOMAXPROCS); the
+// report is byte-identical at every width.
+func RunMatrix(seed int64, n, workers int) *Report {
 	files := scengen.Matrix(seed, n)
-	rep := RunFilesParallel(files, nil, workers)
+	rep := RunFiles(files, nil, workers)
 	rep.GenSeed = seed
 	return rep
 }

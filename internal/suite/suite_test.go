@@ -77,11 +77,11 @@ func TestExamplesPassSuiteInvariants(t *testing.T) {
 // to byte-identical JSON reports, and the corpus coverage spans every
 // required behavior axis.
 func TestMatrixDeterministicAndCovers(t *testing.T) {
-	rep := RunMatrix(1, 24)
+	rep := RunMatrix(1, 24, 1)
 	if rep.Failed != 0 {
 		t.Fatalf("24-scenario matrix: %d failed\n%s", rep.Failed, rep.Render())
 	}
-	again := RunMatrix(1, 24)
+	again := RunMatrix(1, 24, 1)
 	a, err := json.Marshal(rep)
 	if err != nil {
 		t.Fatal(err)

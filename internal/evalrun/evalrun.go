@@ -8,9 +8,6 @@
 package evalrun
 
 import (
-	"fmt"
-	"strings"
-
 	"emucheck/internal/apps"
 	"emucheck/internal/core"
 	"emucheck/internal/emulab"
@@ -38,17 +35,10 @@ func twoNode(seed int64, bw simnet.Bitrate, delay sim.Time) (*sim.Simulator, *em
 	return s, tb, e
 }
 
-// addClaim prints a ledger row: its metric, the paper column and the
-// measurement.
-func addClaim(t *metrics.Table, section, metric string, measured any) {
-	t.AddRow(metric, paper(section, metric), measured)
-}
-
 // ---------------------------------------------------------------- Fig 4
 
 // Fig4Result is the sleep-loop transparency experiment.
 type Fig4Result struct {
-	Iters       *metrics.Series `json:"-"`
 	MeanMs      float64
 	FracWithin  float64 // fraction of iterations within 28 µs of 20 ms
 	CkptMaxErr  sim.Time
@@ -74,7 +64,6 @@ func Fig4(seed int64) *Fig4Result {
 	}
 	vals := loop.Times.Values()
 	res := &Fig4Result{
-		Iters:       loop.Times,
 		MeanMs:      metrics.Mean(vals) / float64(sim.Millisecond),
 		FracWithin:  metrics.FractionWithin(vals, 20*float64(sim.Millisecond), 28*float64(sim.Microsecond)),
 		Checkpoints: pc.Count(),
@@ -92,20 +81,12 @@ func Fig4(seed int64) *Fig4Result {
 }
 
 // Render prints the figure's summary rows.
-func (r *Fig4Result) Render() string {
-	t := &metrics.Table{Header: []string{"metric", "paper", "measured"}}
-	addClaim(t, "Fig 4", "iteration mean (ms)", fmt.Sprintf("%.3f", r.MeanMs))
-	addClaim(t, "Fig 4", "within 28us of 20ms", fmt.Sprintf("%.1f%%", r.FracWithin*100))
-	addClaim(t, "Fig 4", "max checkpoint error (us)", fmt.Sprintf("%.0f", r.CkptMaxErr.Micros()))
-	addClaim(t, "Fig 4", "checkpoints", r.Checkpoints)
-	return t.String()
-}
+func (r *Fig4Result) Render() string { return claimTable(r, "Fig 4", "metric", "paper", "measured") }
 
 // ---------------------------------------------------------------- Fig 5
 
 // Fig5Result is the CPU-loop interference experiment.
 type Fig5Result struct {
-	Iters       *metrics.Series `json:"-"`
 	MeanMs      float64
 	FracWithin9 float64 // fraction within 9 ms of the nominal
 	MaxOverMs   float64 // worst positive deviation
@@ -131,7 +112,6 @@ func Fig5(seed int64) *Fig5Result {
 	nominal := 236.6 * float64(sim.Millisecond)
 	vals := loop.Times.Values()
 	res := &Fig5Result{
-		Iters:       loop.Times,
 		MeanMs:      metrics.Mean(vals) / float64(sim.Millisecond),
 		FracWithin9: metrics.FractionWithin(vals, nominal, 9*float64(sim.Millisecond)),
 		Checkpoints: pc.Count(),
@@ -145,14 +125,7 @@ func Fig5(seed int64) *Fig5Result {
 }
 
 // Render prints the figure's summary rows.
-func (r *Fig5Result) Render() string {
-	t := &metrics.Table{Header: []string{"metric", "paper", "measured"}}
-	addClaim(t, "Fig 5", "iteration mean (ms)", fmt.Sprintf("%.1f", r.MeanMs))
-	addClaim(t, "Fig 5", "within 9ms of nominal", fmt.Sprintf("%.1f%%", r.FracWithin9*100))
-	addClaim(t, "Fig 5", "max over nominal (ms)", fmt.Sprintf("%.1f", r.MaxOverMs))
-	addClaim(t, "Fig 5", "checkpoints", r.Checkpoints)
-	return t.String()
-}
+func (r *Fig5Result) Render() string { return claimTable(r, "Fig 5", "metric", "paper", "measured") }
 
 // ---------------------------------------------------------------- Fig 6
 
@@ -215,33 +188,12 @@ func Fig6(seed int64) *Fig6Result {
 }
 
 // Render prints the figure's summary rows.
-func (r *Fig6Result) Render() string {
-	t := &metrics.Table{Header: []string{"metric", "paper", "measured"}}
-	addClaim(t, "Fig 6", "mean throughput (MB/s)", fmt.Sprintf("%.1f", r.MeanMBps))
-	addClaim(t, "Fig 6", "median inter-pkt (us)", fmt.Sprintf("%.1f", r.MedianGapUs))
-	// The ledger holds one row per gap; the table prints them on one.
-	gaps := make([]string, len(r.CkptGapsUs))
-	for i, g := range r.CkptGapsUs {
-		gaps[i] = fmt.Sprintf("%.0f", g)
-	}
-	papers := make([]string, 4)
-	for i := range papers {
-		papers[i] = paper("Fig 6", fmt.Sprintf("ckpt gap %d (us)", i+1))
-	}
-	t.AddRow("ckpt gaps (us)", strings.Join(papers, " "), strings.Join(gaps, " "))
-	addClaim(t, "Fig 6", "retransmissions", r.Retransmits)
-	addClaim(t, "Fig 6", "timeouts", r.Timeouts)
-	addClaim(t, "Fig 6", "dup data at receiver", r.DupData)
-	return t.String()
-}
+func (r *Fig6Result) Render() string { return claimTable(r, "Fig 6", "metric", "paper", "measured") }
 
 // ---------------------------------------------------------------- Fig 7
 
 // Fig7Result is the BitTorrent experiment.
 type Fig7Result struct {
-	// PerClient holds 1 s-window throughput series per client, measured
-	// at the seeder.
-	PerClient map[string]*metrics.Series `json:"-"`
 	// CenterBefore/During/After are mean throughputs per phase (MB/s),
 	// averaged across clients — the paper's "center line" check.
 	CenterBefore, CenterDuring, CenterAfter float64
@@ -267,8 +219,8 @@ func Fig7(seed int64) *Fig7Result {
 		panic(err)
 	}
 	seeder := e.Node("seeder").K
-	cks := []*emulab.ExpNode{e.Node("c1"), e.Node("c2"), e.Node("c3")}
-	bt := apps.NewBitTorrent(seeder, kernelsOf(cks), fileMB<<20)
+	clients := []*guest.Kernel{e.Node("c1").K, e.Node("c2").K, e.Node("c3").K}
+	bt := apps.NewBitTorrent(seeder, clients, fileMB<<20)
 	bt.Start()
 
 	// Checkpoint storm during [70 s, 170 s].
@@ -279,13 +231,12 @@ func Fig7(seed int64) *Fig7Result {
 	pc.Stop()
 	s.RunFor(130 * sim.Second)
 
-	res := &Fig7Result{PerClient: make(map[string]*metrics.Series), Checkpoints: pc.Count()}
+	res := &Fig7Result{Checkpoints: pc.Count()}
 	phase := func(tr *metrics.Series, lo, hi sim.Time) float64 {
 		th := metrics.Throughput(tr.Between(lo, hi), sim.Second)
 		return metrics.Mean(th.Values())
 	}
-	for name, tr := range bt.SeederTrace {
-		res.PerClient[name] = metrics.Throughput(tr, sim.Second)
+	for _, tr := range bt.SeederTrace {
 		res.CenterBefore += phase(tr, 10*sim.Second, 70*sim.Second) / 3
 		res.CenterDuring += phase(tr, 70*sim.Second, 170*sim.Second) / 3
 		res.CenterAfter += phase(tr, 170*sim.Second, 290*sim.Second) / 3
@@ -293,21 +244,5 @@ func Fig7(seed int64) *Fig7Result {
 	return res
 }
 
-// kernelsOf extracts the guest kernels of experiment nodes.
-func kernelsOf(ns []*emulab.ExpNode) []*guest.Kernel {
-	out := make([]*guest.Kernel, len(ns))
-	for i, n := range ns {
-		out[i] = n.K
-	}
-	return out
-}
-
 // Render prints the figure's summary rows.
-func (r *Fig7Result) Render() string {
-	t := &metrics.Table{Header: []string{"metric", "paper", "measured"}}
-	addClaim(t, "Fig 7", "per-client mean before ckpts (MB/s)", r.CenterBefore)
-	addClaim(t, "Fig 7", "per-client mean during ckpts (MB/s)", r.CenterDuring)
-	addClaim(t, "Fig 7", "per-client mean after ckpts (MB/s)", r.CenterAfter)
-	addClaim(t, "Fig 7", "checkpoints", r.Checkpoints)
-	return t.String()
-}
+func (r *Fig7Result) Render() string { return claimTable(r, "Fig 7", "metric", "paper", "measured") }

@@ -382,10 +382,7 @@ func FreeBlockTable(seed int64) *FreeBlockResult {
 
 // Render prints the comparison.
 func (r *FreeBlockResult) Render() string {
-	t := &metrics.Table{Header: []string{"delta", "paper (MB)", "measured (MB)"}}
-	addClaim(t, "§5.1", "without free-block elimination", r.RawMB)
-	addClaim(t, "§5.1", "with free-block elimination", r.LiveMB)
-	return t.String()
+	return claimTable(r, "§5.1", "delta", "paper (MB)", "measured (MB)")
 }
 
 // ----------------------------------------------------------- Sync table
@@ -440,15 +437,7 @@ func SyncTable(seed int64) *SyncResult {
 }
 
 // Render prints the section's numbers.
-func (r *SyncResult) Render() string {
-	t := &metrics.Table{Header: []string{"metric", "paper", "measured"}}
-	for i, sk := range r.SkewAt {
-		addClaim(t, "§4.3", fmt.Sprintf("2-node skew @%ds", (i+1)*5), fmt.Sprintf("%.0fus", sk.Micros()))
-	}
-	addClaim(t, "§4.3", "scheduled ckpt suspend skew", fmt.Sprintf("%.0fus", r.ScheduledSkew.Micros()))
-	addClaim(t, "§4.3", "event-driven suspend skew", fmt.Sprintf("%.0fus", r.EventSkew.Micros()))
-	return t.String()
-}
+func (r *SyncResult) Render() string { return claimTable(r, "§4.3", "metric", "paper", "measured") }
 
 // ------------------------------------------------------ Dom0 jobs table
 
@@ -509,9 +498,5 @@ func Dom0Jobs(seed int64) *Dom0JobsResult {
 
 // Render prints the comparison.
 func (r *Dom0JobsResult) Render() string {
-	t := &metrics.Table{Header: []string{"dom0 command", "paper (ms)", "measured (ms)"}}
-	for _, job := range []string{"ls /", "sum vmlinux", "xm list"} {
-		addClaim(t, "§7.1", job, fmt.Sprintf("%.1f", r.ExtraMs[job]))
-	}
-	return t.String()
+	return claimTable(r, "§7.1", "dom0 command", "paper (ms)", "measured (ms)")
 }

@@ -10,8 +10,9 @@
 //	benchrunner -all -json > bench.json
 //
 // Each experiment runs at the paper's size and is deterministic for a
-// given seed. -json emits one object keyed by figure/table name with the measured
-// scalar results, for machine-readable tracking across revisions.
+// given seed. -json emits one object keyed by figure/table name with
+// the measured scalar results, for machine-readable tracking across
+// revisions.
 // Every table measures simulated time only; host performance (wall
 // clock, allocations, parallel speedup) is emubench's job.
 package main

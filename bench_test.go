@@ -116,10 +116,12 @@ func BenchmarkSuiteParallel(b *testing.B) {
 // serial vs full-width. The digest must be byte-identical at both
 // worker counts (the worker pool only moves the wall clock), the fleet
 // must drain, migrations must flow, and warm-up must strictly cut the
-// shared-pool restore traffic against a cold run. The >=2x speedup bar
-// at 4 facility-workers holds only where 4 cores exist, so — like
-// BenchmarkSuiteParallel — it is gated on NumCPU; a smaller box still
-// checks identity and reports its speedup.
+// shared-pool restore traffic against a cold run. It also reports the
+// serial run's host time per simulated event, the fleet's per-event
+// control-path cost. The >=2x speedup bar at 4 facility-workers holds
+// only where 4 cores exist, so — like BenchmarkSuiteParallel — it is
+// gated on NumCPU; a smaller box still checks identity and reports its
+// speedup.
 func BenchmarkFederation(b *testing.B) {
 	cfg := federation.Config{
 		Facilities: 4, Tenants: 10000, Seed: benchSeed,
@@ -146,6 +148,7 @@ func BenchmarkFederation(b *testing.B) {
 	b.ReportMetric(float64(serialDur.Milliseconds()), "wallms-serial")
 	b.ReportMetric(float64(parDur.Milliseconds()), "wallms-4workers")
 	b.ReportMetric(speedup, "x-speedup-4workers")
+	b.ReportMetric(float64(serialDur.Nanoseconds())/float64(serial.Events), "ns/event-serial")
 	if par.Digest != serial.Digest {
 		b.Fatalf("digest at 4 workers diverged from serial: %s vs %s", par.Digest, serial.Digest)
 	}

@@ -445,9 +445,12 @@ func (c *Cluster) Park(name string) error { return c.Sched.Park(name) }
 // Unpark re-queues a parked tenant for admission ("swap_in").
 func (c *Cluster) Unpark(name string) error { return c.Sched.Unpark(name) }
 
-// Touch records tenant activity — the signal the IdleFirst policy
-// preempts on the absence of.
-func (c *Cluster) Touch(name string) { c.Sched.Touch(name) }
+// Touch is Session.Touch for the named tenant.
+func (c *Cluster) Touch(name string) {
+	if sess := c.byName[name]; sess != nil {
+		sess.Touch()
+	}
+}
 
 // Finish retires a tenant: its hardware returns to the pool and its
 // definition is retained on the testbed.

@@ -192,6 +192,10 @@ func (s *Session) State() string {
 	return s.job.State().String()
 }
 
+// Touch records the tenant's activity, the signal IdleFirst preempts
+// on the absence of; it does nothing outside scheduler control.
+func (s *Session) Touch() { s.C.Sched.Touch(s.job) }
+
 // Scheduled reports whether the session is under scheduler control
 // (created by Cluster.Submit rather than NewSession).
 func (s *Session) Scheduled() bool { return s.job != nil }

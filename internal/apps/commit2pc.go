@@ -36,10 +36,21 @@ type CommitConfig struct {
 	CrashCoordAtRound int
 	// OnTick observes protocol progress (a decision made or applied).
 	OnTick func()
-	// OnOutcome reports the running tally ("commits=N aborts=M", or the
-	// blocked verdict after a coordinator crash); the last report is the
+	// OnOutcome reports the running tally after every decision, or the
+	// blocked verdict after a coordinator crash; the last report is the
 	// run's terminal outcome.
-	OnOutcome func(string)
+	OnOutcome func(CommitOutcome)
+}
+
+// CommitOutcome is the tally OnOutcome reports; Blocked, if nonzero,
+// is the round a crash left yes-voters in doubt. It is never zero.
+type CommitOutcome struct{ Commits, Aborts, Blocked int }
+
+func (o CommitOutcome) String() string {
+	if o.Blocked == 0 {
+		return fmt.Sprintf("commits=%d aborts=%d", o.Commits, o.Aborts)
+	}
+	return fmt.Sprintf("blocked r=%d commits=%d aborts=%d", o.Blocked, o.Commits, o.Aborts)
 }
 
 // Commit2PC is a running two-phase-commit group: the coordinator drives
@@ -172,7 +183,7 @@ func (c *Commit2PC) decide() {
 		c.pool.Send(k, c.nodes[p].Addr, 150, decision, commitMsg{Round: r})
 	}
 	if c.cfg.OnOutcome != nil {
-		c.cfg.OnOutcome(fmt.Sprintf("commits=%d aborts=%d", c.Commits, c.Aborts))
+		c.cfg.OnOutcome(CommitOutcome{Commits: c.Commits, Aborts: c.Aborts})
 	}
 	c.tick()
 	k.Usleep(c.cfg.Period-c.cfg.VoteTimeout, c.onRound)
@@ -247,7 +258,7 @@ func (b *ballot) detectBlock() {
 	if pt.inDoubt[b.round] {
 		c.Blocked++
 		if c.cfg.OnOutcome != nil {
-			c.cfg.OnOutcome(fmt.Sprintf("blocked r=%d commits=%d aborts=%d", b.round, c.Commits, c.Aborts))
+			c.cfg.OnOutcome(CommitOutcome{Commits: c.Commits, Aborts: c.Aborts, Blocked: b.round})
 		}
 	}
 	pt.release(b)

@@ -26,7 +26,7 @@ func TestCommit2PCDecidesEveryRound(t *testing.T) {
 	var last string
 	c := RunCommit2PC(nodes, CommitConfig{
 		Seed: 11, Rounds: 10,
-		OnOutcome: func(o string) { last = o },
+		OnOutcome: func(o CommitOutcome) { last = o.String() },
 	})
 	s.RunFor(2 * sim.Minute)
 	if c.Commits+c.Aborts != 10 {
@@ -52,7 +52,7 @@ func TestCommit2PCBlocksOnCoordinatorCrash(t *testing.T) {
 		// Seed 5 makes both participants vote yes on round 3 (checked
 		// below), so the mid-round crash leaves both in doubt.
 		Seed: 5, CrashCoordAtRound: 3,
-		OnOutcome: func(o string) { last = o },
+		OnOutcome: func(o CommitOutcome) { last = o.String() },
 	})
 	for p := 1; p < 3; p++ {
 		if !c.vote(3, p) {

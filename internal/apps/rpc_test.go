@@ -64,9 +64,8 @@ func allocsPerMessage(t *testing.T, s *sim.Simulator, ks []*guest.Kernel, d sim.
 // TestRPCAppsAllocs holds the corpus's message-passing apps to no
 // allocation per delivered message once their pools, ballots and
 // timers are warm: a ping-pong pair, a quorum group heartbeating under
-// its leader, and 2PC rounds with their journal writes. The 2PC group
-// runs without an outcome observer: the running tally is a string
-// built for the observer alone.
+// its leader, and 2PC rounds with their journal writes, reported to an
+// outcome observer as they are decided.
 func TestRPCAppsAllocs(t *testing.T) {
 	t.Run("pingpong", func(t *testing.T) {
 		s, ks := linkedKernels(1, []string{"a", "b"}, 100*simnet.Mbps)
@@ -88,7 +87,8 @@ func TestRPCAppsAllocs(t *testing.T) {
 	})
 	t.Run("commit2pc", func(t *testing.T) {
 		s, nodes := commitFleet(1, 4)
-		c := RunCommit2PC(nodes, CommitConfig{Seed: 5})
+		var last CommitOutcome
+		c := RunCommit2PC(nodes, CommitConfig{Seed: 5, OnOutcome: func(o CommitOutcome) { last = o }})
 		var ks []*guest.Kernel
 		for _, n := range nodes {
 			ks = append(ks, n.K)
@@ -99,6 +99,9 @@ func TestRPCAppsAllocs(t *testing.T) {
 		if c.Commits == 0 || c.Aborts == 0 {
 			t.Fatalf("%d commits, %d aborts; want both decisions exercised", c.Commits, c.Aborts)
 		}
+		if want := (CommitOutcome{Commits: c.Commits, Aborts: c.Aborts}); last != want {
+			t.Fatalf("observer saw %+v, want the group's tally %+v", last, want)
+		}
 	})
 }
 
@@ -108,7 +111,7 @@ func TestRPCAppsAllocs(t *testing.T) {
 func TestCommit2PCBallotsMatchVotes(t *testing.T) {
 	s, nodes := commitFleet(2, 4)
 	var outcomes []string
-	c := RunCommit2PC(nodes, CommitConfig{Seed: 9, Rounds: 30, OnOutcome: func(o string) { outcomes = append(outcomes, o) }})
+	c := RunCommit2PC(nodes, CommitConfig{Seed: 9, Rounds: 30, OnOutcome: func(o CommitOutcome) { outcomes = append(outcomes, o.String()) }})
 	s.RunFor(70 * sim.Second)
 	commits := 0
 	for r := 1; r <= 30; r++ {

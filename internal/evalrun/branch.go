@@ -55,7 +55,6 @@ func branchParentScenario(name string, dirtyMB int64) emucheck.Scenario {
 			Links: []emulab.LinkSpec{{A: a, B: b}},
 		},
 		Setup: func(s *emucheck.Session) {
-			self := s.Scenario.Spec.Name
 			k := s.Kernel(a)
 			var written int64
 			var step func()
@@ -63,13 +62,13 @@ func branchParentScenario(name string, dirtyMB int64) emucheck.Scenario {
 				if written < dirtyMB<<20 {
 					k.WriteDisk(1<<30+written, 2<<20, func() {
 						written += 2 << 20
-						s.C.Touch(self)
+						s.Touch()
 						k.Usleep(250*sim.Millisecond, step)
 					})
 					return
 				}
 				k.Usleep(sim.Second, func() {
-					s.C.Touch(self)
+					s.Touch()
 					step()
 				})
 			}

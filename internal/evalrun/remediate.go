@@ -114,7 +114,7 @@ func runRemediateMode(seed int64, policy string, period, crashAt, horizon sim.Ti
 						ticks = committed
 					}
 					ticks++
-					c.Touch(name)
+					s.Touch()
 					step()
 				})
 			}

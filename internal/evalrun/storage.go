@@ -57,14 +57,13 @@ func storageWriterScenario(name string) emucheck.Scenario {
 			Links: []emulab.LinkSpec{{A: a, B: b}},
 		},
 		Setup: func(s *emucheck.Session) {
-			self := s.Scenario.Spec.Name
 			k := s.Kernel(a)
 			var off int64
 			var step func()
 			step = func() {
 				k.WriteDisk(1<<30+off%(1<<30), 768<<10, func() {
 					off += 768 << 10
-					s.C.Touch(self)
+					s.Touch()
 					k.Usleep(sim.Second, step)
 				})
 			}

@@ -101,7 +101,7 @@ func runTimeshareMode(seed int64, mode timeshareMode, target int64, horizon sim.
 				step = func() {
 					k.Usleep(100*sim.Millisecond, func() {
 						counts[i]++
-						c.Touch(name)
+						s.Touch()
 						if counts[i] >= target {
 							if err := c.Finish(name); err == nil {
 								done[i] = true

@@ -93,7 +93,7 @@ func TestDropScopeAndOwnerFilter(t *testing.T) {
 	got := map[string]int{}
 	for _, owner := range []string{"e1a", "e1b"} {
 		owner := owner
-		bus.SubscribeOwned(notify.TopicCheckpoint, owner, func(*notify.Msg) { got[owner]++ })
+		bus.SubscribeScoped(notify.TopicCheckpoint, "", owner, func(*notify.Msg) { got[owner]++ })
 	}
 	bus.Publish(&notify.Msg{Topic: notify.TopicCheckpoint, Scope: "e1"})
 	bus.Publish(&notify.Msg{Topic: notify.TopicCheckpoint, Scope: "e2"}) // other scope: untouched

@@ -133,7 +133,8 @@ type tenant struct {
 	cancels    []func()
 	pending    bool // chain has uncommitted segments
 	sleepEl    *list.Element
-	activity   notify.Msg // the activity notification, built once
+	activity   notify.Msg     // the activity notification, built once
+	pub        notify.Channel // activity's channel on fac.Bus, resolved at first publish
 
 	// chain is the tenant's checkpoint chain; the prefix chain[:committed]
 	// is authoritative in the shared pool (commits land at barriers).
@@ -199,6 +200,7 @@ func (fed *Federation) newTenant(id int, fac *Facility) *tenant {
 // tenant re-enters the destination's queue as a new submission).
 func (t *tenant) bind(fac *Facility) {
 	t.fac = fac
+	t.pub = notify.Channel{}
 	t.timer = fac.S.NewTimer("fed.tick", t.fire)
 	t.job = &sched.Job{
 		Name: t.name, Need: 1, Preemptible: true,
@@ -323,9 +325,12 @@ func (t *tenant) fire() {
 	}
 	t.ticks++
 	fac.ticks++
-	fac.Sched.Touch(t.name)
+	fac.Sched.Touch(t.job)
 	if t.ticks%8 == 0 {
-		fac.Bus.Publish(&t.activity)
+		if t.pub == (notify.Channel{}) {
+			t.pub = fac.Bus.Channel(t.activity.Topic, t.activity.Scope)
+		}
+		fac.Bus.PublishOn(t.pub, &t.activity)
 	}
 	if t.ticks%16 == 8 && t.fed.nFacilities() > 1 {
 		// Cross-facility sync chatter: the WAN coupling that the

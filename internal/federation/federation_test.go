@@ -2,6 +2,9 @@ package federation
 
 import (
 	"testing"
+
+	"emucheck/internal/sched"
+	"emucheck/internal/sim"
 )
 
 // testConfig is the shared small fleet: big enough to exercise
@@ -147,4 +150,34 @@ func TestFederationRejectsUnsafeLatency(t *testing.T) {
 		}
 	}()
 	New(Config{Facilities: 2, Tenants: 8, WANLatency: 1, Lookahead: 2})
+}
+
+// TestTenantTickAllocs holds a tenant's activity ticks to no
+// allocation once warm: the scheduler touch on the job it holds and,
+// every eighth tick, the activity publish on its resolved channel,
+// deliveries included.
+func TestTenantTickAllocs(t *testing.T) {
+	fed := New(Config{Facilities: 1, Tenants: 1, Seed: 1})
+	fac, tn := fed.Facilities[0], fed.tenants[0]
+	for tn.job.State() != sched.Running {
+		fac.S.RunFor(100 * sim.Millisecond)
+	}
+	tn.hog, tn.owed = true, 1<<30 // tick on, never finish or park
+	tick := func() {
+		for range 8 {
+			tn.fire() // re-arms the tick timer, which the short run never reaches
+		}
+		fac.S.RunFor(10 * sim.Millisecond)
+	}
+	tick() // resolves the channel, makes the delivery records
+	before := tn.deliveries
+	if got := testing.AllocsPerRun(100, tick); got != 0 {
+		t.Fatalf("%.2f allocs per 8 ticks, want 0", got)
+	}
+	if got := tn.deliveries - before; got != 2*101 {
+		t.Fatalf("%d deliveries over 101 publishes, want two each", got)
+	}
+	if idle := tn.job.IdleFor(fac.S.Now()); idle > 10*sim.Millisecond {
+		t.Fatalf("job idle for %v after a touch 10 ms ago", idle)
+	}
 }

@@ -203,6 +203,8 @@ type Kernel struct {
 	Backend BlockBackend
 
 	handlers map[string]func(from simnet.Addr, m *Message)
+	lastPort string                             // with lastH, a memo of the last
+	lastH    func(from simnet.Addr, m *Message) // dispatch: handlers[lastPort]
 
 	// The tx and rx pumps each charge one packet's softirq CPU at a
 	// time on one reusable compute handle; cur is that packet.
@@ -342,6 +344,9 @@ func (k *Kernel) Compute(work sim.Time, name string, fn func()) *firewall.Handle
 // Handle registers the service handler for a message port.
 func (k *Kernel) Handle(port string, h func(from simnet.Addr, m *Message)) {
 	k.handlers[port] = h
+	if port == k.lastPort {
+		k.lastH = h
+	}
 }
 
 // Send queues a message to dst through the paravirtual net front-end.
@@ -408,8 +413,11 @@ func (k *Kernel) rxDone() {
 	k.RcvdPackets++
 	k.Dirty.TouchBytes(int64(pkt.Size))
 	if m, ok := pkt.Payload.(*Message); ok {
-		if h, ok := k.handlers[m.Port]; ok {
-			h(pkt.Src, m)
+		if m.Port != k.lastPort {
+			k.lastPort, k.lastH = m.Port, k.handlers[m.Port]
+		}
+		if k.lastH != nil {
+			k.lastH(pkt.Src, m)
 		}
 	}
 	k.rxPump()

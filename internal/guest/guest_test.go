@@ -411,3 +411,31 @@ func TestBlockIOAllocs(t *testing.T) {
 		t.Fatalf("%.1f allocations per block write, want 0", allocs)
 	}
 }
+
+// TestHandleReplacesMemoedPort holds dispatch's rules across its
+// last-port memo: re-registering a port replaces its handler even
+// mid-flow, and a message to an unregistered port is dropped until a
+// handler arrives for it.
+func TestHandleReplacesMemoedPort(t *testing.T) {
+	s, ka, kb := kernelPair(1)
+	var got []string
+	kb.Handle("p", func(simnet.Addr, *Message) { got = append(got, "old") })
+	send := func(port string) {
+		ka.Send("b", 100, &Message{Port: port})
+		s.Run()
+	}
+	send("p")
+	send("p")
+	kb.Handle("p", func(simnet.Addr, *Message) { got = append(got, "new") })
+	send("p")
+	send("q")
+	kb.Handle("q", func(simnet.Addr, *Message) { got = append(got, "q") })
+	send("q")
+	send("p")
+	if want := "old old new q new"; strings.Join(got, " ") != want {
+		t.Fatalf("dispatched %q, want %q", got, want)
+	}
+	if kb.RcvdPackets != 6 {
+		t.Fatalf("received %d packets, want 6", kb.RcvdPackets)
+	}
+}

@@ -177,15 +177,6 @@ func (b *Bus) Topics() map[string]TopicStats {
 	return out
 }
 
-func (b *Bus) topicStats(topic string) *topicEntry {
-	st := b.perTopic[topic]
-	if st == nil {
-		st = &topicEntry{label: "bus." + topic}
-		b.perTopic[topic] = st
-	}
-	return st
-}
-
 // Subscribe registers a handler for a topic and returns a cancel
 // function — a torn-down experiment's daemons must stop listening, or
 // a re-admitted experiment with the same name would have two sets of
@@ -197,26 +188,17 @@ func (b *Bus) Subscribe(topic string, h func(*Msg)) func() {
 	return b.SubscribeScoped(topic, "", "", h)
 }
 
-// SubscribeOwned is Subscribe with the subscribing daemon's identity
-// attached (a node name), so fault injection can target one daemon's
-// copy of a fan-out ("drop node X's checkpoint notification").
-func (b *Bus) SubscribeOwned(topic, owner string, h func(*Msg)) func() {
-	return b.SubscribeScoped(topic, "", owner, h)
-}
-
-// SubscribeScoped is SubscribeOwned narrowed to one experiment's
-// notifications: the handler only receives publishes whose Msg.Scope
-// matches (plus unscoped broadcasts). Handlers always filtered on
+// SubscribeScoped is Subscribe with the subscribing daemon's identity
+// attached (a node name, so fault injection can target one daemon's
+// copy of a fan-out: "drop node X's checkpoint notification"),
+// narrowed to one experiment's notifications: the handler only
+// receives publishes whose Msg.Scope matches (plus unscoped
+// broadcasts). Handlers always filtered on
 // scope anyway — subscribing scoped moves that filter into the bus
 // index, so a publish never schedules deliveries to the other
 // tenants' daemons at all. Scope "" subscribes to everything.
 func (b *Bus) SubscribeScoped(topic, scope, owner string, h func(*Msg)) func() {
-	key := subKey{topic: topic, scope: scope}
-	bk := b.subs[key]
-	if bk == nil {
-		bk = &bucket{}
-		b.subs[key] = bk
-	}
+	bk := b.bucket(topic, scope)
 	sub := &subscriber{h: h, owner: owner}
 	bk.subs = append(bk.subs, sub)
 	return func() {
@@ -231,34 +213,61 @@ func (b *Bus) SubscribeScoped(topic, scope, owner string, h func(*Msg)) func() {
 	}
 }
 
+// bucket returns the (topic, scope) subscriber bucket, creating it.
+func (b *Bus) bucket(topic, scope string) *bucket {
+	key := subKey{topic: topic, scope: scope}
+	bk := b.subs[key]
+	if bk == nil {
+		bk = &bucket{}
+		b.subs[key] = bk
+	}
+	return bk
+}
+
+// Channel is a (topic, scope) resolved for repeated publishing. Its
+// buckets are never removed from subs, so it never goes stale. The
+// zero Channel is unresolved.
+type Channel struct {
+	ts           *topicEntry
+	scoped, anon *bucket
+}
+
+// Channel resolves (topic, scope) for PublishOn.
+func (b *Bus) Channel(topic, scope string) Channel {
+	ch := Channel{ts: b.perTopic[topic], anon: b.bucket(topic, "")}
+	if ch.ts == nil {
+		ch.ts = &topicEntry{label: "bus." + topic}
+		b.perTopic[topic] = ch.ts
+	}
+	if scope != "" {
+		ch.scoped = b.bucket(topic, scope)
+	}
+	return ch
+}
+
 // Publish fans the message out with independent per-subscriber
 // delivery delays: to the message's scope bucket, then to the
 // anonymous (scope "") bucket. Daemons of other experiments are never
 // touched.
-func (b *Bus) Publish(m *Msg) {
+func (b *Bus) Publish(m *Msg) { b.PublishOn(b.Channel(m.Topic, m.Scope), m) }
+
+// PublishOn is Publish on the channel resolved from m's topic and scope.
+func (b *Bus) PublishOn(ch Channel, m *Msg) {
 	b.Published++
-	ts := b.topicStats(m.Topic)
-	ts.Published++
-	label := ts.label
-	if m.Scope != "" {
-		b.deliver(m, b.subs[subKey{topic: m.Topic, scope: m.Scope}], ts, label)
+	ch.ts.Published++
+	if ch.scoped != nil {
+		b.deliver(m, ch.scoped, ch.ts)
 	}
-	b.deliver(m, b.subs[subKey{topic: m.Topic}], ts, label)
+	b.deliver(m, ch.anon, ch.ts)
 }
 
 // deliver schedules one bucket's deliveries, compacting out cancelled
-// subscribers along the way.
-func (b *Bus) deliver(m *Msg, bk *bucket, ts *topicEntry, label string) {
-	if bk == nil {
-		return
+// subscribers first.
+func (b *Bus) deliver(m *Msg, bk *bucket, ts *topicEntry) {
+	if bk.removed > 0 {
+		bk.compact()
 	}
-	live := bk.subs[:0]
 	for _, sub := range bk.subs {
-		if sub.removed {
-			continue
-		}
-		live = append(live, sub)
-		h := sub.h
 		b.Attempts++
 		d := b.BaseLatency + b.s.Jitter(b.JitterMax)
 		if b.Inject != nil {
@@ -270,13 +279,8 @@ func (b *Bus) deliver(m *Msg, bk *bucket, ts *topicEntry, label string) {
 			}
 			d += extra
 		}
-		b.s.DoAfter(d, label, b.newDelivery(m, h, ts).fire)
+		b.s.DoAfter(d, ts.label, b.newDelivery(m, sub.h, ts).fire)
 	}
-	for i := len(live); i < len(bk.subs); i++ {
-		bk.subs[i] = nil
-	}
-	bk.subs = live
-	bk.removed = 0
 }
 
 // delivery is one scheduled subscriber delivery: fire, bound once when

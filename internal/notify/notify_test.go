@@ -2,6 +2,7 @@ package notify
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"emucheck/internal/sim"
@@ -146,5 +147,84 @@ func TestBarrierOfOne(t *testing.T) {
 	b.Arrive("solo")
 	if !fired {
 		t.Fatal("no fire")
+	}
+}
+
+// TestChannelPublishScheduleDigest holds PublishOn to Publish: the same
+// publishes sent through resolved channels and through per-publish
+// lookups yield the same deliveries in the same order, and the same
+// schedule digest. The run covers scoped and anonymous subscribers, a
+// cancellation that compacts a bucket between publishes, and
+// subscribers that join after their channel was resolved, including
+// into buckets that did not exist yet.
+func TestChannelPublishScheduleDigest(t *testing.T) {
+	run := func(resolved bool) ([]string, uint64) {
+		s := sim.New(3)
+		b := NewBus(s)
+		var log []string
+		sub := func(topic, scope, name string) func() {
+			return b.SubscribeScoped(topic, scope, name, func(m *Msg) {
+				log = append(log, fmt.Sprintf("%d %s %s/%s e%d", s.Now(), name, m.Topic, m.Scope, m.Epoch))
+			})
+		}
+		var cx, cr, cAll Channel
+		if resolved {
+			// Resolved before anyone subscribes to TopicResume.
+			cr = b.Channel(TopicResume, "x")
+		}
+		cancelA := sub(TopicCheckpoint, "x", "a")
+		cancelB := sub(TopicCheckpoint, "x", "b")
+		sub(TopicCheckpoint, "x", "c")
+		sub(TopicCheckpoint, "", "any")
+		sub(TopicCheckpoint, "y", "other")
+		if resolved {
+			cx = b.Channel(TopicCheckpoint, "x")
+			cAll = b.Channel(TopicCheckpoint, "")
+		}
+		publish := func(ch Channel, topic, scope string, epoch int) {
+			m := &Msg{Topic: topic, Scope: scope, Epoch: epoch}
+			if resolved {
+				b.PublishOn(ch, m)
+			} else {
+				b.Publish(m)
+			}
+		}
+		for e := 1; e <= 6; e++ {
+			publish(cx, TopicCheckpoint, "x", e)
+			publish(cr, TopicResume, "x", e)
+			if e%2 == 0 {
+				publish(cAll, TopicCheckpoint, "", e)
+			}
+			switch e {
+			case 2:
+				cancelA() // in flight: e2's delivery to a still lands
+				cancelB() // two of three gone: the bucket compacts
+			case 3:
+				sub(TopicCheckpoint, "x", "late")
+				sub(TopicResume, "x", "late-resume")
+				sub(TopicResume, "", "late-any")
+			}
+			s.RunFor(5 * sim.Millisecond)
+		}
+		return log, s.ScheduleDigest()
+	}
+	viaChannel, digestChannel := run(true)
+	viaPublish, digestPublish := run(false)
+	joined := strings.Join(viaChannel, "\n")
+	if joined != strings.Join(viaPublish, "\n") {
+		t.Fatalf("deliveries differ:\nchannel:\n%s\npublish:\n%s", joined, strings.Join(viaPublish, "\n"))
+	}
+	if digestChannel != digestPublish {
+		t.Fatalf("schedule digest %x via channels, %x via Publish", digestChannel, digestPublish)
+	}
+	for _, want := range []string{" a checkpoint/x e2", " late checkpoint/x e4", " late-resume resume/x e4", " late-any resume/x e4", " any checkpoint/ e6"} {
+		if !strings.Contains(joined, want) {
+			t.Fatalf("no %q delivery in:\n%s", want, joined)
+		}
+	}
+	for _, never := range []string{" a checkpoint/x e3", " b checkpoint/x e3", " other "} {
+		if strings.Contains(joined, never) {
+			t.Fatalf("unexpected %q delivery in:\n%s", never, joined)
+		}
 	}
 }

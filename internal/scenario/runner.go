@@ -25,7 +25,16 @@ type ExpStats struct {
 	Checkpoints int   `json:"checkpoints"`
 	// Outcome is the workload's terminal verdict (racyelect: the leader
 	// elected, or "split-brain").
-	Outcome string `json:"outcome,omitempty"`
+	Outcome string             `json:"outcome,omitempty"`
+	commit  apps.CommitOutcome // a 2PC tally, formatted once, by outcome
+}
+
+// outcome reports the terminal verdict.
+func (st *ExpStats) outcome() string {
+	if st.commit != (apps.CommitOutcome{}) {
+		return st.commit.String()
+	}
+	return st.Outcome
 }
 
 // Check is one evaluated assertion.
@@ -415,7 +424,7 @@ func RunWithCluster(f *File) (*Result, *emucheck.Cluster, error) {
 	for i := range f.Experiments {
 		e := &f.Experiments[i]
 		row := ExpRow{Name: e.Name, State: "unsubmitted", Ticks: stats[i].Ticks,
-			Checkpoints: stats[i].Checkpoints, Outcome: stats[i].Outcome}
+			Checkpoints: stats[i].Checkpoints, Outcome: stats[i].outcome()}
 		if t := c.Tenant(e.Name); t != nil {
 			row.State = t.State()
 			row.Admissions = t.Admissions()
@@ -473,7 +482,7 @@ func RunWithCluster(f *File) (*Result, *emucheck.Cluster, error) {
 		for i, b := range branchSessions {
 			row := BranchRow{
 				Name: b.Scenario.Spec.Name, Seed: branchSeeds[i],
-				State: b.State(), Outcome: branchStats[i].Outcome, Ticks: branchStats[i].Ticks,
+				State: b.State(), Outcome: branchStats[i].outcome(), Ticks: branchStats[i].Ticks,
 			}
 			if row.Outcome != "" {
 				outcomes[row.Outcome] = true
@@ -589,20 +598,19 @@ func expIndex(f *File, name string) int {
 // reports activity to the scheduler (the IdleFirst signal) and counts
 // progress ticks for assertions. Setup reruns from scratch if the
 // cluster readmits the experiment statelessly. Node names are the
-// experiment's logical names and activity is reported under the
-// session's own name, so the same setup installs unchanged on a branch
-// session (where both resolve through the branch alias).
+// experiment's logical names and activity is reported on the session's
+// own job, so the same setup installs unchanged on a branch session
+// (its node names resolve through the branch alias).
 func workloadSetup(c *emucheck.Cluster, e *Experiment, st *ExpStats) func(*emucheck.Session) {
 	switch e.Workload {
 	case "sleeploop":
 		first := e.Nodes[0].Name
 		return func(s *emucheck.Session) {
-			self := s.Scenario.Spec.Name
 			k := s.Kernel(first)
 			var tick func()
 			tick = func() {
 				st.Ticks++
-				c.Touch(self)
+				s.Touch()
 				k.Usleep(100*sim.Millisecond, tick)
 			}
 			k.Usleep(100*sim.Millisecond, tick)
@@ -610,18 +618,16 @@ func workloadSetup(c *emucheck.Cluster, e *Experiment, st *ExpStats) func(*emuch
 	case "pingpong":
 		a, b := e.Nodes[0].Name, e.Nodes[1].Name
 		return func(s *emucheck.Session) {
-			self := s.Scenario.Spec.Name
 			// Pace the exchange: an RPC every 50 ms, not a raw-fabric
 			// packet storm.
 			apps.RunPingPong(s.Kernel(a), s.Kernel(b), s.Addr(a), s.Addr(b), 50*sim.Millisecond, func(int) {
 				st.Ticks++
-				c.Touch(self)
+				s.Touch()
 			})
 		}
 	case "diskchurn":
 		first := e.Nodes[0].Name
 		return func(s *emucheck.Session) {
-			self := s.Scenario.Spec.Name
 			k := s.Kernel(first)
 			var off int64
 			var write, wrote func()
@@ -629,7 +635,7 @@ func workloadSetup(c *emucheck.Cluster, e *Experiment, st *ExpStats) func(*emuch
 			wrote = func() {
 				off += 512 << 10
 				st.Ticks++
-				c.Touch(self)
+				s.Touch()
 				k.Usleep(sim.Second, write)
 			}
 			write()
@@ -638,7 +644,6 @@ func workloadSetup(c *emucheck.Cluster, e *Experiment, st *ExpStats) func(*emuch
 		return racyElectSetup(c, e, st)
 	case "quorum":
 		return func(s *emucheck.Session) {
-			self := s.Scenario.Spec.Name
 			nodes := make([]apps.QuorumNode, len(e.Nodes))
 			for i, n := range e.Nodes {
 				nodes[i] = apps.QuorumNode{Name: n.Name, K: s.Kernel(n.Name), Addr: s.Addr(n.Name)}
@@ -650,13 +655,12 @@ func workloadSetup(c *emucheck.Cluster, e *Experiment, st *ExpStats) func(*emuch
 			crashAt := 20*sim.Second + sim.Time(sim.Mix64(c.Seed, s.Perturb().Seed, 1)%uint64(20*sim.Second))
 			apps.RunQuorum(nodes, apps.QuorumConfig{
 				CrashLeaderAt: crashAt,
-				OnTick:        func() { st.Ticks++; c.Touch(self) },
+				OnTick:        func() { st.Ticks++; s.Touch() },
 				OnOutcome:     func(o string) { st.Outcome = o },
 			})
 		}
 	case "commit2pc":
 		return func(s *emucheck.Session) {
-			self := s.Scenario.Spec.Name
 			nodes := make([]apps.CommitNode, len(e.Nodes))
 			for i, n := range e.Nodes {
 				nodes[i] = apps.CommitNode{Name: n.Name, K: s.Kernel(n.Name), Addr: s.Addr(n.Name)}
@@ -671,8 +675,8 @@ func workloadSetup(c *emucheck.Cluster, e *Experiment, st *ExpStats) func(*emuch
 			apps.RunCommit2PC(nodes, apps.CommitConfig{
 				Seed:              int64(sim.Mix64(c.Seed, s.Perturb().Seed, 2)),
 				CrashCoordAtRound: crashRound,
-				OnTick:            func() { st.Ticks++; c.Touch(self) },
-				OnOutcome:         func(o string) { st.Outcome = o },
+				OnTick:            func() { st.Ticks++; s.Touch() },
+				OnOutcome:         func(o apps.CommitOutcome) { st.commit = o },
 			})
 		}
 	}
@@ -688,14 +692,13 @@ func workloadSetup(c *emucheck.Cluster, e *Experiment, st *ExpStats) func(*emuch
 func racyElectSetup(c *emucheck.Cluster, e *Experiment, st *ExpStats) func(*emucheck.Session) {
 	aN, bN := e.Nodes[0].Name, e.Nodes[1].Name
 	return func(s *emucheck.Session) {
-		self := s.Scenario.Spec.Name
 		seed := s.Perturb().Seed
 		ka, kb := s.Kernel(aN), s.Kernel(bN)
 		claimed := make(map[string]bool)
 		var pool guest.Pool[struct{}]
 		decided := func() {
 			st.Ticks++
-			c.Touch(self)
+			s.Touch()
 		}
 		decide := func(k *guest.Kernel, peerLogical string) func(simnet.Addr, *guest.Message) {
 			return pool.Handler(func(simnet.Addr, *struct{}) {

@@ -358,7 +358,7 @@ func (d *oracleScheduler) wakeAt(t sim.Time) {
 type fleetAPI interface {
 	submit(r *eqRunner)
 	submitGang(rs []*eqRunner)
-	touch(name string)
+	touch(r *eqRunner)
 	park(name string) error
 	unpark(name string) error
 	finish(name string) error
@@ -367,11 +367,19 @@ type fleetAPI interface {
 	summary() string
 }
 
-type realFleet struct{ d *Scheduler }
+// realFleet drives the indexed scheduler. Runners touch the job they
+// hold, as the fleet's tenants do; byName instead resolves the name at
+// every touch and stamps what it finds, as the by-name Touch did.
+type realFleet struct {
+	d       *Scheduler
+	byName  bool
+	noTouch bool // drop every touch: the control that shows touches matter
+}
 
 func (f *realFleet) job(r *eqRunner) *Job {
-	return &Job{Name: r.spec.name, Need: r.spec.need, Priority: r.spec.pri,
+	r.job = &Job{Name: r.spec.name, Need: r.spec.need, Priority: r.spec.pri,
 		Preemptible: r.spec.preemptible, Hooks: r.hooks()}
+	return r.job
 }
 func (f *realFleet) submit(r *eqRunner) {
 	if err := f.d.Submit(f.job(r)); err != nil {
@@ -387,7 +395,19 @@ func (f *realFleet) submitGang(rs []*eqRunner) {
 		panic(err)
 	}
 }
-func (f *realFleet) touch(name string)        { f.d.Touch(name) }
+func (f *realFleet) touch(r *eqRunner) {
+	if f.noTouch {
+		return
+	}
+	if f.byName {
+		// The by-name touch as it was: resolve, then stamp.
+		if j := f.d.Job(r.spec.name); j != nil {
+			j.lastActive = f.d.S.Now()
+		}
+		return
+	}
+	f.d.Touch(r.job)
+}
 func (f *realFleet) park(name string) error   { return f.d.Park(name) }
 func (f *realFleet) unpark(name string) error { return f.d.Unpark(name) }
 func (f *realFleet) finish(name string) error { return f.d.Finish(name) }
@@ -419,7 +439,7 @@ func (f *oracleFleet) submitGang(rs []*eqRunner) {
 	}
 	f.d.submitGang(jobs)
 }
-func (f *oracleFleet) touch(name string)        { f.d.touch(name) }
+func (f *oracleFleet) touch(r *eqRunner)        { f.d.touch(r.spec.name) }
 func (f *oracleFleet) park(name string) error   { return f.d.parkVoluntary(name) }
 func (f *oracleFleet) unpark(name string) error { return f.d.unpark(name) }
 func (f *oracleFleet) finish(name string) error { return f.d.finish(name) }
@@ -482,6 +502,7 @@ type eqRunner struct {
 	s     *sim.Simulator
 	trace *[]string
 	spec  eqSpec
+	job   *Job // the indexed scheduler's job (realFleet only)
 
 	timer      *sim.Timer
 	ticks      int
@@ -541,7 +562,7 @@ func (r *eqRunner) fire() {
 		return
 	}
 	r.ticks++
-	r.api.touch(r.spec.name)
+	r.api.touch(r)
 	if r.spec.hog {
 		if r.ticks >= r.spec.owed {
 			r.retire()
@@ -678,6 +699,43 @@ func TestIndexedSchedulerMatchesLegacyOracle(t *testing.T) {
 					policy, seed, gotSum, wantSum)
 			}
 		}
+	}
+}
+
+// TestTouchByJobScheduleDigest holds the job-handle touch to the
+// by-name touch it replaced: on the oracle workload, under every
+// policy, runners that touch the job they hold and runners that
+// resolve it by name at every tick produce the same hook trace and the
+// same final accounting. At 30 tenants IdleFirst's victims depend on
+// the touches — a control run that drops them diverges — so the
+// comparison covers touch-driven victim choice, not just admission.
+func TestTouchByJobScheduleDigest(t *testing.T) {
+	sensitive := false
+	for _, policy := range []Policy{FIFO, IdleFirst, Priority} {
+		for _, n := range []int{17, 30} {
+			for _, seed := range []int64{1, 7, 42} {
+				specs := genSpecs(seed, n)
+				run := func(f realFleet) string {
+					trace, sum := runEquivalence(seed, policy, specs, func(s *sim.Simulator) fleetAPI {
+						f.d = New(s, 10, policy)
+						f.d.MinResidency = 5 * sim.Second
+						return &f
+					})
+					return strings.Join(trace, "\n") + "\n" + sum
+				}
+				byJob, byName := run(realFleet{}), run(realFleet{byName: true})
+				if byJob != byName {
+					t.Fatalf("%v n=%d seed %d: by-job touch diverges from by-name touch:\nby job:\n%s\nby name:\n%s",
+						policy, n, seed, byJob, byName)
+				}
+				if run(realFleet{noTouch: true}) != byJob {
+					sensitive = true
+				}
+			}
+		}
+	}
+	if !sensitive {
+		t.Fatal("dropping every touch changed no run: touch-driven victim choice unexercised")
 	}
 }
 

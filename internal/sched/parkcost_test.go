@@ -24,8 +24,8 @@ func TestIdleFirstBreaksTiesByParkCost(t *testing.T) {
 	s.RunFor(2 * sim.Second)
 	// Same lastActive (both touched at admission, no activity since):
 	// force the tie by touching both at the same instant.
-	d.Touch("cheap")
-	d.Touch("costly")
+	d.Touch(d.Job("cheap"))
+	d.Touch(d.Job("costly"))
 	s.RunFor(2 * sim.Second)
 
 	newcomer := fakeJob(s, "new", 2, 0, 0, sim.Second, sim.Second)
@@ -65,7 +65,7 @@ func TestIdlenessStillDominatesCost(t *testing.T) {
 		}
 	}
 	s.RunFor(5 * sim.Second)
-	d.Touch("busy")
+	d.Touch(d.Job("busy"))
 
 	if err := d.Submit(fakeJob(s, "new", 2, 0, 0, sim.Second, sim.Second)); err != nil {
 		t.Fatal(err)

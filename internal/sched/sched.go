@@ -495,11 +495,12 @@ func (d *Scheduler) SubmitGang(jobs []*Job) error {
 	return nil
 }
 
-// Touch records activity for a job — the signal IdleFirst preempts on
-// the absence of. O(1): at 10k tenants ticking, this is the
-// scheduler's most-called entry point.
-func (d *Scheduler) Touch(name string) {
-	if j := d.byName[name]; j != nil {
+// Touch records activity for the job its caller holds — the signal
+// IdleFirst preempts on the absence of, and at 10k tenants the most
+// called entry point. A nil job is ignored; a job out of service is
+// never a victim candidate, so touching one is harmless.
+func (d *Scheduler) Touch(j *Job) {
+	if j != nil {
 		j.lastActive = d.S.Now()
 	}
 }

@@ -131,7 +131,7 @@ func TestIdleFirstPicksLongestIdle(t *testing.T) {
 		if stop {
 			return
 		}
-		d.Touch("a")
+		d.Touch(d.Job("a"))
 		s.After(sim.Second, "touch", touch)
 	}
 	touch()

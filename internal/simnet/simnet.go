@@ -90,6 +90,8 @@ type NIC struct {
 	out     *hop          // egress for destinations without a route
 	routes  map[Addr]*hop // per-destination egress of a multi-link node
 	handler func(*Packet)
+	lastDst Addr // with lastHop, a memo of the last route:
+	lastHop *hop // routes[lastDst], nil when unrouted
 
 	txFreeAt sim.Time // when the transmitter finishes its current queue
 
@@ -127,7 +129,7 @@ func newHop(s *sim.Simulator, p Port) *hop {
 	case *Wire:
 		h.name, h.latency, h.arrive = "wire", p.delay, p.arrive
 	case *Switch:
-		h.name, h.latency, h.arrive = "switch", p.latency, p.forward
+		h.name, h.latency, h.arrive = "switch", p.latency, p.ingress()
 	default:
 		h.name, h.arrive = "nic.tx", p.Accept
 	}
@@ -164,6 +166,9 @@ func (n *NIC) Route(dst Addr, out Port) {
 		n.routes = make(map[Addr]*hop)
 	}
 	n.routes[dst] = newHop(n.sim, out)
+	if dst == n.lastDst {
+		n.lastHop = n.routes[dst]
+	}
 }
 
 // OnReceive installs the inbound packet handler.
@@ -201,8 +206,11 @@ func (n *NIC) Send(pkt *Packet) sim.Time {
 	n.TX.Packets++
 	n.TX.Bytes += uint64(pkt.Size)
 	h := n.out
-	if r, ok := n.routes[pkt.Dst]; ok {
-		h = r
+	if pkt.Dst != n.lastDst {
+		n.lastDst, n.lastHop = pkt.Dst, n.routes[pkt.Dst]
+	}
+	if n.lastHop != nil {
+		h = n.lastHop
 	}
 	if h != nil {
 		h.enter(pkt, done)
@@ -311,6 +319,7 @@ func (w *Wire) arrive(pkt *Packet) {
 type Switch struct {
 	latency sim.Time
 	ports   map[Addr]Port
+	gen     int  // bumped by Connect: invalidates the ingress memos
 	in      *hop // packets handed to Accept directly, not by a NIC
 
 	Forwarded uint64
@@ -325,19 +334,29 @@ func NewSwitch(s *sim.Simulator, latency sim.Time) *Switch {
 }
 
 // Connect registers the port handling traffic addressed to addr.
-func (sw *Switch) Connect(addr Addr, p Port) { sw.ports[addr] = p }
+func (sw *Switch) Connect(addr Addr, p Port) {
+	sw.ports[addr] = p
+	sw.gen++
+}
 
 // Accept implements Port.
 func (sw *Switch) Accept(pkt *Packet) { sw.in.enter(pkt, sw.in.sim.Now()) }
 
-// forward hands a packet that has crossed the switch to the port of its
-// destination.
-func (sw *Switch) forward(pkt *Packet) {
-	dst, ok := sw.ports[pkt.Dst]
-	if !ok {
-		sw.Unknown++
-		return
+// ingress returns the forwarding action of one path into the switch,
+// which hands a packet that has crossed it to its destination's port.
+// Each path remembers its last destination's port, so a flow forwards
+// without a lookup.
+func (sw *Switch) ingress() func(*Packet) {
+	dst, port, gen := Addr(""), Port(nil), -1
+	return func(pkt *Packet) {
+		if pkt.Dst != dst || gen != sw.gen {
+			dst, port, gen = pkt.Dst, sw.ports[pkt.Dst], sw.gen
+		}
+		if port == nil {
+			sw.Unknown++
+			return
+		}
+		sw.Forwarded++
+		port.Accept(pkt)
 	}
-	sw.Forwarded++
-	dst.Accept(pkt)
 }

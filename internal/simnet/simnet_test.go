@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -381,5 +382,43 @@ func TestNICHopsArriveAtDonePlusLatency(t *testing.T) {
 	}
 	if !overtaken {
 		t.Fatal("no packet on the fast wire overtook one on the slow wire")
+	}
+}
+
+// TestForwardingMemosFollowTables holds the switch's and the NIC's
+// per-flow memos to their tables: re-connecting an address or
+// re-routing a destination takes effect on the next packet of a flow
+// already under way, and an unknown destination still drops.
+func TestForwardingMemosFollowTables(t *testing.T) {
+	s := sim.New(1)
+	sw := NewSwitch(s, 0)
+	a := NewNIC(s, "a", 100*Mbps)
+	b1, b2 := NewNIC(s, "b1", 100*Mbps), NewNIC(s, "b2", 100*Mbps)
+	var got []string
+	b1.OnReceive(func(*Packet) { got = append(got, "b1") })
+	b2.OnReceive(func(*Packet) { got = append(got, "b2") })
+	a.Route("b", sw)
+	sw.Connect("b", b1)
+	send := func(dst Addr) {
+		a.Send(&Packet{Dst: dst, Size: 100})
+		s.Run()
+	}
+	send("b")
+	send("b")
+	sw.Connect("b", b2)
+	send("b")
+	send("nope")
+	a.Route("b", PortFunc(func(*Packet) { got = append(got, "direct") }))
+	send("b")
+	if want := "b1 b1 b2 direct"; strings.Join(got, " ") != want {
+		t.Fatalf("delivered %q, want %q", got, want)
+	}
+	if sw.Unknown != 0 || a.Dropped != 0 {
+		t.Fatalf("unknown %d dropped %d: a route-less packet never reaches the switch", sw.Unknown, a.Dropped)
+	}
+	a.Attach(sw)
+	send("nope")
+	if sw.Unknown != 1 || sw.Forwarded != 3 {
+		t.Fatalf("unknown %d forwarded %d, want 1 and 3", sw.Unknown, sw.Forwarded)
 	}
 }

@@ -1,10 +1,6 @@
 package storage
 
-import (
-	"container/list"
-
-	"emucheck/internal/sim"
-)
+import "emucheck/internal/sim"
 
 // DeltaCache is the node-local cache fronting the remote chain tier: a
 // capacity-bounded LRU of content-addressed segments (base images and
@@ -37,17 +33,22 @@ type DeltaCache struct {
 	Rate int64
 
 	refs    func(Addr) int
-	entries map[Addr]*list.Element
-	lru     *list.List // front = most recently used
-	used    int64
+	entries map[Addr]int32 // slot of each resident segment
+	// slots is the recency list, linked by slot index: slot 0 is its
+	// head (next: most recent, prev: least), a fresh entry links to
+	// itself, and freed slots chain through next from free (0: none).
+	slots []cacheEntry
+	free  int32
+	used  int64
 
 	stats CacheStats
 }
 
 // cacheEntry is one resident segment.
 type cacheEntry struct {
-	addr  Addr
-	bytes int64
+	addr       Addr
+	bytes      int64
+	prev, next int32
 }
 
 // CacheStats is the cache's accounting ledger.
@@ -83,9 +84,23 @@ func NewDeltaCache(capacity int64, refs func(Addr) int) *DeltaCache {
 		Seek:     DefaultDiskSeek,
 		Rate:     DefaultDiskRate,
 		refs:     refs,
-		entries:  make(map[Addr]*list.Element),
-		lru:      list.New(),
+		entries:  make(map[Addr]int32),
+		slots:    make([]cacheEntry, 1),
 	}
+}
+
+// unlink takes slot i out of the recency list; toFront moves it to
+// the front, as the most recently used entry.
+func (c *DeltaCache) unlink(i int32) {
+	e := c.slots[i]
+	c.slots[e.prev].next, c.slots[e.next].prev = e.next, e.prev
+}
+
+func (c *DeltaCache) toFront(i int32) {
+	c.unlink(i)
+	next := c.slots[0].next
+	c.slots[i].prev, c.slots[i].next = 0, next
+	c.slots[next].prev, c.slots[0].next = i, i
 }
 
 // ReadCost prices serving n bytes off the cache's local media.
@@ -104,9 +119,9 @@ func (c *DeltaCache) refcount(a Addr) int {
 // has been garbage-collected from every chain is dropped and counts
 // as a miss — the cache never serves dead content.
 func (c *DeltaCache) Get(a Addr) (int64, bool) {
-	el, ok := c.entries[a]
+	i, ok := c.entries[a]
 	if ok && c.refcount(a) == 0 {
-		c.remove(el)
+		c.remove(i)
 		c.stats.Expired++
 		ok = false
 	}
@@ -114,11 +129,10 @@ func (c *DeltaCache) Get(a Addr) (int64, bool) {
 		c.stats.Misses++
 		return 0, false
 	}
-	e := el.Value.(*cacheEntry)
-	c.lru.MoveToFront(el)
+	c.toFront(i)
 	c.stats.Hits++
-	c.stats.HitBytes += e.bytes
-	return e.bytes, true
+	c.stats.HitBytes += c.slots[i].bytes
+	return c.slots[i].bytes, true
 }
 
 // MissBytes charges n bytes to the miss ledger — the caller's record
@@ -139,11 +153,10 @@ func (c *DeltaCache) Put(a Addr, n int64) {
 	if n <= 0 {
 		return
 	}
-	if el, ok := c.entries[a]; ok {
-		e := el.Value.(*cacheEntry)
-		c.used += n - e.bytes
-		e.bytes = n
-		c.lru.MoveToFront(el)
+	if i, ok := c.entries[a]; ok {
+		c.used += n - c.slots[i].bytes
+		c.slots[i].bytes = n
+		c.toFront(i)
 		c.evictFor(0)
 		return
 	}
@@ -151,8 +164,15 @@ func (c *DeltaCache) Put(a Addr, n int64) {
 		c.stats.Rejected++
 		return
 	}
-	el := c.lru.PushFront(&cacheEntry{addr: a, bytes: n})
-	c.entries[a] = el
+	i := c.free
+	if i == 0 {
+		i = int32(len(c.slots))
+		c.slots = append(c.slots, cacheEntry{}) // next 0: free stays empty
+	}
+	c.free = c.slots[i].next
+	c.slots[i] = cacheEntry{addr: a, bytes: n, prev: i, next: i}
+	c.toFront(i)
+	c.entries[a] = i
 	c.used += n
 }
 
@@ -193,43 +213,45 @@ func (c *DeltaCache) evictFor(n int64) bool {
 	}
 	need := c.used + n - c.Capacity
 	var evictable int64
-	for el := c.lru.Back(); el != nil && evictable < need; el = el.Prev() {
-		if e := el.Value.(*cacheEntry); c.refcount(e.addr) <= 1 {
+	for i := c.slots[0].prev; i != 0 && evictable < need; i = c.slots[i].prev {
+		if e := &c.slots[i]; c.refcount(e.addr) <= 1 {
 			evictable += e.bytes
 		}
 	}
 	if evictable < need {
 		return false
 	}
-	for el := c.lru.Back(); el != nil && c.used+n > c.Capacity; {
-		prev := el.Prev()
-		e := el.Value.(*cacheEntry)
+	for i := c.slots[0].prev; i != 0 && c.used+n > c.Capacity; {
+		e := c.slots[i]
 		if c.refcount(e.addr) > 1 {
 			// Pinned: a shared chain epoch every sibling branch's
 			// restore replays — never evicted while the sharing lasts.
-			el = prev
+			i = e.prev
 			continue
 		}
-		c.remove(el)
+		c.remove(i)
 		c.stats.Evictions++
 		c.stats.EvictedBytes += e.bytes
-		el = prev
+		i = e.prev
 	}
 	return c.used+n <= c.Capacity
 }
 
-// remove drops an entry from the table and the LRU list.
-func (c *DeltaCache) remove(el *list.Element) {
-	e := el.Value.(*cacheEntry)
-	c.lru.Remove(el)
+// remove drops slot i's entry from the table and the recency list and
+// frees the slot.
+func (c *DeltaCache) remove(i int32) {
+	e := &c.slots[i]
+	c.unlink(i)
 	delete(c.entries, e.addr)
 	c.used -= e.bytes
+	e.next = c.free
+	c.free = i
 }
 
 // Drop forgets a segment without counting an eviction (GC path).
 func (c *DeltaCache) Drop(a Addr) {
-	if el, ok := c.entries[a]; ok {
-		c.remove(el)
+	if i, ok := c.entries[a]; ok {
+		c.remove(i)
 	}
 }
 

@@ -122,8 +122,8 @@ func TestEvictForMatchesFullScan(t *testing.T) {
 				refs[a] = rng.Intn(4)
 			}
 			var got []cacheEntry
-			for el := c.lru.Back(); el != nil; el = el.Prev() {
-				got = append(got, *el.Value.(*cacheEntry))
+			for i := c.slots[0].prev; i != 0; i = c.slots[i].prev {
+				got = append(got, cacheEntry{addr: c.slots[i].addr, bytes: c.slots[i].bytes})
 			}
 			if c.Stats() != r.stats || c.Used() != r.used() || !slices.Equal(got, r.lru) {
 				t.Fatalf("seed %d op %d: cache %+v used %d entries %v; full scan %+v used %d entries %v",

@@ -239,21 +239,23 @@ func (c *Cluster) Submit(sc Scenario, priority int) (*Session, error) {
 		C: c, S: c.S, TB: c.TB,
 		Tree: timetravel.NewTree(146 << 30),
 	}
+	// Every job re-admits through Resume: a crashed tenant of any kind
+	// comes back that way (Restart re-instantiates it from scratch).
 	job := &sched.Job{
 		Name: name, Need: sc.Spec.NodesNeeded(), Priority: priority,
 		Preemptible: sc.Spec.Swappable() || c.Stateless,
 		Hooks: sched.Hooks{
-			Start: func(done func(error)) { c.startTenant(sess, done) },
+			Start:  func(done func(error)) { c.startTenant(sess, done) },
+			Resume: func(done func(error)) { c.resumeTenant(sess, done) },
 		},
 	}
 	// Only a fully swappable experiment can be parked statefully: with a
 	// mixed spec the swap manager would save the swappable subset while
 	// the rest kept running on released hardware. The stateless baseline
-	// can always park (state is discarded anyway). Leaving the hooks nil
-	// turns park attempts into clean scheduler errors.
+	// can always park (state is discarded anyway). Leaving the park hook
+	// nil turns park attempts into clean scheduler errors.
 	if job.Preemptible {
 		job.Hooks.Park = func(done func(error)) { c.parkTenant(sess, done) }
-		job.Hooks.Resume = func(done func(error)) { c.resumeTenant(sess, done) }
 		if !c.Stateless {
 			job.Hooks.ParkCost = func() int64 { return c.parkCost(sess) }
 		}

@@ -3,6 +3,7 @@ package apps
 import (
 	"testing"
 
+	"emucheck/internal/dummynet"
 	"emucheck/internal/guest"
 	"emucheck/internal/node"
 	"emucheck/internal/sim"
@@ -20,9 +21,9 @@ func TestIperfDetectsLoss(t *testing.T) {
 	mb := node.NewMachine(s, "rcv", p)
 	ka := guest.New(ma, p, guest.DefaultConfig())
 	kb := guest.New(mb, p, guest.DefaultConfig())
-	wa := simnet.NewWire(s, sim.Millisecond, mb.ExpNIC)
-	wa.SetLoss(0.005)
-	ma.ExpNIC.Attach(wa)
+	lossy := dummynet.NewPipe(s, "lossy", 0, 0, simnet.NewWire(s, sim.Millisecond, mb.ExpNIC))
+	lossy.PLR = 0.005
+	ma.ExpNIC.Attach(lossy)
 	mb.ExpNIC.Attach(simnet.NewWire(s, sim.Millisecond, ma.ExpNIC))
 	ip := NewIperf(ka, kb)
 	ip.Start(8 << 20)

@@ -30,7 +30,7 @@ type AblationResult struct {
 }
 
 func ablationRun(seed int64, skip bool) (endpointLog, inCore, rtx int, burst float64) {
-	s, _, e := twoNode(seed, simnet.Gbps, 20*sim.Millisecond) // BDP = 2.5 MB
+	s, e := twoNode(seed, simnet.Gbps, 20*sim.Millisecond) // BDP = 2.5 MB
 	snd, rcv := e.Node("n0").K, e.Node("n1").K
 	ip := apps.NewIperf(snd, rcv)
 	ip.Start(-1)

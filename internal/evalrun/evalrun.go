@@ -8,6 +8,7 @@
 package evalrun
 
 import (
+	"emucheck"
 	"emucheck/internal/apps"
 	"emucheck/internal/core"
 	"emucheck/internal/emulab"
@@ -20,19 +21,16 @@ import (
 // CkptInterval is the paper's checkpoint period for §7.1.
 const CkptInterval = 5 * sim.Second
 
-// twoNode builds the standard 2-node experiment over a shaped link.
-func twoNode(seed int64, bw simnet.Bitrate, delay sim.Time) (*sim.Simulator, *emulab.Testbed, *emulab.Experiment) {
-	s := sim.New(seed)
-	tb := emulab.NewTestbed(s, 16)
-	e, err := tb.SwapIn(emulab.Spec{
+// twoNode builds the standard 2-node experiment over a shaped link, as
+// a session on a 16-machine pool: the product path a scenario tenant
+// takes.
+func twoNode(seed int64, bw simnet.Bitrate, delay sim.Time) (*sim.Simulator, *emulab.Experiment) {
+	sess := emucheck.NewSession(emucheck.Scenario{Pool: 16, Spec: emulab.Spec{
 		Name:  "eval",
 		Nodes: []emulab.NodeSpec{{Name: "n0", Swappable: true}, {Name: "n1", Swappable: true}},
 		Links: []emulab.LinkSpec{{A: "n0", B: "n1", Bandwidth: bw, Delay: delay}},
-	})
-	if err != nil {
-		panic(err)
-	}
-	return s, tb, e
+	}}, seed)
+	return sess.S, sess.Exp
 }
 
 // ---------------------------------------------------------------- Fig 4
@@ -49,7 +47,7 @@ type Fig4Result struct {
 // checkpointing.
 func Fig4(seed int64) *Fig4Result {
 	const iters = 6000
-	s, _, e := twoNode(seed, 0, 0)
+	s, e := twoNode(seed, 0, 0)
 	k := e.Node("n0").K
 	loop := apps.NewSleepLoop(k, iters)
 	finished := false
@@ -97,7 +95,7 @@ type Fig5Result struct {
 // periodic checkpointing.
 func Fig5(seed int64) *Fig5Result {
 	const iters = 600
-	s, _, e := twoNode(seed, 0, 0)
+	s, e := twoNode(seed, 0, 0)
 	k := e.Node("n0").K
 	loop := apps.NewCPULoop(k, iters)
 	finished := false
@@ -144,7 +142,7 @@ type Fig6Result struct {
 // Fig6 runs a 25 s iperf session on a 1 Gbps link, checkpointing every
 // 5 s, and analyzes the receiver-side packet trace.
 func Fig6(seed int64) *Fig6Result {
-	s, _, e := twoNode(seed, simnet.Gbps, 0)
+	s, e := twoNode(seed, simnet.Gbps, 0)
 	snd, rcv := e.Node("n0").K, e.Node("n1").K
 	ip := apps.NewIperf(snd, rcv)
 	ip.Start(-1)
@@ -198,7 +196,6 @@ type Fig7Result struct {
 	// averaged across clients — the paper's "center line" check.
 	CenterBefore, CenterDuring, CenterAfter float64
 	Checkpoints                             int
-	Retransmits                             int
 }
 
 // Fig7 runs the 4-node swarm sharing the paper's 3 GB file on a

@@ -416,7 +416,7 @@ func SyncTable(seed int64) *SyncResult {
 	}
 
 	mode := func(m core.Mode) sim.Time {
-		_, _, e := twoNode(seed, 0, 0)
+		_, e := twoNode(seed, 0, 0)
 		st := e.TB.S
 		st.RunFor(60 * sim.Second)
 		var sum sim.Time

@@ -16,7 +16,6 @@ type Params struct {
 	DiskSeekTrack      sim.Time // adjacent-region seek
 	DiskRotationalHalf sim.Time // half-rotation latency (10k RPM: 3 ms)
 	DiskTransferBps    int64    // sequential media rate, bytes/second
-	DiskSizeBytes      int64
 
 	// Per-request fixed controller/DMA overhead.
 	DiskOverhead sim.Time
@@ -29,10 +28,6 @@ type Params struct {
 	GuestMemBytes  int64
 	GuestDiskBytes int64
 	PageSize       int
-
-	// Xen paravirtual timer resolution (§4.4: Xen limits guest timer
-	// interrupt resolution to 1 ms).
-	XenTimerResolution sim.Time
 
 	// Scheduling-latency jitter applied to guest wakeups; calibrated so
 	// 97% of sleep-loop iterations measure within 28 us (Fig. 4).
@@ -65,14 +60,12 @@ func DefaultParams() Params {
 		DiskSeekTrack:      800 * sim.Microsecond,
 		DiskRotationalHalf: 3 * sim.Millisecond,
 		DiskTransferBps:    72 << 20, // 72 MB/s media rate
-		DiskSizeBytes:      146 << 30,
 		DiskOverhead:       120 * sim.Microsecond,
 		ExperimentLink:     simnet.Gbps,
 		ControlLink:        100 * simnet.Mbps,
 		GuestMemBytes:      256 << 20,
 		GuestDiskBytes:     6 << 30,
 		PageSize:           4096,
-		XenTimerResolution: sim.Millisecond,
 		WakeupJitterMean:   12 * sim.Microsecond,
 		WakeupJitterStddev: 7 * sim.Microsecond,
 		FirewallLeakLo:     55 * sim.Microsecond,

@@ -293,7 +293,7 @@ func RunWithCluster(f *File) (*Result, *emucheck.Cluster, error) {
 		e := &f.Experiments[i]
 		st := &ExpStats{}
 		stats[i] = st
-		setup := workloadSetup(c, e, st)
+		setup := workloads[e.Workload].setup(c, e, st)
 		if e.Epochs != "" {
 			// The committed-epoch pipeline restarts with every (re-)
 			// instantiation, keeping the recovery restore point fresh.
@@ -325,10 +325,13 @@ func RunWithCluster(f *File) (*Result, *emucheck.Cluster, error) {
 	// Schedule events.
 	for i := range f.Events {
 		ev := f.Events[i]
+		act := actions[ev.Action]
 		at, _ := parseDur(ev.At)
 		idx := expIndex(f, ev.Target)
 		c.S.DoAt(at, "scenario."+ev.Action, func() {
-			if err := applyEvent(c, ev, stats[idx]); err != nil {
+			if sess := c.Tenant(ev.Target); sess == nil {
+				evErr("t=%v %s %s: not submitted yet", c.Now(), ev.Action, ev.Target)
+			} else if err := act.apply(c, ev.Target, sess, stats[idx]); err != nil {
 				evErr("t=%v %s %s: %v", c.Now(), ev.Action, ev.Target, err)
 			}
 		})
@@ -342,14 +345,10 @@ func RunWithCluster(f *File) (*Result, *emucheck.Cluster, error) {
 		for _, ft := range f.Faults {
 			at, _ := parseDur(ft.At)
 			window, _ := parseDur(ft.For)
-			kind := fault.Kind(ft.Kind)
-			during := false
-			if ft.Kind == "crash_during_save" {
-				kind, during = fault.Crash, true
-			}
+			fk := faultKinds[ft.Kind]
 			plan.Injections = append(plan.Injections, fault.Injection{
-				Kind: kind, At: at, Target: ft.Target, Node: ft.Node,
-				DuringSave: during, Topic: ft.Topic, Count: ft.Count,
+				Kind: fk.kind, At: at, Target: ft.Target, Node: ft.Node,
+				DuringSave: fk.duringSave, Topic: ft.Topic, Count: ft.Count,
 				Extra:  sim.Time(ft.ExtraMs * float64(sim.Millisecond)),
 				Factor: ft.Factor, Window: window, Seed: ft.Seed,
 			})
@@ -400,7 +399,7 @@ func RunWithCluster(f *File) (*Result, *emucheck.Cluster, error) {
 				branchSeeds = append(branchSeeds, seed)
 				specs[i] = emucheck.BranchSpec{
 					Perturb: emucheck.Perturbation{Kind: emucheck.SeedChange, Seed: seed},
-					Setup:   workloadSetup(c, parentExp, st),
+					Setup:   workloads[parentExp.Workload].setup(c, parentExp, st),
 				}
 			}
 			bs, err := c.Branch(s.Parent, sess.Tree.Head(), specs...)
@@ -520,15 +519,7 @@ func RunWithCluster(f *File) (*Result, *emucheck.Cluster, error) {
 		rep.SpillMB = float64(c.SwapStats.Get("storage.spill_bytes")) / (1 << 20)
 		res.Storage = rep
 	}
-	for _, a := range f.Assertions {
-		res.Checks = append(res.Checks, evalAssertion(c, f, stats, res, a))
-	}
-	res.Pass = len(res.EventErrors) == 0
-	for _, ch := range res.Checks {
-		if !ch.Ok {
-			res.Pass = false
-		}
-	}
+	run{c: c, f: f, stats: stats, res: res}.judge()
 	return res, c, nil
 }
 
@@ -557,32 +548,8 @@ func runFederationScenario(f *File) *Result {
 		Horizon:    horizon,
 	})
 	res := &Result{Name: f.Name, Ran: horizon.String(), SwapMode: "incremental", Federation: fr}
-	for _, a := range f.Assertions {
-		res.Checks = append(res.Checks, evalFederationAssertion(fr, a))
-	}
-	res.Pass = true
-	for _, ch := range res.Checks {
-		if !ch.Ok {
-			res.Pass = false
-		}
-	}
+	run{f: f, res: res}.judge()
 	return res
-}
-
-// evalFederationAssertion checks one federation assertion.
-func evalFederationAssertion(fr *federation.Result, a Assertion) Check {
-	switch a.Type {
-	case "all_completed":
-		return mkCheck("all tenants completed", fr.Completed == fr.Tenants,
-			fmt.Sprintf("%d of %d", fr.Completed, fr.Tenants))
-	case "min_migrations":
-		return mkCheck(fmt.Sprintf("migrations >= %d", a.Value), int64(fr.Migrations) >= a.Value,
-			fmt.Sprintf("got %d", fr.Migrations))
-	case "max_wan_mb":
-		return mkCheck(fmt.Sprintf("WAN traffic <= %d MB", a.Value), fr.WANMB <= float64(a.Value),
-			fmt.Sprintf("got %.1f MB", fr.WANMB))
-	}
-	return mkCheck("unknown assertion "+a.Type, false, "")
 }
 
 func expIndex(f *File, name string) int {
@@ -592,95 +559,6 @@ func expIndex(f *File, name string) int {
 		}
 	}
 	return -1
-}
-
-// workloadSetup installs the named built-in workload. Every workload
-// reports activity to the scheduler (the IdleFirst signal) and counts
-// progress ticks for assertions. Setup reruns from scratch if the
-// cluster readmits the experiment statelessly. Node names are the
-// experiment's logical names and activity is reported on the session's
-// own job, so the same setup installs unchanged on a branch session
-// (its node names resolve through the branch alias).
-func workloadSetup(c *emucheck.Cluster, e *Experiment, st *ExpStats) func(*emucheck.Session) {
-	switch e.Workload {
-	case "sleeploop":
-		first := e.Nodes[0].Name
-		return func(s *emucheck.Session) {
-			k := s.Kernel(first)
-			var tick func()
-			tick = func() {
-				st.Ticks++
-				s.Touch()
-				k.Usleep(100*sim.Millisecond, tick)
-			}
-			k.Usleep(100*sim.Millisecond, tick)
-		}
-	case "pingpong":
-		a, b := e.Nodes[0].Name, e.Nodes[1].Name
-		return func(s *emucheck.Session) {
-			// Pace the exchange: an RPC every 50 ms, not a raw-fabric
-			// packet storm.
-			apps.RunPingPong(s.Kernel(a), s.Kernel(b), s.Addr(a), s.Addr(b), 50*sim.Millisecond, func(int) {
-				st.Ticks++
-				s.Touch()
-			})
-		}
-	case "diskchurn":
-		first := e.Nodes[0].Name
-		return func(s *emucheck.Session) {
-			k := s.Kernel(first)
-			var off int64
-			var write, wrote func()
-			write = func() { k.WriteDisk(1<<30+off%(1<<30), 512<<10, wrote) }
-			wrote = func() {
-				off += 512 << 10
-				st.Ticks++
-				s.Touch()
-				k.Usleep(sim.Second, write)
-			}
-			write()
-		}
-	case "racyelect":
-		return racyElectSetup(c, e, st)
-	case "quorum":
-		return func(s *emucheck.Session) {
-			nodes := make([]apps.QuorumNode, len(e.Nodes))
-			for i, n := range e.Nodes {
-				nodes[i] = apps.QuorumNode{Name: n.Name, K: s.Kernel(n.Name), Addr: s.Addr(n.Name)}
-			}
-			// Crash the first-elected leader at a seed-derived instant of
-			// guest time, so every quorum run exercises failure detection
-			// and bully re-election; the perturbation seed folds in so
-			// branches explore different crash timings.
-			crashAt := 20*sim.Second + sim.Time(sim.Mix64(c.Seed, s.Perturb().Seed, 1)%uint64(20*sim.Second))
-			apps.RunQuorum(nodes, apps.QuorumConfig{
-				CrashLeaderAt: crashAt,
-				OnTick:        func() { st.Ticks++; s.Touch() },
-				OnOutcome:     func(o string) { st.Outcome = o },
-			})
-		}
-	case "commit2pc":
-		return func(s *emucheck.Session) {
-			nodes := make([]apps.CommitNode, len(e.Nodes))
-			for i, n := range e.Nodes {
-				nodes[i] = apps.CommitNode{Name: n.Name, K: s.Kernel(n.Name), Addr: s.Addr(n.Name)}
-			}
-			// Half the seed space crash-stops the coordinator mid-round
-			// (the 2PC blocking window); the other half runs clean, so a
-			// generated corpus shows both behaviors.
-			crashRound := 0
-			if sim.Mix64(c.Seed, s.Perturb().Seed, 3)%2 == 0 {
-				crashRound = 6 + int(sim.Mix64(c.Seed, s.Perturb().Seed, 4)%6)
-			}
-			apps.RunCommit2PC(nodes, apps.CommitConfig{
-				Seed:              int64(sim.Mix64(c.Seed, s.Perturb().Seed, 2)),
-				CrashCoordAtRound: crashRound,
-				OnTick:            func() { st.Ticks++; s.Touch() },
-				OnOutcome:         func(o apps.CommitOutcome) { st.commit = o },
-			})
-		}
-	}
-	return nil // idle
 }
 
 // racyElectSetup installs the split-brain leader-election race: both
@@ -741,251 +619,6 @@ func racyElectSetup(c *emucheck.Cluster, e *Experiment, st *ExpStats) func(*emuc
 		claim(ka, s.Addr(bN), seed)
 		claim(kb, s.Addr(aN), seed>>1)
 	}
-}
-
-// applyEvent executes one timed action.
-func applyEvent(c *emucheck.Cluster, ev Event, st *ExpStats) error {
-	sess := c.Tenant(ev.Target)
-	if sess == nil {
-		return fmt.Errorf("not submitted yet")
-	}
-	switch ev.Action {
-	case "swap_out":
-		return c.Park(ev.Target)
-	case "swap_in":
-		return c.Unpark(ev.Target)
-	case "checkpoint":
-		return sess.CheckpointAsync(core.Options{Incremental: true, SaveDeadline: c.SaveDeadline}, func(_ *core.Result, cerr error) {
-			if cerr == nil {
-				st.Checkpoints++
-			}
-		})
-	case "inject":
-		// A burst of fresh guest activity: dirty a few MB of disk and
-		// report liveness — the "experimenter came back" signal. Only a
-		// tenant actually in service can receive it (a stateful-parked
-		// one still has Exp, but its guests are frozen off-hardware).
-		if sess.Exp == nil || sess.State() != "running" {
-			return fmt.Errorf("experiment is %s", sess.State())
-		}
-		k := sess.Exp.Node(sess.Scenario.Spec.Nodes[0].Name).K
-		k.WriteDisk(2<<30, 4<<20, nil)
-		c.Touch(ev.Target)
-		return nil
-	case "finish":
-		return c.Finish(ev.Target)
-	case "recover":
-		return c.Recover(ev.Target)
-	case "restart":
-		return c.Restart(ev.Target)
-	}
-	return fmt.Errorf("unknown action %q", ev.Action)
-}
-
-// evalAssertion checks one assertion against the finished run.
-func evalAssertion(c *emucheck.Cluster, f *File, stats []*ExpStats, res *Result, a Assertion) Check {
-	idx := expIndex(f, a.Target)
-	var sess *emucheck.Session
-	if a.Target != "" {
-		sess = c.Tenant(a.Target)
-	}
-	switch a.Type {
-	case "state":
-		got := "unsubmitted"
-		if sess != nil {
-			got = sess.State()
-		}
-		return mkCheck(fmt.Sprintf("%s state == %s", a.Target, a.Want), got == a.Want, "got "+got)
-	case "min_ticks":
-		got := stats[idx].Ticks
-		return mkCheck(fmt.Sprintf("%s ticks >= %d", a.Target, a.Value), got >= a.Value, fmt.Sprintf("got %d", got))
-	case "min_checkpoints":
-		got := stats[idx].Checkpoints
-		return mkCheck(fmt.Sprintf("%s checkpoints >= %d", a.Target, a.Value), int64(got) >= a.Value, fmt.Sprintf("got %d", got))
-	case "min_preemptions":
-		got := c.Sched.Preemptions
-		desc := fmt.Sprintf("preemptions >= %d", a.Value)
-		if sess != nil {
-			got = sess.Preemptions()
-			desc = fmt.Sprintf("%s preemptions >= %d", a.Target, a.Value)
-		}
-		return mkCheck(desc, int64(got) >= a.Value, fmt.Sprintf("got %d", got))
-	case "all_admitted":
-		// Branch tenants are counted by all_branches_admitted; this
-		// assertion covers the experiments declared in the file.
-		for i := range f.Experiments {
-			t := c.Tenant(f.Experiments[i].Name)
-			if t == nil {
-				return mkCheck("all experiments admitted", false, f.Experiments[i].Name+" never submitted")
-			}
-			if t.Admissions() == 0 {
-				return mkCheck("all experiments admitted", false, t.Scenario.Spec.Name+" never admitted")
-			}
-		}
-		return mkCheck("all experiments admitted", true,
-			fmt.Sprintf("%d experiments", len(f.Experiments)))
-	case "max_queue_wait":
-		lim, _ := parseDur(a.Dur)
-		worstName, worst := "", sim.Time(0)
-		for _, t := range c.Tenants() {
-			if a.Target != "" && t != sess {
-				continue
-			}
-			if w := t.QueueWait(); w > worst {
-				worst, worstName = w, t.Scenario.Spec.Name
-			}
-		}
-		return mkCheck(fmt.Sprintf("queue wait <= %s", a.Dur), worst <= lim,
-			fmt.Sprintf("worst %v (%s)", worst, worstName))
-	case "virtual_elapsed_max":
-		lim, _ := parseDur(a.Dur)
-		if sess == nil || sess.Exp == nil {
-			state := "unsubmitted"
-			if sess != nil {
-				state = sess.State()
-			}
-			return mkCheck(fmt.Sprintf("%s/%s virtual <= %s", a.Target, a.Node, a.Dur), false,
-				"experiment is "+state)
-		}
-		got := sess.VirtualNow(a.Node)
-		return mkCheck(fmt.Sprintf("%s/%s virtual <= %s", a.Target, a.Node, a.Dur), got <= lim,
-			fmt.Sprintf("got %v (real %v)", got, c.Now()))
-	case "utilization_min":
-		got := c.Utilization() * 100
-		return mkCheck(fmt.Sprintf("pool utilization >= %d%%", a.Value), got >= float64(a.Value),
-			fmt.Sprintf("got %.0f%%", got))
-	case "outcome_found":
-		desc := fmt.Sprintf("outcome %q explored", a.Want)
-		if res.Search == nil {
-			return mkCheck(desc, false, "no search ran")
-		}
-		var seen []string
-		for _, b := range res.Search.Branches {
-			if b.Outcome == a.Want {
-				return mkCheck(desc, true, "by "+b.Name)
-			}
-			if b.Outcome != "" {
-				seen = append(seen, b.Outcome)
-			}
-		}
-		return mkCheck(desc, false, fmt.Sprintf("saw %v", seen))
-	case "min_distinct_outcomes":
-		desc := fmt.Sprintf("distinct outcomes >= %d", a.Value)
-		if res.Search == nil {
-			return mkCheck(desc, false, "no search ran")
-		}
-		return mkCheck(desc, int64(res.Search.DistinctOutcomes) >= a.Value,
-			fmt.Sprintf("got %d", res.Search.DistinctOutcomes))
-	case "all_branches_admitted":
-		desc := "all branches admitted"
-		if res.Search == nil {
-			return mkCheck(desc, false, "no search ran")
-		}
-		if len(res.Search.Branches) != res.Search.FanOut {
-			return mkCheck(desc, false,
-				fmt.Sprintf("%d of %d branches forked", len(res.Search.Branches), res.Search.FanOut))
-		}
-		for _, b := range res.Search.Branches {
-			t := c.Tenant(b.Name)
-			if t == nil || t.Admissions() == 0 {
-				return mkCheck(desc, false, b.Name+" never admitted")
-			}
-		}
-		return mkCheck(desc, true, fmt.Sprintf("%d branches", len(res.Search.Branches)))
-	case "recovered":
-		want := a.Value
-		if want <= 0 {
-			want = 1
-		}
-		desc := fmt.Sprintf("%s recovered >= %d times", a.Target, want)
-		if sess == nil {
-			return mkCheck(desc, false, "never submitted")
-		}
-		return mkCheck(desc, int64(sess.Recoveries()) >= want,
-			fmt.Sprintf("got %d (state %s)", sess.Recoveries(), sess.State()))
-	case "max_lost_work_ms":
-		desc := fmt.Sprintf("%s lost work <= %d ms", a.Target, a.Value)
-		if sess == nil {
-			return mkCheck(desc, false, "never submitted")
-		}
-		got := sess.LostWork().Millis()
-		return mkCheck(desc, got <= float64(a.Value), fmt.Sprintf("got %.0f ms", got))
-	case "max_detect_ms":
-		desc := fmt.Sprintf("%s detected <= %d ms after crash", a.Target, a.Value)
-		if sess == nil {
-			return mkCheck(desc, false, "never submitted")
-		}
-		if sess.Detections() == 0 {
-			return mkCheck(desc, false, "never detected")
-		}
-		got := sess.MaxDetectLatency().Millis()
-		return mkCheck(desc, got <= float64(a.Value), fmt.Sprintf("got %.0f ms", got))
-	case "max_mttr_ms":
-		desc := fmt.Sprintf("%s back in service <= %d ms after crash", a.Target, a.Value)
-		if sess == nil {
-			return mkCheck(desc, false, "never submitted")
-		}
-		if sess.MaxMTTR() == 0 {
-			return mkCheck(desc, false,
-				fmt.Sprintf("never recovered (state %s)", sess.State()))
-		}
-		got := sess.MaxMTTR().Millis()
-		return mkCheck(desc, got <= float64(a.Value), fmt.Sprintf("got %.0f ms", got))
-	case "remediated":
-		want := a.Value
-		if want <= 0 {
-			want = 1
-		}
-		desc := fmt.Sprintf("%s remediated >= %d times unattended", a.Target, want)
-		if sess == nil {
-			return mkCheck(desc, false, "never submitted")
-		}
-		return mkCheck(desc, int64(sess.Remediations()) >= want && !sess.Quarantined(),
-			fmt.Sprintf("got %d (state %s, quarantined %v)",
-				sess.Remediations(), sess.State(), sess.Quarantined()))
-	case "epochs_aborted":
-		got := 0
-		desc := fmt.Sprintf("epochs aborted >= %d", a.Value)
-		if a.Target != "" {
-			desc = fmt.Sprintf("%s epochs aborted >= %d", a.Target, a.Value)
-			if sess != nil {
-				got = sess.EpochsAborted()
-			}
-		} else {
-			for _, t := range c.Tenants() {
-				got += t.EpochsAborted()
-			}
-		}
-		return mkCheck(desc, int64(got) >= a.Value, fmt.Sprintf("got %d", got))
-	case "min_cache_hit_ratio":
-		desc := fmt.Sprintf("cache hit ratio >= %d%%", a.Value)
-		if res.Storage == nil {
-			return mkCheck(desc, false, "no storage stanza")
-		}
-		gotPct := res.Storage.HitRatio * 100
-		return mkCheck(desc, gotPct >= float64(a.Value),
-			fmt.Sprintf("got %.0f%% (%d hits / %d misses)", gotPct,
-				res.Storage.CacheHits, res.Storage.CacheMisses))
-	case "max_remote_mb":
-		desc := fmt.Sprintf("remote chain traffic <= %d MB", a.Value)
-		if res.Storage == nil {
-			return mkCheck(desc, false, "no storage stanza")
-		}
-		return mkCheck(desc, res.Storage.RemoteMB <= float64(a.Value),
-			fmt.Sprintf("got %.1f MB", res.Storage.RemoteMB))
-	case "max_swap_mb":
-		var gotBytes int64
-		desc := fmt.Sprintf("swap traffic <= %d MB", a.Value)
-		if a.Target != "" {
-			gotBytes = c.TB.Server.ByTag[a.Target]
-			desc = fmt.Sprintf("%s swap traffic <= %d MB", a.Target, a.Value)
-		} else {
-			gotBytes = int64(c.TB.Server.Received + c.TB.Server.Served)
-		}
-		gotMB := float64(gotBytes) / (1 << 20)
-		return mkCheck(desc, gotMB <= float64(a.Value), fmt.Sprintf("got %.1f MB", gotMB))
-	}
-	return mkCheck("unknown assertion "+a.Type, false, "")
 }
 
 func mkCheck(desc string, ok bool, detail string) Check {

@@ -144,8 +144,7 @@ type Health struct {
 
 // Fault is one planned injection against a named experiment.
 type Fault struct {
-	// Kind is one of: crash, crash_during_save, drop, delay,
-	// slow_disk, slow_save.
+	// Kind is one of faultKinds.
 	Kind   string `json:"kind"`
 	At     string `json:"at"`
 	Target string `json:"target"`
@@ -205,8 +204,7 @@ type Search struct {
 type Experiment struct {
 	Name     string `json:"name"`
 	Priority int    `json:"priority,omitempty"`
-	// Workload is one of the built-ins: idle, sleeploop, pingpong,
-	// diskchurn.
+	// Workload is one of the built-ins in workloads.
 	Workload string `json:"workload"`
 	// Epochs, when set, runs the committed-epoch pipeline at this
 	// period: periodic transparent checkpoints whose state commits to
@@ -275,99 +273,6 @@ type Assertion struct {
 	Want   string `json:"want,omitempty"`
 }
 
-// Actions understood by the runner.
-var actions = map[string]bool{
-	"swap_out":   true,
-	"swap_in":    true,
-	"checkpoint": true,
-	"inject":     true,
-	"finish":     true,
-	// recover restores a crashed tenant from its last committed epoch;
-	// restart re-runs it from scratch (the stateless baseline).
-	"recover": true,
-	"restart": true,
-}
-
-// faultKinds understood by the runner.
-var faultKinds = map[string]bool{
-	"crash":             true,
-	"crash_during_save": true,
-	"drop":              true,
-	"delay":             true,
-	"slow_disk":         true,
-	"slow_save":         true,
-}
-
-// Workloads understood by the runner.
-var workloads = map[string]bool{
-	"idle":      true,
-	"sleeploop": true,
-	"pingpong":  true,
-	"diskchurn": true,
-	"racyelect": true,
-	// Distributed agreement workloads: bully leader election with an
-	// injected leader crash, and a 2PC commit group whose coordinator
-	// crash leaves participants blocked in doubt.
-	"quorum":    true,
-	"commit2pc": true,
-}
-
-// Assertion types understood by the runner.
-var assertionTypes = map[string]bool{
-	"state":                 true,
-	"min_ticks":             true,
-	"min_checkpoints":       true,
-	"min_preemptions":       true,
-	"all_admitted":          true,
-	"max_queue_wait":        true,
-	"virtual_elapsed_max":   true,
-	"utilization_min":       true,
-	"max_swap_mb":           true,
-	"outcome_found":         true,
-	"min_distinct_outcomes": true,
-	"all_branches_admitted": true,
-	// Fault-tolerance assertions: the tenant recovered from its crash,
-	// lost at most this much work to the recovery, and at least this
-	// many epochs aborted (proof the injected fault actually bit).
-	"recovered":        true,
-	"max_lost_work_ms": true,
-	"epochs_aborted":   true,
-	// Storage-tier assertions (need a storage stanza): the delta
-	// cache's hit ratio stayed at or above value percent, and chain
-	// state crossing the control LAN stayed under value MB.
-	"min_cache_hit_ratio": true,
-	"max_remote_mb":       true,
-	// Health-loop assertions (need a health stanza): the loop detected
-	// the failure within value ms, brought the tenant back in service
-	// within value ms of the crash, and initiated at least value
-	// (default 1) unattended remediations.
-	"max_detect_ms": true,
-	"max_mttr_ms":   true,
-	"remediated":    true,
-	// Federation assertions (need a federation stanza): every tenant
-	// drained, at least value cross-facility migrations happened, and
-	// WAN traffic stayed under value MB.
-	"all_completed":  true,
-	"min_migrations": true,
-	"max_wan_mb":     true,
-}
-
-// federationAssertions are the only assertion types a federation
-// scenario may use (there is no cluster, search, or storage tier to
-// assert against).
-var federationAssertions = map[string]bool{
-	"all_completed":  true,
-	"min_migrations": true,
-	"max_wan_mb":     true,
-}
-
-// swapModes understood by the runner.
-var swapModes = map[string]bool{
-	"":            true, // default: full
-	"full":        true,
-	"incremental": true,
-}
-
 // Parse decodes a scenario file, rejecting unknown fields (typos in a
 // declarative file should fail loudly, not silently no-op).
 func Parse(data []byte) (*File, error) {
@@ -418,6 +323,16 @@ func (e *Experiment) Spec() emulab.Spec {
 	return sp
 }
 
+// hasNode reports whether the experiment declares a node of that name.
+func (e *Experiment) hasNode(name string) bool {
+	for _, n := range e.Nodes {
+		if n.Name == name {
+			return true
+		}
+	}
+	return false
+}
+
 // checkShaping reports each shaping value of a link or LAN that is
 // negative, NaN or infinite or above its bound, and a positive
 // bandwidth below 1 bit/s (which would convert to 0, unshaped).
@@ -453,6 +368,7 @@ func Validate(f *File) []error {
 	}
 	if f.Federation != nil {
 		validateFederation(f, bad)
+		validateAssertions(f, nil, bad)
 		return errs
 	}
 	if f.Pool <= 0 {
@@ -461,7 +377,7 @@ func Validate(f *File) []error {
 	if _, err := sched.ParsePolicy(f.Policy); err != nil {
 		bad("%v", err)
 	}
-	if !swapModes[f.Swap] {
+	if f.Swap != "" && f.Swap != "full" && f.Swap != "incremental" {
 		bad("unknown swap mode %q (want full or incremental)", f.Swap)
 	}
 	if st := f.Storage; st != nil {
@@ -510,14 +426,10 @@ func Validate(f *File) []error {
 		if len(e.Nodes) == 0 {
 			bad("experiment %q has no nodes", e.Name)
 		}
-		if !workloads[e.Workload] {
+		if w, ok := workloads[e.Workload]; !ok {
 			bad("experiment %q: unknown workload %q", e.Name, e.Workload)
-		}
-		if (e.Workload == "pingpong" || e.Workload == "racyelect" || e.Workload == "commit2pc") && len(e.Nodes) < 2 {
-			bad("experiment %q: %s needs two nodes", e.Name, e.Workload)
-		}
-		if e.Workload == "quorum" && len(e.Nodes) < 3 {
-			bad("experiment %q: quorum needs three nodes (a crashed leader must leave a majority)", e.Name)
+		} else if len(e.Nodes) < w.minNodes {
+			bad("experiment %q: %s needs %s", e.Name, e.Workload, w.nodes)
 		}
 		if _, err := parseDur(e.SubmitAt); err != nil {
 			bad("experiment %q: submit_at %q does not parse", e.Name, e.SubmitAt)
@@ -592,7 +504,8 @@ func Validate(f *File) []error {
 	}
 
 	for i, ft := range f.Faults {
-		if !faultKinds[ft.Kind] {
+		fk, ok := faultKinds[ft.Kind]
+		if !ok {
 			bad("fault %d: unknown kind %q", i, ft.Kind)
 			continue
 		}
@@ -607,23 +520,11 @@ func Validate(f *File) []error {
 			bad("fault %d: unknown target %q", i, ft.Target)
 			continue
 		}
-		nodeKnown := func(name string) bool {
-			for _, n := range target.Nodes {
-				if n.Name == name {
-					return true
-				}
-			}
-			return false
-		}
-		switch ft.Kind {
-		case "slow_disk", "slow_save":
-			if ft.Node == "" || !nodeKnown(ft.Node) {
-				bad("fault %d: %s needs a node of %q, got %q", i, ft.Kind, ft.Target, ft.Node)
-			}
-		case "drop", "delay":
-			if ft.Node != "" && !nodeKnown(ft.Node) {
-				bad("fault %d: node %q is not in experiment %q", i, ft.Node, ft.Target)
-			}
+		switch {
+		case fk.node == nodeRequired && (ft.Node == "" || !target.hasNode(ft.Node)):
+			bad("fault %d: %s needs a node of %q, got %q", i, ft.Kind, ft.Target, ft.Node)
+		case fk.node == nodeOptional && ft.Node != "" && !target.hasNode(ft.Node):
+			bad("fault %d: node %q is not in experiment %q", i, ft.Node, ft.Target)
 		}
 		if ft.Factor < 0 || ft.Count < 0 || ft.ExtraMs < 0 {
 			bad("fault %d: negative knob", i)
@@ -634,7 +535,8 @@ func Validate(f *File) []error {
 		if _, err := parseDur(ev.At); err != nil || ev.At == "" {
 			bad("event %d: at %q does not parse", i, ev.At)
 		}
-		if !actions[ev.Action] {
+		act, known := actions[ev.Action]
+		if !known {
 			bad("event %d: unknown action %q", i, ev.Action)
 		}
 		target, ok := expByName[ev.Target]
@@ -642,113 +544,18 @@ func Validate(f *File) []error {
 			bad("event %d: unknown target %q", i, ev.Target)
 			continue
 		}
-		if (ev.Action == "swap_out" || ev.Action == "swap_in") && !target.Spec().Swappable() {
+		if act.swappable && !target.Spec().Swappable() {
 			bad("event %d: %s needs every node of %q swappable (stateful swap preserves node-local state)", i, ev.Action, ev.Target)
 		}
 	}
 
-	for i, a := range f.Assertions {
-		if !assertionTypes[a.Type] {
-			bad("assertion %d: unknown type %q", i, a.Type)
-			continue
-		}
-		if a.Target != "" {
-			if _, ok := expByName[a.Target]; !ok {
-				bad("assertion %d: unknown target %q", i, a.Target)
-			}
-		}
-		switch a.Type {
-		case "state":
-			if a.Target == "" || a.Want == "" {
-				bad("assertion %d: state needs target and want", i)
-			}
-		case "outcome_found", "min_distinct_outcomes", "all_branches_admitted":
-			if f.Search == nil {
-				bad("assertion %d: %s needs a search stanza", i, a.Type)
-			}
-			if a.Type == "outcome_found" && a.Want == "" {
-				bad("assertion %d: outcome_found needs want", i)
-			}
-			if a.Type == "min_distinct_outcomes" && a.Value <= 0 {
-				bad("assertion %d: min_distinct_outcomes needs a positive value", i)
-			}
-		case "min_ticks", "min_checkpoints":
-			if a.Target == "" {
-				bad("assertion %d: %s needs a target", i, a.Type)
-			}
-		case "recovered":
-			if a.Target == "" {
-				bad("assertion %d: recovered needs a target", i)
-			}
-		case "max_lost_work_ms":
-			if a.Target == "" || a.Value <= 0 {
-				bad("assertion %d: max_lost_work_ms needs target and a positive value (ms)", i)
-			}
-		case "max_detect_ms", "max_mttr_ms":
-			if f.Health == nil {
-				bad("assertion %d: %s needs a health stanza", i, a.Type)
-			}
-			if a.Target == "" || a.Value <= 0 {
-				bad("assertion %d: %s needs target and a positive value (ms)", i, a.Type)
-			}
-		case "remediated":
-			if f.Health == nil {
-				bad("assertion %d: remediated needs a health stanza", i)
-			}
-			if a.Target == "" {
-				bad("assertion %d: remediated needs a target", i)
-			}
-		case "epochs_aborted":
-			if a.Value <= 0 {
-				bad("assertion %d: epochs_aborted needs a positive value", i)
-			}
-		case "max_swap_mb":
-			if a.Value <= 0 {
-				bad("assertion %d: max_swap_mb needs a positive value (MB)", i)
-			}
-		case "min_cache_hit_ratio":
-			if f.Storage == nil || f.Storage.CacheMB <= 0 {
-				bad("assertion %d: min_cache_hit_ratio needs a storage stanza with cache_mb", i)
-			}
-			if a.Value <= 0 || a.Value > 100 {
-				bad("assertion %d: min_cache_hit_ratio needs a value in (0, 100] percent", i)
-			}
-		case "max_remote_mb":
-			if f.Storage == nil {
-				bad("assertion %d: max_remote_mb needs a storage stanza", i)
-			}
-			if a.Value < 0 {
-				bad("assertion %d: max_remote_mb needs a non-negative value (MB)", i)
-			}
-		case "max_queue_wait", "virtual_elapsed_max":
-			if _, err := parseDur(a.Dur); err != nil || a.Dur == "" {
-				bad("assertion %d: dur %q does not parse", i, a.Dur)
-			}
-			if a.Type == "virtual_elapsed_max" {
-				if a.Target == "" || a.Node == "" {
-					bad("assertion %d: virtual_elapsed_max needs target and node", i)
-				} else if e, ok := expByName[a.Target]; ok {
-					found := false
-					for _, n := range e.Nodes {
-						if n.Name == a.Node {
-							found = true
-							break
-						}
-					}
-					if !found {
-						bad("assertion %d: node %q is not in experiment %q", i, a.Node, a.Target)
-					}
-				}
-			}
-		}
-	}
+	validateAssertions(f, expByName, bad)
 	return errs
 }
 
-// validateFederation checks a federation scenario: the stanza itself,
-// the absence of every cluster-run stanza (the fleet is synthetic and
-// there is no pool, search, or storage tier), and that only federation
-// assertion types appear.
+// validateFederation checks a federation scenario's stanza and the
+// absence of every cluster-run stanza (the fleet is synthetic and there
+// is no pool, search, or storage tier).
 func validateFederation(f *File, bad func(string, ...any)) {
 	fd := f.Federation
 	if fd.Facilities <= 0 {
@@ -800,24 +607,5 @@ func validateFederation(f *File, bad func(string, ...any)) {
 	}
 	if f.Health != nil {
 		bad("federation scenarios take no health stanza (facilities run synthetic tenants, not probed experiments)")
-	}
-	for i, a := range f.Assertions {
-		if !federationAssertions[a.Type] {
-			bad("assertion %d: %q does not apply to a federation scenario", i, a.Type)
-			continue
-		}
-		switch a.Type {
-		case "min_migrations":
-			if a.Value <= 0 {
-				bad("assertion %d: min_migrations needs a positive value", i)
-			}
-			if fd.Facilities < 2 || !fd.Migration {
-				bad("assertion %d: min_migrations needs migration enabled over at least two facilities", i)
-			}
-		case "max_wan_mb":
-			if a.Value < 0 {
-				bad("assertion %d: max_wan_mb needs a non-negative value (MB)", i)
-			}
-		}
 	}
 }

@@ -4,6 +4,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -180,6 +183,12 @@ func TestValidateNegativeTable(t *testing.T) {
 		{"assert-virtual-foreign-node", func(f *File) {
 			f.Assertions = []Assertion{{Type: "virtual_elapsed_max", Target: "e1", Node: "b", Dur: "1m"}}
 		}, `node "b" is not in experiment "e1"`},
+		{"assert-all-completed-no-federation", func(f *File) { f.Assertions = []Assertion{{Type: "all_completed"}} },
+			"all_completed needs a federation stanza"},
+		{"assert-migrations-no-federation", func(f *File) { f.Assertions = []Assertion{{Type: "min_migrations", Value: 1}} },
+			"min_migrations needs a federation stanza"},
+		{"assert-wan-mb-no-federation", func(f *File) { f.Assertions = []Assertion{{Type: "max_wan_mb", Value: 1}} },
+			"max_wan_mb needs a federation stanza"},
 	}
 	if errs := Validate(validBase()); len(errs) > 0 {
 		t.Fatalf("base scenario must be valid, got %v", errs)
@@ -245,5 +254,138 @@ func checkLinkDelayRejected(t *testing.T, delayMs float64, want string) {
 	}()
 	if _, err := Run(f); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("Run: %v, want an error naming %q", err, want)
+	}
+}
+
+// verbFile extends validBase to the vocabulary entries no shipped
+// example uses: the idle, quorum and commit2pc workloads, the
+// crash_during_save, delay, slow_disk and slow_save faults, and the
+// restart action, here reviving a tenant with an unswappable node.
+func verbFile() *File {
+	f := validBase()
+	f.Pool = 12
+	f.Experiments[0].Epochs = "10s"
+	f.Experiments = append(f.Experiments,
+		Experiment{Name: "e3", Workload: "quorum", Nodes: []Node{{Name: "q0"}, {Name: "q1"}, {Name: "q2"}}},
+		Experiment{Name: "e4", Workload: "commit2pc", Nodes: []Node{{Name: "p0"}, {Name: "p1"}}},
+		Experiment{Name: "e5", Workload: "idle", Nodes: []Node{{Name: "i0"}}})
+	f.Faults = []Fault{
+		{Kind: "crash_during_save", At: "15s", Target: "e1"},
+		{Kind: "delay", At: "12s", Target: "e1", Node: "a", ExtraMs: 5},
+		{Kind: "slow_disk", At: "12s", Target: "e2", Node: "b"},
+		{Kind: "slow_save", At: "12s", Target: "e1", Node: "a"},
+		{Kind: "crash", At: "20s", Target: "e5"},
+	}
+	f.Events = []Event{{At: "30s", Action: "restart", Target: "e5"}}
+	f.Assertions = []Assertion{{Type: "state", Target: "e5", Want: "running"}}
+	return f
+}
+
+// TestEveryVerbRuns: every entry of the four vocabularies is used by a
+// Validate-clean file (a shipped example or verbFile), every such file
+// passes, and no run of them reports a check, event or fault error
+// naming something unknown.
+func TestEveryVerbRuns(t *testing.T) {
+	files := []*File{verbFile()}
+	names, err := filepath.Glob(filepath.Join("..", "..", "examples", "scenarios", "*.json"))
+	if err != nil || len(names) == 0 {
+		t.Fatalf("no example scenarios: %v", err)
+	}
+	for _, n := range names {
+		files = append(files, load(t, filepath.Base(n)))
+	}
+	used := make(map[string]bool)
+	for _, f := range files {
+		if errs := Validate(f); len(errs) > 0 {
+			t.Fatalf("%s: %v", f.Name, errs)
+		}
+		for _, e := range f.Experiments {
+			used["workload "+e.Workload] = true
+		}
+		for _, ft := range f.Faults {
+			used["fault "+ft.Kind] = true
+		}
+		for _, ev := range f.Events {
+			used["action "+ev.Action] = true
+		}
+		for _, a := range f.Assertions {
+			used["assertion "+a.Type] = true
+		}
+		res, err := Run(f)
+		if err != nil {
+			t.Fatalf("%s: %v", f.Name, err)
+		}
+		if !res.Pass {
+			t.Errorf("%s failed:\n%s", f.Name, res.Render())
+		}
+		said := slices.Clone(res.EventErrors)
+		for _, ch := range res.Checks {
+			said = append(said, ch.Desc, ch.Detail)
+		}
+		if res.Faults != nil {
+			said = append(said, res.Faults.Errors...)
+		}
+		for _, s := range said {
+			if strings.Contains(s, "unknown") {
+				t.Errorf("%s: %s", f.Name, s)
+			}
+		}
+	}
+	for _, v := range vocabularies {
+		for _, k := range v.keys {
+			if !used[v.kind+" "+k] {
+				t.Errorf("%s %q is used by no Validate-clean test file", v.kind, k)
+			}
+		}
+	}
+}
+
+// vocabulary is one code table's entries, sorted, with the
+// docs/scenarios.md heading that documents them.
+type vocabulary struct {
+	kind, heading string
+	keys          []string
+}
+
+var vocabularies = []vocabulary{
+	{"workload", "Workloads", sortedKeys(workloads)},
+	{"fault", "Faults", sortedKeys(faultKinds)},
+	{"action", "Events", sortedKeys(actions)},
+	{"assertion", "Assertions", sortedKeys(assertionTypes)},
+}
+
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
+// TestDocsNameEveryVerb: the Workloads, Faults, Events and Assertions
+// tables of docs/scenarios.md name exactly the entries of the code
+// tables.
+func TestDocsNameEveryVerb(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("..", "..", "docs", "scenarios.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	row := regexp.MustCompile("^\\| `([a-z0-9_]+)` \\|")
+	documented := make(map[string][]string) // heading -> first-column names
+	heading := ""
+	for _, line := range strings.Split(string(data), "\n") {
+		if strings.HasPrefix(line, "#") {
+			heading = strings.TrimLeft(line, "# ")
+		} else if m := row.FindStringSubmatch(line); m != nil {
+			documented[heading] = append(documented[heading], m[1])
+		}
+	}
+	for _, v := range vocabularies {
+		got := documented[v.heading]
+		sort.Strings(got)
+		if !slices.Equal(got, v.keys) {
+			t.Errorf("docs/scenarios.md %s table names %v, code has %v", v.heading, got, v.keys)
+		}
 	}
 }

@@ -275,17 +275,14 @@ func (n *NIC) SetReplayGap(d sim.Time) {
 }
 
 // Wire is a unidirectional point-to-point segment with fixed propagation
-// delay and optional random loss. Bandwidth is enforced by the sending
-// NIC (or delay-node pipe), not the wire. The loss draw happens when a
-// packet arrives at the far end, in the same event that delivers it.
+// delay. Bandwidth is enforced by the sending NIC (or delay-node pipe)
+// and loss by a delay-node pipe's PLR, not by the wire.
 type Wire struct {
 	delay sim.Time
-	loss  float64 // probability in [0,1]
 	dst   Port
 	in    *hop // packets handed to Accept directly, not by a NIC
 
 	Delivered uint64
-	Lost      uint64
 }
 
 // NewWire creates a wire to dst with the given one-way propagation delay.
@@ -295,19 +292,11 @@ func NewWire(s *sim.Simulator, delay sim.Time, dst Port) *Wire {
 	return w
 }
 
-// SetLoss sets the independent per-packet loss probability.
-func (w *Wire) SetLoss(p float64) { w.loss = min(max(p, 0), 1) }
-
 // Accept implements Port.
 func (w *Wire) Accept(pkt *Packet) { w.in.enter(pkt, w.in.sim.Now()) }
 
-// arrive completes a packet's propagation: it is lost with the wire's
-// loss probability, else delivered.
+// arrive completes a packet's propagation by delivering it.
 func (w *Wire) arrive(pkt *Packet) {
-	if w.loss > 0 && w.in.sim.Rand().Float64() < w.loss {
-		w.Lost++
-		return
-	}
 	w.Delivered++
 	w.dst.Accept(pkt)
 }

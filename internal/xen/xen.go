@@ -43,25 +43,14 @@ type SaveOptions struct {
 	Target SaveTarget
 
 	// SuspendAt is the absolute (node-local) time to engage the
-	// firewall. Zero means "as soon as pre-copy converges or MaxRounds
-	// is reached" (event-driven checkpoint).
+	// firewall. Zero means "as soon as pre-copy converges or
+	// maxPrecopyRounds is reached" (event-driven checkpoint).
 	SuspendAt sim.Time
 
 	// Incremental restricts the first round to pages dirtied since the
 	// previous checkpoint instead of the full resident set — how the
 	// time-travel system affords frequent checkpointing.
 	Incremental bool
-
-	// MaxRounds bounds pre-copy iterations (default 4).
-	MaxRounds int
-
-	// ThresholdPages stops pre-copy once the dirty set is this small
-	// (default 128 pages).
-	ThresholdPages int
-
-	// Dom0CPUShare is the CPU fraction the copy engine consumes while
-	// the guest runs (default 0.30).
-	Dom0CPUShare float64
 
 	// OnError, if set, is notified when an accepted save fails later
 	// (e.g. the suspend raced something that had already frozen the
@@ -71,17 +60,17 @@ type SaveOptions struct {
 	OnError func(error)
 }
 
-func (o *SaveOptions) defaults() {
-	if o.MaxRounds <= 0 {
-		o.MaxRounds = 4
-	}
-	if o.ThresholdPages <= 0 {
-		o.ThresholdPages = 128
-	}
-	if o.Dom0CPUShare <= 0 {
-		o.Dom0CPUShare = 0.12
-	}
-}
+// Live-save pre-copy tuning.
+const (
+	// maxPrecopyRounds bounds pre-copy iterations.
+	maxPrecopyRounds = 4
+	// precopyThresholdPages stops pre-copy once the dirty set is this
+	// small.
+	precopyThresholdPages = 128
+	// dom0CPUShare is the CPU fraction the copy engine consumes while
+	// the guest runs.
+	dom0CPUShare = 0.12
+)
 
 // Image is a saved domain checkpoint.
 type Image struct {
@@ -148,7 +137,7 @@ func (h *Hypervisor) copyOut(n int64, o SaveOptions, fn func()) {
 		return
 	}
 	d := sim.Time(float64(n) / float64(h.rate(o.Target)) * float64(sim.Second))
-	h.M.CPU.Steal(h.M.Sim.Now(), d, o.Dom0CPUShare)
+	h.M.CPU.Steal(h.M.Sim.Now(), d, dom0CPUShare)
 	h.K.FW.Replan()
 	if o.Target == ToScratchDisk {
 		// Staged in dom0 memory; written back once, after resume.
@@ -229,7 +218,6 @@ func (h *Hypervisor) Save(o SaveOptions, done func(*Image)) error {
 	if h.saving {
 		return fmt.Errorf("xen: save already in progress on %s", h.M.Name)
 	}
-	o.defaults()
 	h.saving = true
 	h.cancelled = false
 	img := &Image{Node: h.M.Name}
@@ -261,7 +249,7 @@ func (h *Hypervisor) preCopyRound(o SaveOptions, img *Image, round int, done fun
 	} else {
 		pages = h.K.Dirty.TakeDirty()
 	}
-	if o.SuspendAt == 0 && (pages <= o.ThresholdPages || round > o.MaxRounds) {
+	if o.SuspendAt == 0 && (pages <= precopyThresholdPages || round > maxPrecopyRounds) {
 		// Event-driven save: converged (or gave up) — the final set is
 		// handled by stop-and-copy.
 		h.K.Dirty.ForceDirty(pages)
